@@ -221,15 +221,32 @@ bool nat_rewrite(const ChainConfig& cfg, net::Packet& pkt,
   auto bytes = pkt.buf.data();
   constexpr std::size_t kIpOff = net::EthernetHeader::kSize;
   constexpr std::size_t kL4Off = kIpOff + net::Ipv4Header::kSize;
+  constexpr std::size_t kCsumOff = kIpOff + 10;
+  constexpr std::size_t kSrcOff = kIpOff + 12;
   if (bytes.size() < kL4Off + 4) return false;
-  const net::EthernetHeader eth = net::EthernetHeader::decode(bytes);
-  if (eth.ethertype != net::EthernetHeader::kEtherTypeIpv4) return false;
-  net::Ipv4Header ip = net::Ipv4Header::decode(bytes.subspan(kIpOff));
-  if (ip.protocol != net::Ipv4Header::kProtoTcp &&
-      ip.protocol != net::Ipv4Header::kProtoUdp)
+  const auto word = [&bytes](std::size_t off) -> std::uint32_t {
+    return (std::uint32_t{bytes[off]} << 8) | bytes[off + 1];
+  };
+  if (word(12) != net::EthernetHeader::kEtherTypeIpv4) return false;
+  const std::uint8_t proto = bytes[kIpOff + 9];
+  if (proto != net::Ipv4Header::kProtoTcp &&
+      proto != net::Ipv4Header::kProtoUdp)
     return false;
-  ip.src = cfg.nat_external;
-  ip.encode(bytes.subspan(kIpOff));  // recomputes the header checksum
+  // RFC 1624 eqn. 3, HC' = ~(~HC + ~m + m'), over the two 16-bit words of
+  // the source address. On a header whose checksum was valid this equals a
+  // full recompute byte for byte: both one's-complement sums are nonzero
+  // and agree modulo 0xFFFF, so the end-around-carry fold lands on the
+  // same value.
+  const std::uint32_t src = cfg.nat_external.value;
+  std::uint32_t sum = ~word(kCsumOff) & 0xFFFF;
+  sum += (~word(kSrcOff) & 0xFFFF) + (src >> 16);
+  sum += (~word(kSrcOff + 2) & 0xFFFF) + (src & 0xFFFF);
+  while (sum >> 16) sum = (sum & 0xFFFF) + (sum >> 16);
+  const std::uint32_t csum = ~sum & 0xFFFF;
+  bytes[kCsumOff] = static_cast<std::uint8_t>(csum >> 8);
+  bytes[kCsumOff + 1] = static_cast<std::uint8_t>(csum & 0xFF);
+  for (std::size_t k = 0; k < 4; ++k)
+    bytes[kSrcOff + k] = static_cast<std::uint8_t>(src >> (24 - 8 * k));
   // Source port is the first 16-bit field of both TCP and UDP.
   bytes[kL4Off] = static_cast<std::uint8_t>(ext_port >> 8);
   bytes[kL4Off + 1] = static_cast<std::uint8_t>(ext_port & 0xFF);

@@ -217,9 +217,11 @@ void apply(const ChainConfig& cfg, const MaglevTable* maglev, Kind kind,
            const PacketView& view, FlowState& state);
 
 /// Rewrite the packet's real header bytes for source NAT (src address ->
-/// cfg.nat_external, src port -> ext_port, IPv4 checksum recomputed).
-/// Returns false when the buffer does not parse as Eth/IPv4/{TCP,UDP}
-/// (e.g. still encapsulated). Flow METADATA (pkt.flow / flow_id) is left
+/// cfg.nat_external, src port -> ext_port). The IPv4 checksum is updated
+/// incrementally over the address words (RFC 1624), which on a valid
+/// header gives exactly the bytes of a full re-encode. Returns false, bytes
+/// untouched, when the buffer does not parse as Eth/IPv4/{TCP,UDP} (e.g.
+/// still encapsulated). Flow METADATA (pkt.flow / flow_id) is left
 /// untouched: delivery downstream keys on the destination.
 bool nat_rewrite(const ChainConfig& cfg, net::Packet& pkt,
                  std::uint16_t ext_port);

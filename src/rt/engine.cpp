@@ -82,6 +82,45 @@ struct CacheSlot {
 constexpr std::size_t kOuterSportOff =
     net::EthernetHeader::kSize + net::Ipv4Header::kSize;
 
+/// Overlay mode's encapsulated header image for the micro-flow being
+/// generated: inner Eth/IPv4/UDP plus the 50-byte VXLAN outer stack.
+struct OverlayTemplate {
+  net::PacketPtr pkt;
+  std::uint64_t batch = 0;  // micro-flow `pkt` was built for (0 = none)
+};
+
+/// Stamp an overlay slab. Every packet of a micro-flow belongs to one inner
+/// flow (batch % flows), so the header image is built once per batch and
+/// each slab is copy-assigned from it; the copy stays within the slab's
+/// reserved buffer and never allocates. Kept out of line, and handed the
+/// slab handle by value like the per-packet builders: in any other shape
+/// it disturbed the codegen of Engine::run's forward-only generator loop
+/// (rt-forward lost about a fifth of its throughput on a 4-CPU host).
+[[gnu::noinline]] net::PacketPtr stamp_overlay(net::PacketPtr skb,
+                                               OverlayTemplate& tmpl,
+                                               std::uint64_t batch,
+                                               std::uint64_t seq,
+                                               std::uint64_t flows,
+                                               std::uint32_t vni) {
+  if (tmpl.batch != batch) {
+    const std::uint64_t fidx = batch % flows;
+    tmpl.pkt = net::make_udp_datagram(
+        std::move(tmpl.pkt),
+        net::FlowKey{net::Ipv4Addr(10, 0, 1, 2), net::Ipv4Addr(10, 0, 1, 3),
+                     static_cast<std::uint16_t>(40000 + (fidx & 0x3FFF)),
+                     5000, net::Ipv4Header::kProtoUdp},
+        net::kTcpMss);
+    net::vxlan_encap(*tmpl.pkt, net::Ipv4Addr(192, 168, 1, 2),
+                     net::Ipv4Addr(192, 168, 1, 3), vni);
+    tmpl.pkt->flow_id = static_cast<net::FlowId>(fidx + 1);
+    tmpl.pkt->microflow_id = batch;
+    tmpl.batch = batch;
+  }
+  *skb = *tmpl.pkt;
+  skb->wire_seq = seq;
+  return skb;
+}
+
 }  // namespace
 
 EngineResult Engine::run(
@@ -160,8 +199,9 @@ EngineResult Engine::run(
 
   // Overlay-mode state, all sized BEFORE any thread spawns so the steady
   // state stays allocation-free: one direct-mapped cache per worker (only
-  // its owner touches it) and one counter block per worker (written once,
-  // at worker exit; read after join).
+  // its owner touches it), one counter block per worker (written once,
+  // at worker exit; read after join), and the generator's header template
+  // with its buffer reserved like a pool slab's.
   const bool overlay_on = config_.overlay.enabled;
   const std::uint64_t overlay_flows =
       std::max<std::uint32_t>(config_.overlay.flows, 1);
@@ -175,6 +215,11 @@ EngineResult Engine::run(
     std::uint64_t hits = 0, misses = 0, invals = 0, fails = 0;
   };
   std::vector<OverlayCounts> ov_counts(W);
+  OverlayTemplate ov_tmpl;
+  if (overlay_on) {
+    ov_tmpl.pkt = net::make_packet();
+    ov_tmpl.pkt->buf.reserve(pool.config().buffer_bytes);
+  }
 
   // Flow-state plane (churn mode): one shared FlowTable, created before
   // thread spawn. The generator inserts/sweeps; workers only touch() —
@@ -215,6 +260,7 @@ EngineResult Engine::run(
                                          config_.nf.chain.lb_table_size,
                                          config_.nf.chain.lb_seed)
                 : nf::MaglevTable{};
+  const nf::MaglevTable* const nf_lb = nf_has_lb ? &nf_maglev : nullptr;
   std::unique_ptr<control::FlowTable<nf::FlowState>> nf_shared_table;
   std::vector<std::unique_ptr<control::FlowTable<nf::FlowState>>> nf_tables;
   if (nf_shared) {
@@ -287,6 +333,14 @@ EngineResult Engine::run(
       auto& cache = caches[w];
       const std::size_t slot_mask = cache.empty() ? 0 : cache.size() - 1;
       OverlayCounts ov;
+      NfCounts nc;
+      // Replica-table NF state of the current run of equal (flow, batch):
+      // resolved once per run, since a chunk never crosses a micro-flow.
+      // Only this worker mutates its table while threads run, so the entry
+      // stays put until this worker's next upsert.
+      nf::FlowState* run_state = nullptr;
+      net::FlowId run_flow = 0;
+      std::uint64_t run_batch = 0;
       while (true) {
         const std::size_t n = in.try_pop_batch(chunk.data(), kChunk);
         if (n == 0) {
@@ -395,13 +449,11 @@ EngineResult Engine::run(
               // churn flow table; ttl is 0 so it only orders evictions.
               net::Packet& skb = *pkt.skb;
               const nf::PacketView view = nf::view_of(skb);
-              const nf::MaglevTable* lb = nf_has_lb ? &nf_maglev : nullptr;
-              NfCounts& nc = nf_counts[w];
               ++nc.pkts;
               std::uint16_t ext_port = 0;
               auto update = [&](nf::FlowState& st) {
                 for (nf::Kind k : config_.nf.chain.chain)
-                  nf::apply(config_.nf.chain, lb, k, view, st);
+                  nf::apply(config_.nf.chain, nf_lb, k, view, st);
                 ext_port = st.nat.ext_port;
               };
               if (nf_shared) {
@@ -409,8 +461,14 @@ EngineResult Engine::run(
                 nf_shared_table->upsert_apply(
                     skb.flow_id, static_cast<sim::Time>(pkt.batch), update);
               } else {
-                update(nf_tables[w]->upsert(
-                    skb.flow_id, static_cast<sim::Time>(pkt.batch)));
+                if (run_state == nullptr || skb.flow_id != run_flow ||
+                    pkt.batch != run_batch) {
+                  run_state = &nf_tables[w]->upsert(
+                      skb.flow_id, static_cast<sim::Time>(pkt.batch));
+                  run_flow = skb.flow_id;
+                  run_batch = pkt.batch;
+                }
+                update(*run_state);
               }
               if (nf_has_nat && overlay_on && !skb.encapsulated &&
                   ext_port != 0) {
@@ -441,7 +499,8 @@ EngineResult Engine::run(
         }
       }
       wt.flush();
-      ov_counts[w] = ov;  // single write, read only after join
+      ov_counts[w] = ov;  // single writes, read only after join
+      nf_counts[w] = nc;
       if (pc != nullptr) {
         input_dry.resolve(pc->input_dry_episodes, pc->input_dry_ns);
         pc->recycle_cas_fallbacks = rc.cas_fallbacks;
@@ -541,6 +600,10 @@ EngineResult Engine::run(
   std::uint64_t epoch_first = 1;
   std::size_t rescale_idx = 0;
   std::uint64_t rescales_applied = 0;
+  std::uint64_t rescales_refused = 0;
+  // The live request last sampled, and whether its refusal was counted.
+  std::uint32_t live_req = 0;
+  bool live_refusal_counted = false;
   capacity_.active.store(static_cast<std::uint32_t>(W),
                          std::memory_order_release);
   // Shared epoch-change protocol for the deterministic schedule AND live
@@ -549,16 +612,20 @@ EngineResult Engine::run(
   // then close every previously-active ring with an epoch-flush marker so
   // the consumer can prove its final old-epoch batch is complete — after
   // a shrink no later batch would ever arrive there to provide the FIFO
-  // evidence.
+  // evidence. Returns false when the merger's epoch budget refuses the
+  // announcement: the mapping then stays as it is and no marker goes out,
+  // since routing under a mapping the consumer never learns of would wedge
+  // it on the wrong ring.
   auto apply_active = [&](std::size_t requested_workers) {
     const std::size_t nw = std::min<std::size_t>(
         std::max<std::size_t>(requested_workers, 1), W);
-    if (nw == w_active) return;  // no mapping change, no epoch needed
+    if (nw == w_active) return true;  // no mapping change, no epoch needed
+    if (!merger.announce_epoch({batch, static_cast<std::uint32_t>(nw)}))
+      return false;
+    ++rescales_applied;
     const std::size_t old_active = w_active;
     w_active = nw;
     epoch_first = batch;
-    if (merger.announce_epoch({batch, static_cast<std::uint32_t>(w_active)}))
-      ++rescales_applied;
     for (std::size_t w2 = 0; w2 < old_active; ++w2) {
       RtPacket mark;
       mark.batch = batch;
@@ -573,6 +640,7 @@ EngineResult Engine::run(
     }
     capacity_.active.store(static_cast<std::uint32_t>(w_active),
                            std::memory_order_release);
+    return true;
   };
   ThreadTrace gt(tr, t0, static_cast<int>(W) + 1);  // generator track
   std::vector<RtPacket> stage(kChunk);
@@ -589,16 +657,27 @@ EngineResult Engine::run(
       in_batch = 0;
       while (rescale_idx < config_.rescales.size() &&
              i >= config_.rescales[rescale_idx].after_packets) {
-        apply_active(config_.rescales[rescale_idx].active_workers);
+        if (!apply_active(config_.rescales[rescale_idx].active_workers))
+          ++rescales_refused;
         ++rescale_idx;
       }
       // Live capacity request (rt::EngineCapacityAdapter). The schedule is
       // replayed first so a test that uses both has a defined order; the
-      // request wins ties since it is the operator's latest word.
+      // request wins ties since it is the operator's latest word. It is
+      // re-sampled at every boundary, so a refused request is counted once,
+      // not once per boundary it stays posted.
       if (const std::uint32_t req =
               capacity_.requested.load(std::memory_order_acquire);
-          req != 0)
-        apply_active(req);
+          req != 0) {
+        if (req != live_req) {
+          live_req = req;
+          live_refusal_counted = false;
+        }
+        if (!apply_active(req) && !live_refusal_counted) {
+          ++rescales_refused;
+          live_refusal_counted = true;
+        }
+      }
       target = static_cast<std::size_t>((batch - epoch_first) % w_active);
       if (ftable != nullptr) {
         // Register the batch's flow before any of its packets are pushed,
@@ -668,24 +747,11 @@ EngineResult Engine::run(
         continue;
       }
       if (overlay_on) {
-        // Build REAL encapsulated bytes into the slab: inner Eth/IPv4/UDP
-        // (42 bytes) plus the 50-byte VXLAN outer stack, all within the
-        // slab's reserved capacity — allocation-free. Each micro-flow
-        // batch belongs to one inner flow, so flow identity (and the
+        // REAL encapsulated bytes, copied from the micro-flow's template.
+        // Each batch belongs to one inner flow, so flow identity (and the
         // worker-side cache key) survives the round-robin split.
-        const std::uint64_t fidx = batch % overlay_flows;
-        skb = net::make_udp_datagram(
-            std::move(skb),
-            net::FlowKey{net::Ipv4Addr(10, 0, 1, 2),
-                         net::Ipv4Addr(10, 0, 1, 3),
-                         static_cast<std::uint16_t>(40000 + (fidx & 0x3FFF)),
-                         5000, net::Ipv4Header::kProtoUdp},
-            net::kTcpMss);
-        net::vxlan_encap(*skb, net::Ipv4Addr(192, 168, 1, 2),
-                         net::Ipv4Addr(192, 168, 1, 3), config_.overlay.vni);
-        skb->flow_id = static_cast<net::FlowId>(fidx + 1);
-        skb->wire_seq = i;
-        skb->microflow_id = batch;
+        skb = stamp_overlay(std::move(skb), ov_tmpl, batch, i, overlay_flows,
+                            config_.overlay.vni);
       } else {
         // Stamp the skb the way the splitter stamps real packets. With the
         // flow table on, flow identity follows the churn generator (a new
@@ -772,6 +838,7 @@ EngineResult Engine::run(
   res.pool_recycled = pool.recycled();
   res.pool_exhausted = pool.exhausted();
   res.rescales_applied = rescales_applied;
+  res.rescales_refused = rescales_refused;
   res.active_workers_final = static_cast<std::uint32_t>(w_active);
   for (const auto& ov : ov_counts) {
     res.cache_hits += ov.hits;

@@ -94,7 +94,8 @@ struct EngineConfig {
   };
   std::vector<Rescale> rescales;
   /// Overlay mode: the generator builds REAL VXLAN-encapsulated bytes into
-  /// every slab (inner Eth/IPv4/UDP + 50-byte outer stack) and the workers
+  /// every slab (inner Eth/IPv4/UDP + 50-byte outer stack; built once per
+  /// micro-flow as a template and copied into each slab) and the workers
   /// decapsulate them — the rt twin of the DES overlay path. With `cache`
   /// on, each worker keeps a direct-mapped per-flow table (sized before
   /// thread spawn, so the no-alloc invariant holds): a hit validates the
@@ -142,10 +143,14 @@ struct EngineConfig {
   /// through upsert_apply (the shard mutex is the lock every split packet
   /// serializes on); kScr / kFlowAffinity: one PRIVATE single-writer table
   /// per worker, folded into the merged state after join (exact, because
-  /// nf::FlowState is a lattice). In overlay mode the NAT stage rewrites
-  /// the real decapsulated header bytes. Tables are sized before thread
-  /// spawn, so the no-alloc steady state holds as long as `state_capacity`
-  /// covers the live flows.
+  /// nf::FlowState is a lattice). A worker resolves a private table's
+  /// entry once per run of equal (flow, batch) and applies the chain to it
+  /// per packet; the shared table keeps its per-packet locked update. In
+  /// overlay mode the NAT stage rewrites the real decapsulated header
+  /// bytes. Tables are built before thread spawn and a table grows only
+  /// when its owner first sees a flow, so the no-alloc steady state holds
+  /// once every live flow has reached every worker, as long as
+  /// `state_capacity` covers the live flows.
   struct NfConfig {
     bool enabled = false;
     nf::Strategy strategy = nf::Strategy::kScr;
@@ -198,6 +203,10 @@ struct EngineResult {
   /// Epoch changes actually announced to the merger (one per effective
   /// EngineConfig::rescales entry; same-degree entries coalesce to none).
   std::uint64_t rescales_applied = 0;
+  /// Epoch changes the merger's epoch budget refused, each schedule entry
+  /// or distinct live request counted once. A refused change leaves the
+  /// worker mapping as it was, so the run still terminates in order.
+  std::uint64_t rescales_refused = 0;
   /// Overlay-mode accounting (all zero unless overlay.enabled), summed
   /// over the workers after join.
   std::uint64_t cache_hits = 0;
@@ -256,7 +265,9 @@ struct EngineResult {
 /// only — the same place the deterministic rescale schedule applies — and
 /// runs the identical epoch-announce + ring-flush protocol, then publishes
 /// the applied value into `active`. Requests are therefore never torn:
-/// between boundaries the old mapping keeps draining untouched.
+/// between boundaries the old mapping keeps draining untouched. Once the
+/// merger's epoch budget is spent, further changes are refused: `active`
+/// keeps its value and EngineResult::rescales_refused counts the refusal.
 struct CapacityControl {
   std::atomic<std::uint32_t> requested{0};
   std::atomic<std::uint32_t> active{0};

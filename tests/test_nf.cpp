@@ -103,6 +103,92 @@ TEST(NfNat, RewritesRealHeaderBytes) {
   EXPECT_FALSE(nf::nat_rewrite(cfg, *empty, 1));
 }
 
+// The incremental checksum update (RFC 1624) against the decode / set-src /
+// encode reference, over random TCP and UDP headers and random external
+// addresses: byte-identical, and the rewritten header verifies.
+TEST(NfNat, IncrementalChecksumMatchesFullReencode) {
+  constexpr std::size_t kIpOff = net::EthernetHeader::kSize;
+  constexpr std::size_t kL4Off = kIpOff + net::Ipv4Header::kSize;
+  util::Rng rng(0x1624);
+  net::Packet pkt;
+  for (int n = 0; n < 100000; ++n) {
+    const bool tcp = (n & 1) != 0;
+    net::Ipv4Header ip;
+    ip.protocol = tcp ? net::Ipv4Header::kProtoTcp : net::Ipv4Header::kProtoUdp;
+    ip.src = net::Ipv4Addr(static_cast<std::uint32_t>(rng.next()));
+    ip.dst = net::Ipv4Addr(static_cast<std::uint32_t>(rng.next()));
+    ip.ttl = static_cast<std::uint8_t>(rng.uniform(256));
+    ip.identification = static_cast<std::uint16_t>(rng.uniform(65536));
+    ip.tos = static_cast<std::uint8_t>(rng.uniform(256));
+    ip.total_length = static_cast<std::uint16_t>(rng.uniform(65536));
+    ip.dont_fragment = rng.chance(0.5);
+    nf::ChainConfig cfg;
+    cfg.nat_external = net::Ipv4Addr(static_cast<std::uint32_t>(rng.next()));
+    const auto port = static_cast<std::uint16_t>(rng.uniform(65536));
+
+    pkt.buf.reset();
+    net::EthernetHeader{}.encode(pkt.buf.append(net::EthernetHeader::kSize));
+    ip.encode(pkt.buf.append(net::Ipv4Header::kSize));
+    for (auto& b : pkt.buf.append(tcp ? net::TcpHeader::kSize
+                                      : net::UdpHeader::kSize))
+      b = static_cast<std::uint8_t>(rng.uniform(256));
+
+    std::vector<std::uint8_t> want(pkt.buf.data().begin(),
+                                   pkt.buf.data().end());
+    const std::span<std::uint8_t> ref(want);
+    net::Ipv4Header re = net::Ipv4Header::decode(ref.subspan(kIpOff));
+    re.src = cfg.nat_external;
+    re.encode(ref.subspan(kIpOff));
+    ref[kL4Off] = static_cast<std::uint8_t>(port >> 8);
+    ref[kL4Off + 1] = static_cast<std::uint8_t>(port & 0xFF);
+
+    ASSERT_TRUE(nf::nat_rewrite(cfg, pkt, port)) << "header " << n;
+    const auto got = pkt.buf.data();
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "header " << n;
+    ASSERT_TRUE(net::Ipv4Header::verify(got.subspan(kIpOff))) << "header " << n;
+  }
+}
+
+// Every rejection returns false and leaves the bytes exactly as they were.
+TEST(NfNat, RejectionsLeaveBytesUntouched) {
+  nf::ChainConfig cfg;
+  const auto rejected = [&cfg](net::Packet& pkt) {
+    const std::vector<std::uint8_t> before(pkt.buf.data().begin(),
+                                           pkt.buf.data().end());
+    if (nf::nat_rewrite(cfg, pkt, 4242)) return false;
+    const auto after = pkt.buf.data();
+    return std::equal(after.begin(), after.end(), before.begin(),
+                      before.end());
+  };
+  net::FlowKey udp = key_of(5);
+  udp.protocol = net::Ipv4Header::kProtoUdp;
+
+  auto encapsulated = net::make_udp_datagram(udp, 100);
+  net::vxlan_encap(*encapsulated, net::Ipv4Addr(192, 168, 1, 2),
+                   net::Ipv4Addr(192, 168, 1, 3), 42);
+  EXPECT_TRUE(rejected(*encapsulated));
+
+  // Eth + IPv4 + 3 bytes: one short of the L4 source port.
+  auto shorty = net::make_packet();
+  net::EthernetHeader{}.encode(shorty->buf.append(net::EthernetHeader::kSize));
+  net::Ipv4Header ip;
+  ip.src = udp.src;
+  ip.dst = udp.dst;
+  ip.encode(shorty->buf.append(net::Ipv4Header::kSize));
+  shorty->buf.append(3);
+  EXPECT_TRUE(rejected(*shorty));
+
+  auto ipv6 = net::make_udp_datagram(udp, 100);
+  ipv6->buf.data()[12] = 0x86;  // ethertype 0x86DD
+  ipv6->buf.data()[13] = 0xDD;
+  EXPECT_TRUE(rejected(*ipv6));
+
+  auto icmp = net::make_udp_datagram(udp, 100);
+  icmp->buf.data()[net::EthernetHeader::kSize + 9] = 1;  // protocol ICMP
+  EXPECT_TRUE(rejected(*icmp));
+}
+
 // --- firewall conntrack ------------------------------------------------------
 
 TEST(NfFirewall, PhaseDerivedMonotonicallyFromFlags) {
@@ -328,6 +414,71 @@ TEST(NfRtEngine, ConservationAndDigestEqualAcrossStrategies) {
   ASSERT_EQ(digests.size(), 3u);
   EXPECT_EQ(digests[0], digests[1]);
   EXPECT_EQ(digests[0], digests[2]);
+}
+
+// Workers resolve replica-table state once per run of equal (flow, batch).
+// The SCR digest must still equal the one-worker run and the shared-lock
+// run (which keeps its per-packet locked update) at batch sizes that are
+// not multiples of the 128-packet chunk, so a micro-flow ends mid-chunk or
+// spans chunks:
+//  - overlay: the rt-overlay-nf shape (cache, flow table, live rescales);
+//  - churn: state tables smaller than the flows created, so inserts evict.
+//    A churned flow never returns once the next flows start, and the rings
+//    bound how far one worker runs ahead of another (about 2300 packets,
+//    23 batches at batch size 100) well below a flow's 32 batches, so
+//    every table evicts only finished flows and all keep the same newest.
+TEST(NfRtEngine, PerRunStateMatchesOneWorkerAndSharedLockDigests) {
+  // 38500 packets end on a churned flow of two batches at both batch
+  // sizes, so both workers hold the newest flows.
+  constexpr std::uint64_t kTotal = 38500;
+  constexpr std::size_t kStateCapacity = 3;
+  for (const std::uint32_t batch : {100u, 300u}) {
+    for (const bool churn : {false, true}) {
+      const auto run = [&](std::size_t workers, nf::Strategy strat) {
+        rt::EngineConfig rc;
+        rc.workers = workers;
+        rc.batch_size = batch;
+        rc.cost_ns_per_packet = 0;
+        rc.max_push_spins = 0;
+        rc.flow_table.enabled = true;
+        rc.nf.enabled = true;
+        rc.nf.strategy = strat;
+        rc.nf.shared_shards = 1;
+        rc.nf.chain.chain = {nf::Kind::kNat, nf::Kind::kFirewall,
+                             nf::Kind::kLoadBalancer};
+        if (churn) {
+          rc.flow_table.flow_lifetime_batches = 32;
+          rc.nf.state_capacity = kStateCapacity;
+        } else {
+          rc.overlay.enabled = true;
+          rc.overlay.cache = true;
+          rc.overlay.flows = 16;
+          rc.rescales = {{kTotal / 3, 1}, {2 * kTotal / 3, 2}};
+        }
+        const auto res = rt::Engine(rc).run(kTotal);
+        EXPECT_TRUE(res.in_order);
+        EXPECT_EQ(res.packets, kTotal);
+        EXPECT_EQ(res.nf_packets, kTotal);
+        return res;
+      };
+      const auto scr = run(2, nf::Strategy::kScr);
+      const auto one = run(1, nf::Strategy::kScr);
+      const auto lock = run(2, nf::Strategy::kSharedLock);
+      const std::string where = "batch " + std::to_string(batch) +
+                                (churn ? " churn" : " overlay");
+      EXPECT_EQ(scr.nf_state_digest, one.nf_state_digest) << where;
+      EXPECT_EQ(scr.nf_state_digest, lock.nf_state_digest) << where;
+      EXPECT_EQ(lock.nf_lock_acquires, kTotal) << where;
+      if (churn) {
+        EXPECT_EQ(one.nf_flows, kStateCapacity) << where;
+        EXPECT_EQ(scr.nf_flows, kStateCapacity) << where;
+      } else {
+        EXPECT_EQ(scr.nf_flows, 16u) << where;
+        EXPECT_EQ(scr.rescales_applied, 2u) << where;
+        EXPECT_EQ(scr.nf_nat_rewrites, kTotal) << where;
+      }
+    }
+  }
 }
 
 // With faults on, the NF sees SURVIVORS only: the state seg count must equal

@@ -198,12 +198,17 @@ TEST(PacketPool, EngineSteadyStateIsAllocationFree) {
       << " times between seq 2000 and 18000";
 }
 
-// The acceptance bar for the fast-path cache: overlay mode builds real
-// VXLAN bytes into every slab, workers probe per-worker cache tables and
-// splice on hits — all of it inside the same zero-allocation envelope.
-// Cache tables are sized before thread spawn; encap stays within the
-// slab's fixed byte reserve; rescale epochs invalidate entries without
-// touching the heap.
+// The acceptance bar for the fast-path cache, in the full shape of the
+// rt-overlay-nf benchmark workload: overlay mode copies each micro-flow's
+// VXLAN header template into every slab, workers probe per-worker cache
+// tables and splice on hits, the flow table tracks every batch, and the
+// nat,fw,lb chain runs under SCR — all of it inside the same
+// zero-allocation envelope. Cache tables and the header template are sized
+// before thread spawn; the copy stays within the slab's fixed byte
+// reserve; rescale epochs invalidate entries without touching the heap.
+// A worker's NF replica table grows only the first time that worker sees
+// a flow: with an odd flow count each worker sees every flow within 14
+// batches, long before the window opens.
 TEST(PacketPool, OverlayCachedSteadyStateIsAllocationFree) {
   rt::EngineConfig cfg;
   cfg.workers = 2;
@@ -213,7 +218,12 @@ TEST(PacketPool, OverlayCachedSteadyStateIsAllocationFree) {
   cfg.rescales = {{6000, 1}, {11000, 2}};
   cfg.overlay.enabled = true;
   cfg.overlay.cache = true;
-  cfg.overlay.flows = 8;
+  cfg.overlay.flows = 7;
+  cfg.flow_table.enabled = true;
+  cfg.nf.enabled = true;
+  cfg.nf.strategy = nf::Strategy::kScr;
+  cfg.nf.chain.chain = {nf::Kind::kNat, nf::Kind::kFirewall,
+                        nf::Kind::kLoadBalancer};
   constexpr std::uint64_t kTotal = 20000;
   std::atomic<std::uint64_t> at_start{0}, at_end{0};
   std::atomic<std::uint64_t> missing_skb{0};
@@ -232,6 +242,9 @@ TEST(PacketPool, OverlayCachedSteadyStateIsAllocationFree) {
   EXPECT_EQ(missing_skb.load(), 0u);
   EXPECT_GT(res.cache_hits, 0u);
   EXPECT_GT(res.cache_invalidations, 0u);  // the rescales bit
+  EXPECT_EQ(res.nf_packets, kTotal);
+  EXPECT_EQ(res.nf_nat_rewrites, kTotal);
+  EXPECT_EQ(res.flow_table.live, 7u);
   EXPECT_EQ(at_end.load() - at_start.load(), 0u)
       << "overlay fast path allocated " << (at_end.load() - at_start.load())
       << " times between seq 2000 and 18000";

@@ -316,6 +316,52 @@ TEST(RtEngine, RuntimeRescaleShrinkAndGrowStaysOrdered) {
   EXPECT_EQ(res.rescales_applied, 2u);
 }
 
+// Live capacity changes past the merger's epoch budget (64 per run): the
+// budget's changes apply, later ones are refused and counted, and a
+// refused change leaves the worker mapping untouched, so the run still
+// terminates with every packet in order. The poster waits for each change
+// to apply, or for proof that the generator sampled it: the generator runs
+// at most pool_capacity packets ahead of delivery, so once delivery has
+// moved that far plus two batches, a micro-flow boundary has passed.
+TEST(RtEngine, LiveCapacityChangesPastEpochBudgetTerminateInOrder) {
+  EngineConfig cfg;
+  cfg.workers = 2;
+  cfg.batch_size = 8;
+  cfg.ring_capacity = 64;
+  cfg.pool_capacity = 256;
+  cfg.cost_ns_per_packet = 0;
+  cfg.max_push_spins = 0;  // lossless
+  constexpr std::uint64_t kTotal = 200000;
+  constexpr int kChanges = 200;
+  Engine eng(cfg);
+  EngineCapacityAdapter adapter(eng);
+  std::atomic<std::uint64_t> delivered{0};
+  std::atomic<bool> done{false};
+  int posted = 0;
+  std::thread poster([&] {
+    for (int k = 0; k < kChanges && !done.load(); ++k) {
+      const std::uint32_t want = k % 2 == 0 ? 1 : 2;
+      adapter.set_active_workers(want);
+      ++posted;
+      const std::uint64_t from = delivered.load();
+      while (!done.load() && adapter.active_workers() != want &&
+             delivered.load() < from + cfg.pool_capacity + 2 * cfg.batch_size)
+        std::this_thread::yield();
+    }
+  });
+  const auto res = eng.run(kTotal, [&](const RtPacket&) {
+    delivered.fetch_add(1, std::memory_order_relaxed);
+  });
+  done.store(true);
+  poster.join();
+  EXPECT_EQ(posted, kChanges);
+  EXPECT_TRUE(res.in_order);
+  EXPECT_EQ(res.packets, kTotal);
+  EXPECT_EQ(res.packets_dropped, 0u);
+  EXPECT_EQ(res.rescales_applied, 64u);
+  EXPECT_GT(res.rescales_refused, 0u);
+}
+
 // Same-degree rescale entries coalesce to no epoch at all.
 TEST(RtEngine, NoOpRescaleAnnouncesNothing) {
   EngineConfig cfg;
