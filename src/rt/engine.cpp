@@ -89,36 +89,91 @@ struct OverlayTemplate {
   std::uint64_t batch = 0;  // micro-flow `pkt` was built for (0 = none)
 };
 
-/// Stamp an overlay slab. Every packet of a micro-flow belongs to one inner
-/// flow (batch % flows), so the header image is built once per batch and
-/// each slab is copy-assigned from it; the copy stays within the slab's
-/// reserved buffer and never allocates. Kept out of line, and handed the
-/// slab handle by value like the per-packet builders: in any other shape
-/// it disturbed the codegen of Engine::run's forward-only generator loop
-/// (rt-forward lost about a fifth of its throughput on a 4-CPU host).
-[[gnu::noinline]] net::PacketPtr stamp_overlay(net::PacketPtr skb,
-                                               OverlayTemplate& tmpl,
-                                               std::uint64_t batch,
-                                               std::uint64_t seq,
-                                               std::uint64_t flows,
-                                               std::uint32_t vni) {
+/// The generator's inner 5-tuple for flow `fid`: distinct per flow, so the
+/// NF bindings (NAT port, LB backend) are per-flow functions.
+net::FlowKey generated_flow(std::uint64_t fid) {
+  return net::FlowKey{net::Ipv4Addr(10, 0, 1, 2), net::Ipv4Addr(10, 0, 1, 3),
+                      static_cast<std::uint16_t>(40000 + (fid & 0x3FFF)),
+                      5000, net::Ipv4Header::kProtoUdp};
+}
+
+// The generator stages a chunk first (slab acquisition only, never writing
+// through a slab) and then stamps the whole chunk in one out-of-line pass
+// per mode. A recycled slab's lines were last written by a worker (decap,
+// NAT), so stamping one is a cross-core ownership miss; staging first lets
+// the overlay pass write-prefetch slabs ahead of the copy. On a 4-vCPU
+// Xeon that took rt-overlay-nf from about 11 to 16 Mpps, while the two
+// passes without the prefetch ran 20% slower than the old one-pass loop
+// (docs/PERFORMANCE.md §5). Both modes stamp out of line: leaving the
+// plain stamp inline in the acquisition loop cost rt-forward more than
+// half its throughput.
+
+/// Prefetch distances of the overlay stamp, in packets: the slab's Packet
+/// lines far ahead, then its buffer (whose address lives in those lines)
+/// once they have arrived.
+constexpr std::size_t kPrefetchSlab = 8;
+constexpr std::size_t kPrefetchBuf = 4;
+
+/// Plain-mode stamp, the way the splitter stamps real packets: every packet
+/// of the chunk belongs to flow `flow_id` and carries its 5-tuple when
+/// `keyed` (the NF plane is on).
+[[gnu::noinline]] void stamp_plain_chunk(RtPacket* stage, std::size_t n,
+                                         net::FlowId flow_id, bool keyed) {
+  const net::FlowKey key = generated_flow(flow_id);
+  for (std::size_t k = 0; k < n; ++k) {
+    net::Packet& skb = *stage[k].skb;
+    skb.flow_id = flow_id;
+    skb.wire_seq = stage[k].seq;
+    skb.microflow_id = stage[k].batch;
+    skb.payload_len = net::kTcpMss;
+    if (keyed) skb.flow = key;
+  }
+}
+
+/// Overlay-mode stamp: REAL encapsulated bytes. Every packet of a
+/// micro-flow belongs to one inner flow (batch % flows), so the header
+/// image is built once per batch and copy-assigned into each slab; the
+/// copy stays within the slab's reserved buffer and never allocates. The
+/// slabs are write-prefetched: on x86-64 the builtin emits prefetchw only
+/// with prfchw enabled, and the read prefetch it emits otherwise measured
+/// about a fifth slower.
+#if defined(__x86_64__)
+[[gnu::target("prfchw")]]
+#endif
+[[gnu::noinline]] void stamp_overlay_chunk(RtPacket* stage, std::size_t n,
+                                           OverlayTemplate& tmpl,
+                                           std::uint64_t batch,
+                                           std::uint64_t flows,
+                                           std::uint32_t vni) {
   if (tmpl.batch != batch) {
     const std::uint64_t fidx = batch % flows;
-    tmpl.pkt = net::make_udp_datagram(
-        std::move(tmpl.pkt),
-        net::FlowKey{net::Ipv4Addr(10, 0, 1, 2), net::Ipv4Addr(10, 0, 1, 3),
-                     static_cast<std::uint16_t>(40000 + (fidx & 0x3FFF)),
-                     5000, net::Ipv4Header::kProtoUdp},
-        net::kTcpMss);
+    tmpl.pkt = net::make_udp_datagram(std::move(tmpl.pkt),
+                                      generated_flow(fidx), net::kTcpMss);
     net::vxlan_encap(*tmpl.pkt, net::Ipv4Addr(192, 168, 1, 2),
                      net::Ipv4Addr(192, 168, 1, 3), vni);
     tmpl.pkt->flow_id = static_cast<net::FlowId>(fidx + 1);
     tmpl.pkt->microflow_id = batch;
     tmpl.batch = batch;
   }
-  *skb = *tmpl.pkt;
-  skb->wire_seq = seq;
-  return skb;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (k + kPrefetchSlab < n) {
+      const char* p =
+          reinterpret_cast<const char*>(stage[k + kPrefetchSlab].skb.get());
+      __builtin_prefetch(p, 1);
+      __builtin_prefetch(p + 64, 1);
+      __builtin_prefetch(p + 128, 1);
+    }
+    if (k + kPrefetchBuf < n) {
+      // Start of the slab's byte storage, where the header copy lands.
+      const net::PacketBuffer& buf = stage[k + kPrefetchBuf].skb->buf;
+      const std::uint8_t* b = buf.data().data() - buf.headroom();
+      __builtin_prefetch(b, 1);
+      __builtin_prefetch(b + 64, 1);
+    }
+    net::Packet& skb = *stage[k].skb;
+    skb = *tmpl.pkt;
+    skb.wire_seq = stage[k].seq;
+  }
 }
 
 }  // namespace
@@ -279,7 +334,10 @@ EngineResult Engine::run(
   std::vector<NfCounts> nf_counts(W);
 
   std::atomic<bool> produce_done{false};
-  std::atomic<std::size_t> workers_done{0};
+  // Per-worker exit flags, set after the worker's last deposit: an exited
+  // worker with an empty buffer ring proves the micro-flow it owns at the
+  // merge head is complete.
+  std::vector<std::atomic<bool>> worker_exited(W);
   // Packets lost to backpressure (retry budget exhausted) or injected
   // faults. The consumer terminates on consumed + dropped == total, so
   // every loss must be counted by whoever gave up on the packet.
@@ -441,49 +499,53 @@ EngineResult Engine::run(
             dropped.fetch_add(1, std::memory_order_release);
             wt.event(trace::EventKind::kDrop, pkt.seq, pkt.batch);
             return_slab(std::move(pkt.skb));  // recycle the slab now
-          } else {
-            if (nf_on && !pkt.marker && pkt.skb) {
-              // NF chain over SURVIVORS only, so the merged state counts
-              // exactly the delivered stream (drops upstream of here never
-              // enter it). The recency clock is the batch index, as for the
-              // churn flow table; ttl is 0 so it only orders evictions.
-              net::Packet& skb = *pkt.skb;
-              const nf::PacketView view = nf::view_of(skb);
-              ++nc.pkts;
-              std::uint16_t ext_port = 0;
-              auto update = [&](nf::FlowState& st) {
-                for (nf::Kind k : config_.nf.chain.chain)
-                  nf::apply(config_.nf.chain, nf_lb, k, view, st);
-                ext_port = st.nat.ext_port;
-              };
-              if (nf_shared) {
-                ++nc.locks;
-                nf_shared_table->upsert_apply(
-                    skb.flow_id, static_cast<sim::Time>(pkt.batch), update);
-              } else {
-                if (run_state == nullptr || skb.flow_id != run_flow ||
-                    pkt.batch != run_batch) {
-                  run_state = &nf_tables[w]->upsert(
-                      skb.flow_id, static_cast<sim::Time>(pkt.batch));
-                  run_flow = skb.flow_id;
-                  run_batch = pkt.batch;
-                }
-                update(*run_state);
+            // A micro-flow's final packet completes it at the merge; a lost
+            // one leaves a marker for the next micro-flow in its place.
+            if (!pkt.batch_end) continue;
+            ++pkt.batch;
+            pkt.marker = true;
+            pkt.batch_end = false;
+          } else if (nf_on && !pkt.marker && pkt.skb) {
+            // NF chain over SURVIVORS only, so the merged state counts
+            // exactly the delivered stream (drops upstream of here never
+            // enter it). The recency clock is the batch index, as for the
+            // churn flow table; ttl is 0 so it only orders evictions.
+            net::Packet& skb = *pkt.skb;
+            const nf::PacketView view = nf::view_of(skb);
+            ++nc.pkts;
+            std::uint16_t ext_port = 0;
+            auto update = [&](nf::FlowState& st) {
+              for (nf::Kind k : config_.nf.chain.chain)
+                nf::apply(config_.nf.chain, nf_lb, k, view, st);
+              ext_port = st.nat.ext_port;
+            };
+            if (nf_shared) {
+              ++nc.locks;
+              nf_shared_table->upsert_apply(
+                  skb.flow_id, static_cast<sim::Time>(pkt.batch), update);
+            } else {
+              if (run_state == nullptr || skb.flow_id != run_flow ||
+                  pkt.batch != run_batch) {
+                run_state = &nf_tables[w]->upsert(
+                    skb.flow_id, static_cast<sim::Time>(pkt.batch));
+                run_flow = skb.flow_id;
+                run_batch = pkt.batch;
               }
-              if (nf_has_nat && overlay_on && !skb.encapsulated &&
-                  ext_port != 0) {
-                if (nf::nat_rewrite(config_.nf.chain, skb, ext_port))
-                  ++nc.rewrites;
-                else
-                  ++nc.rewrite_fails;
-              }
-              wt.event(trace::EventKind::kNfApply, pkt.seq, pkt.batch);
+              update(*run_state);
             }
-            if (m != i)
-              chunk[m++] = std::move(pkt);
-            else
-              ++m;
+            if (nf_has_nat && overlay_on && !skb.encapsulated &&
+                ext_port != 0) {
+              if (nf::nat_rewrite(config_.nf.chain, skb, ext_port))
+                ++nc.rewrites;
+              else
+                ++nc.rewrite_fails;
+            }
+            wt.event(trace::EventKind::kNfApply, pkt.seq, pkt.batch);
           }
+          if (m != i)
+            chunk[m++] = std::move(pkt);
+          else
+            ++m;
         }
         const std::size_t ok = merger.deposit_batch(
             w, chunk.data(), m, config_.max_push_spins, pc);
@@ -509,7 +571,7 @@ EngineResult Engine::run(
                 std::chrono::steady_clock::now() - w_start)
                 .count());
       }
-      workers_done.fetch_add(1, std::memory_order_release);
+      worker_exited[w].store(true, std::memory_order_release);
     });
   }
 
@@ -532,9 +594,12 @@ EngineResult Engine::run(
     while (consumed + dropped.load(std::memory_order_acquire) < total) {
       const std::size_t n = merger.pop_ready_batch(out.data(), kChunk);
       if (n == 0) {
-        if (workers_done.load(std::memory_order_acquire) == W) {
-          // All producers drained: a dry micro-flow boundary — whether
-          // never filled or emptied by drops — can be skipped.
+        // The flag is read before the ring, so an empty ring behind a set
+        // flag has seen the owner's every deposit: the dry micro-flow —
+        // whether never filled or emptied by drops — can be skipped.
+        const std::size_t owner = merger.merge_owner();
+        if (worker_exited[owner].load(std::memory_order_acquire) &&
+            merger.ring_empty(owner)) {
           merger.force_advance();
         } else {
           if (cc != nullptr) merge_dry.stall();
@@ -746,34 +811,26 @@ EngineResult Engine::run(
         gt.event(trace::EventKind::kDrop, i, batch);
         continue;
       }
-      if (overlay_on) {
-        // REAL encapsulated bytes, copied from the micro-flow's template.
-        // Each batch belongs to one inner flow, so flow identity (and the
-        // worker-side cache key) survives the round-robin split.
-        skb = stamp_overlay(std::move(skb), ov_tmpl, batch, i, overlay_flows,
-                            config_.overlay.vni);
-      } else {
-        // Stamp the skb the way the splitter stamps real packets. With the
-        // flow table on, flow identity follows the churn generator (a new
-        // flow every flow_lifetime_batches) instead of being per-batch.
-        skb->flow_id = ftable != nullptr
-                           ? static_cast<net::FlowId>(batch / flow_life + 1)
-                           : static_cast<net::FlowId>(batch);
-        skb->wire_seq = i;
-        skb->microflow_id = batch;
-        skb->payload_len = net::kTcpMss;
-        if (nf_on) {
-          // Give each flow a distinct 5-tuple so the NF bindings (NAT
-          // port, LB backend) are per-flow functions, as with real bytes.
-          skb->flow = net::FlowKey{
-              net::Ipv4Addr(10, 0, 1, 2), net::Ipv4Addr(10, 0, 1, 3),
-              static_cast<std::uint16_t>(40000 + (skb->flow_id & 0x3FFF)),
-              5000, net::Ipv4Header::kProtoUdp};
-        }
-      }
       stage[staged++] = RtPacket{i, batch, config_.cost_ns_per_packet,
                                  static_cast<std::uint32_t>(rescales_applied),
                                  i + 1 == total, std::move(skb)};
+    }
+    // A chunk never crosses a micro-flow, so a micro-flow's final packet is
+    // the last of its final chunk (unless it was shed above).
+    if (staged != 0 && stage[staged - 1].seq + 1 == i &&
+        (in_batch == config_.batch_size || i == total))
+      stage[staged - 1].batch_end = true;
+    if (overlay_on) {
+      stamp_overlay_chunk(stage.data(), staged, ov_tmpl, batch, overlay_flows,
+                          config_.overlay.vni);
+    } else {
+      // With the flow table on, flow identity follows the churn generator
+      // (a new flow every flow_lifetime_batches) instead of being per-batch.
+      stamp_plain_chunk(stage.data(), staged,
+                        ftable != nullptr
+                            ? static_cast<net::FlowId>(batch / flow_life + 1)
+                            : static_cast<net::FlowId>(batch),
+                        nf_on);
     }
 
     // Push the staged chunk; a full ring is retried (with yield) within

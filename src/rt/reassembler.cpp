@@ -91,8 +91,14 @@ std::optional<RtPacket> RtReassembler::pop_ready() {
     auto& ring = *rings_[owner_of(merge_counter_)];
     const RtPacket* head = ring.peek();
     if (head == nullptr) return std::nullopt;
-    if (head->batch == merge_counter_ && !head->marker)
-      return ring.try_pop();
+    if (head->batch == merge_counter_ && !head->marker) {
+      std::optional<RtPacket> pkt = ring.try_pop();
+      if (pkt->batch_end) {
+        ++merge_counter_;
+        ++batches_merged_;
+      }
+      return pkt;
+    }
     if (head->batch > merge_counter_) {
       // A later batch (or an epoch-flush marker for one) at the head: the
       // current micro-flow is fully consumed (FIFO per worker), so move
@@ -111,10 +117,17 @@ std::size_t RtReassembler::pop_ready_batch(RtPacket* out, std::size_t max) {
   std::size_t got = 0;
   while (got < max) {
     auto& ring = *rings_[owner_of(merge_counter_)];
-    got += ring.try_pop_batch_while(
+    const std::size_t n = ring.try_pop_batch_while(
         out + got, max - got, [this](const RtPacket& p) {
           return p.batch == merge_counter_ && !p.marker;
         });
+    got += n;
+    if (n != 0 && out[got - 1].batch_end) {
+      // The micro-flow's final packet: complete, whatever the ring holds.
+      ++merge_counter_;
+      ++batches_merged_;
+      continue;
+    }
     const RtPacket* head = ring.peek();
     if (head == nullptr) break;  // merge head dry — caller yields/advances
     if (head->batch == merge_counter_ && !head->marker)

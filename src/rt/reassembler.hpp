@@ -44,6 +44,12 @@ struct RtPacket {
   /// gap on rings a shrink leaves inactive — without it the consumer could
   /// never distinguish "last batch done" from "more packets in flight".
   bool marker = false;
+  /// Final packet of its micro-flow (set by the generator). Popping it
+  /// completes the micro-flow at the merge without waiting for FIFO
+  /// evidence: a micro-flow larger than the rings would otherwise stall
+  /// the merge until the next batch on the same ring or its worker's exit,
+  /// while the next micro-flow's worker blocks on a full buffer ring.
+  bool batch_end = false;
 };
 
 class RtReassembler {
@@ -99,11 +105,18 @@ class RtReassembler {
   /// deposit_batch().
   std::size_t pop_ready_batch(RtPacket* out, std::size_t max);
 
+  /// Consumer side: buffer ring owning the micro-flow under merge.
+  std::size_t merge_owner() { return owner_of(merge_counter_); }
+
+  /// Buffer ring `w` holds nothing right now. Exact once worker `w` has
+  /// exited: nothing can be deposited there any more.
+  bool ring_empty(std::size_t w) const { return rings_[w]->empty(); }
+
   /// Micro-flows fully merged so far (consumer-private counter).
   std::uint64_t batches_merged() const { return batches_merged_; }
 
-  /// End-of-stream only: skip a micro-flow whose ring is dry after all
-  /// producers finished (a batch boundary that will never see more input).
+  /// Skip a micro-flow whose ring is dry after its worker exited (a batch
+  /// boundary that will never see more input).
   void force_advance();
 
   /// Producer side (the splitter/generator thread): all batches from

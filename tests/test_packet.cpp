@@ -216,6 +216,76 @@ TEST(Packet, RtOverlayStampsMatchPerPacketBuild) {
   EXPECT_EQ(wrapped, 2u);
 }
 
+// The generator stamps whole staged chunks, write-prefetching slabs ahead
+// of the copy. Batch sizes below, at and around the chunk size, and a
+// prime total, give chunks shorter than either prefetch distance and
+// partial final micro-flows; recycled slabs carry a worker's decap. Every
+// delivered overlay packet equals the per-packet build.
+TEST(Packet, RtOverlayChunkStampsMatchPerPacketBuild) {
+  constexpr std::uint64_t kTotal = 1031;
+  for (const std::uint32_t batch : {1u, 3u, 5u, 9u, 127u, 128u, 129u, 300u}) {
+    mflow::rt::EngineConfig cfg;
+    cfg.workers = 2;
+    cfg.batch_size = batch;
+    cfg.ring_capacity = 64;
+    cfg.pool_capacity = 512;
+    cfg.cost_ns_per_packet = 0;
+    cfg.max_push_spins = 0;
+    cfg.overlay.enabled = true;
+    std::uint64_t mismatched = 0;
+    const auto res = mflow::rt::Engine(cfg).run(
+        kTotal, [&](const mflow::rt::RtPacket& p) {
+          auto want =
+              overlay_reference(p.batch % cfg.overlay.flows, p.batch, p.seq);
+          if (!vxlan_decap(*want).ok || !p.skb || !same_packet(*p.skb, *want))
+            ++mismatched;
+        });
+    EXPECT_TRUE(res.in_order) << "batch " << batch;
+    EXPECT_EQ(res.packets, kTotal) << "batch " << batch;
+    EXPECT_EQ(res.decap_failures, 0u) << "batch " << batch;
+    EXPECT_EQ(mismatched, 0u) << "batch " << batch;
+  }
+}
+
+// Plain mode, with and without the NF plane and the churn flow table: the
+// chunk stamp sets exactly the fields the per-packet stamp set.
+TEST(Packet, RtPlainChunkStampsMatchPerPacketStamp) {
+  constexpr std::uint64_t kTotal = 1031;
+  constexpr std::uint64_t kFlowLife = 3;
+  for (const bool nf : {false, true}) {
+    for (const bool churn : {false, true}) {
+      for (const std::uint32_t batch :
+           {1u, 3u, 5u, 9u, 127u, 128u, 129u, 300u}) {
+        mflow::rt::EngineConfig cfg;
+        cfg.workers = 2;
+        cfg.batch_size = batch;
+        cfg.ring_capacity = 64;
+        cfg.pool_capacity = 512;
+        cfg.cost_ns_per_packet = 0;
+        cfg.max_push_spins = 0;
+        cfg.nf.enabled = nf;
+        cfg.nf.chain.chain = {mflow::nf::Kind::kFirewall};
+        cfg.flow_table.enabled = churn;
+        cfg.flow_table.flow_lifetime_batches = kFlowLife;
+        std::uint64_t mismatched = 0;
+        const auto res = mflow::rt::Engine(cfg).run(
+            kTotal, [&](const mflow::rt::RtPacket& p) {
+              const FlowId fid = churn ? p.batch / kFlowLife + 1 : p.batch;
+              const FlowKey key = nf ? overlay_flow(fid) : FlowKey{};
+              if (!p.skb || p.skb->flow_id != fid ||
+                  p.skb->wire_seq != p.seq ||
+                  p.skb->microflow_id != p.batch ||
+                  p.skb->payload_len != kTcpMss || p.skb->flow != key)
+                ++mismatched;
+            });
+        EXPECT_TRUE(res.in_order) << nf << churn << " batch " << batch;
+        EXPECT_EQ(res.packets, kTotal) << nf << churn << " batch " << batch;
+        EXPECT_EQ(mismatched, 0u) << nf << churn << " batch " << batch;
+      }
+    }
+  }
+}
+
 TEST(Packet, MssConstantsConsistent) {
   EXPECT_EQ(kVxlanOverhead, 50u);
   EXPECT_EQ(kTcpMss, 1500u - 20u - 20u);

@@ -194,6 +194,28 @@ TEST(RtReassembler, MergesRoundRobinBatches) {
   EXPECT_EQ(ra.batches_merged(), 2u);
 }
 
+// A micro-flow's final packet completes it at the merge by itself: neither
+// a later batch on the same ring nor the end of the stream is needed.
+TEST(RtReassembler, BatchEndCompletesMicroflowWithoutLaterEvidence) {
+  for (const bool batched : {false, true}) {
+    RtReassembler ra(2, 64);
+    ASSERT_TRUE(ra.deposit(1, RtPacket{.seq = 2, .batch = 2}));
+    ASSERT_TRUE(ra.deposit(0, RtPacket{.seq = 0, .batch = 1}));
+    ASSERT_TRUE(
+        ra.deposit(0, RtPacket{.seq = 1, .batch = 1, .batch_end = true}));
+    std::vector<std::uint64_t> seqs;
+    if (batched) {
+      RtPacket out[8];
+      const std::size_t n = ra.pop_ready_batch(out, 8);
+      for (std::size_t k = 0; k < n; ++k) seqs.push_back(out[k].seq);
+    } else {
+      while (auto p = ra.pop_ready()) seqs.push_back(p->seq);
+    }
+    EXPECT_EQ(seqs, (std::vector<std::uint64_t>{0, 1, 2})) << batched;
+    EXPECT_EQ(ra.batches_merged(), 1u) << batched;
+  }
+}
+
 struct RtSweep {
   std::size_t workers;
   std::uint32_t batch;
@@ -265,6 +287,53 @@ TEST(RtEngine, InjectedDropsRecoverWithoutWedging) {
   EXPECT_GT(res.packets_dropped, 0u);
   EXPECT_EQ(res.packets + res.packets_dropped, kTotal);
   EXPECT_EQ(observed, res.packets);
+  EXPECT_TRUE(res.in_order);
+}
+
+// Micro-flows larger than the rings, lossless. The consumer must complete
+// a micro-flow whose worker has gone idle or exited while the next
+// micro-flow's worker blocks on a full buffer ring (and, mid-stream, the
+// generator behind it on a full splitting ring).
+TEST(RtEngine, MicroflowLargerThanRingsTerminatesInOrder) {
+  struct Case {
+    std::size_t workers;
+    std::uint32_t batch;
+    std::uint64_t total;
+  };
+  for (const Case c : {Case{2, 100, 200}, Case{3, 1000, 3500}}) {
+    EngineConfig cfg;
+    cfg.workers = c.workers;
+    cfg.batch_size = c.batch;
+    cfg.ring_capacity = 64;
+    cfg.cost_ns_per_packet = 0;
+    cfg.max_push_spins = 0;
+    std::uint64_t observed = 0;
+    const auto res = Engine(cfg).run(c.total, [&](const RtPacket& pkt) {
+      EXPECT_EQ(pkt.seq, observed);
+      ++observed;
+    });
+    EXPECT_TRUE(res.in_order) << c.workers;
+    EXPECT_EQ(res.packets, c.total) << c.workers;
+    EXPECT_EQ(res.packets_dropped, 0u) << c.workers;
+  }
+}
+
+// The same shape under injected loss: a worker that drops a micro-flow's
+// final packet forwards a marker in its place, so the merge still learns
+// the micro-flow is complete.
+TEST(RtEngine, MicroflowLargerThanRingsUnderFaultsTerminates) {
+  EngineConfig cfg;
+  cfg.workers = 3;
+  cfg.batch_size = 1000;
+  cfg.ring_capacity = 64;
+  cfg.cost_ns_per_packet = 0;
+  cfg.max_push_spins = 0;
+  cfg.fault_drop_rate = 0.05;
+  cfg.fault_seed = 7;
+  constexpr std::uint64_t kTotal = 100000;
+  const auto res = Engine(cfg).run(kTotal);
+  EXPECT_GT(res.packets_dropped, 0u);
+  EXPECT_EQ(res.packets + res.packets_dropped, kTotal);
   EXPECT_TRUE(res.in_order);
 }
 
