@@ -49,20 +49,23 @@ struct Setup {
 
 /// Receiver layout: 1 app core, IRQ on core 1, four splitting lanes.
 /// 20 flows into 7 kernel cores is the num_flows >> kernel_cores regime.
-exp::ScenarioBuilder base_builder(const Setup& s) {
-  exp::ScenarioBuilder b;
-  b.tcp(s.flows)
-      .message_size(65536)
-      .layout(/*server_cores=*/8, /*app_cores=*/1, /*first_kernel_core=*/1,
-              /*kernel_cores=*/7)
-      .windows(s.warmup, s.measure)
-      .seed(s.seed);
+exp::ScenarioConfig base_config(const Setup& s, exp::Mode mode) {
+  exp::ScenarioConfig cfg;
+  cfg.mode = mode;
+  cfg.num_flows = s.flows;
+  cfg.server_cores = 8;
+  cfg.app_cores = 1;
+  cfg.first_kernel_core = 1;
+  cfg.kernel_cores = 7;
+  cfg.warmup = s.warmup;
+  cfg.measure = s.measure;
+  cfg.seed = s.seed;
   // Senders all start unpaced; the mice throttle immediately (t = 1ns) via
   // the runtime rate-change hook — the same mechanism the transition run
   // uses mid-measurement.
   for (int i = s.elephants; i < s.flows; ++i)
-    b.rate_change(i, 1, s.mouse_pace);
-  return b;
+    cfg.rate_changes.push_back({i, 1, s.mouse_pace});
+  return cfg;
 }
 
 core::MflowConfig mflow_config() {
@@ -72,26 +75,26 @@ core::MflowConfig mflow_config() {
   return mcfg;
 }
 
-exp::ScenarioBuilder dynamic_builder(const Setup& s) {
-  return base_builder(s)
-      .mode(exp::Mode::kMflow)
-      .mflow(mflow_config())
-      .control([](exp::ScenarioConfig::ControlPlane& cp) {
-        cp.interval = sim::us(100);
-        // Rate over a multi-ms window: windowed TCP is bursty at the ~1ms
-        // scale (window drain / ACK clumping), and a monitor faster than
-        // that feeds the scaler an oscillating rate it would chase.
-        // Measure over the timescale the degree is meant to be stable on.
-        cp.params.monitor.window = sim::ms(4);
-        cp.params.monitor.max_samples = 64;
-        // Elephants run at hundreds of k segs/s, mice at ~23k: thresholds
-        // sit in the gap, and the band + dwell keep a mouse's per-message
-        // burst from promoting it.
-        cp.params.classifier.promote_pps = 200'000;
-        cp.params.classifier.demote_pps = 100'000;
-        cp.params.classifier.dwell = sim::ms(1);
-        cp.params.scaling.per_core_pps = 150'000;
-      });
+exp::ScenarioConfig dynamic_config(const Setup& s) {
+  exp::ScenarioConfig cfg = base_config(s, exp::Mode::kMflow);
+  cfg.mflow = mflow_config();
+  auto& cp = cfg.control;
+  cp.enabled = true;
+  cp.interval = sim::us(100);
+  // Rate over a multi-ms window: windowed TCP is bursty at the ~1ms
+  // scale (window drain / ACK clumping), and a monitor faster than
+  // that feeds the scaler an oscillating rate it would chase.
+  // Measure over the timescale the degree is meant to be stable on.
+  cp.params.monitor.window = sim::ms(4);
+  cp.params.monitor.max_samples = 64;
+  // Elephants run at hundreds of k segs/s, mice at ~23k: thresholds
+  // sit in the gap, and the band + dwell keep a mouse's per-message
+  // burst from promoting it.
+  cp.params.classifier.promote_pps = 200'000;
+  cp.params.classifier.demote_pps = 100'000;
+  cp.params.classifier.dwell = sim::ms(1);
+  cp.params.scaling.per_core_pps = 150'000;
+  return cfg;
 }
 
 double elephant_goodput_gbps(const exp::ScenarioResult& r, int elephants) {
@@ -141,15 +144,15 @@ int main(int argc, char** argv) {
   bench::Harness harness(hc);
 
   // --- steady state: dynamic vs static vs vanilla ---------------------------
-  const exp::ScenarioResult dyn = exp::run_scenario(dynamic_builder(s).build());
+  const exp::ScenarioResult dyn = exp::run_scenario(dynamic_config(s));
 
-  auto static_mcfg = mflow_config();
-  static_mcfg.elephant_threshold_pkts = 0;  // split every flow, always
-  const exp::ScenarioResult sta = exp::run_scenario(
-      base_builder(s).mode(exp::Mode::kMflow).mflow(static_mcfg).build());
+  exp::ScenarioConfig sta_cfg = base_config(s, exp::Mode::kMflow);
+  sta_cfg.mflow = mflow_config();
+  sta_cfg.mflow->elephant_threshold_pkts = 0;  // split every flow, always
+  const exp::ScenarioResult sta = exp::run_scenario(sta_cfg);
 
   const exp::ScenarioResult van =
-      exp::run_scenario(base_builder(s).mode(exp::Mode::kVanilla).build());
+      exp::run_scenario(base_config(s, exp::Mode::kVanilla));
 
   const double dyn_eleph = elephant_goodput_gbps(dyn, s.elephants);
   const double sta_eleph = elephant_goodput_gbps(sta, s.elephants);
@@ -168,11 +171,12 @@ int main(int argc, char** argv) {
                  static_cast<double>(dyn.control.rescales));
 
   // --- transition: every elephant throttles to mouse rates mid-run ----------
-  exp::ScenarioBuilder trans = dynamic_builder(s);
+  exp::ScenarioConfig trans = dynamic_config(s);
   const sim::Time t_mid = s.warmup + (s.measure * 2) / 5;
-  for (int i = 0; i < s.elephants; ++i) trans.rate_change(i, t_mid, s.mouse_pace);
-  trans.usage_split_at(s.warmup + (s.measure * 3) / 5);
-  const exp::ScenarioResult trans_res = exp::run_scenario(trans.build());
+  for (int i = 0; i < s.elephants; ++i)
+    trans.rate_changes.push_back({i, t_mid, s.mouse_pace});
+  trans.usage_split_at = s.warmup + (s.measure * 3) / 5;
+  const exp::ScenarioResult trans_res = exp::run_scenario(trans);
 
   const double util_before = split_util_pct(trans_res.cores_before);
   const double util_after = split_util_pct(trans_res.cores_after);
@@ -185,7 +189,7 @@ int main(int argc, char** argv) {
                  static_cast<double>(demotions));
 
   // --- determinism: same seed, same numbers ---------------------------------
-  const exp::ScenarioResult dyn2 = exp::run_scenario(dynamic_builder(s).build());
+  const exp::ScenarioResult dyn2 = exp::run_scenario(dynamic_config(s));
   const bool identical = dyn2.goodput_gbps == dyn.goodput_gbps &&
                          dyn2.messages == dyn.messages &&
                          dyn2.control.rescales == dyn.control.rescales;

@@ -62,32 +62,37 @@ core::MflowConfig mflow_config() {
 
 /// Shared base: TCP into the 8-core receiver, 4 splitting lanes, control
 /// plane on a 4ms monitor window (windowed TCP is bursty at ~1ms).
-exp::ScenarioBuilder base_builder(const Setup& s, int senders) {
-  return exp::ScenarioBuilder(exp::Mode::kMflow)
-      .tcp(senders)
-      .message_size(65536)
-      .layout(8, 1, 1, 7)
-      .windows(s.warmup, s.measure)
-      .seed(s.seed)
-      .mflow(mflow_config())
-      .control([](auto& c) {
-        c.interval = sim::us(100);
-        c.params.monitor.window = sim::ms(4);
-        c.params.monitor.max_samples = 64;
-        c.params.classifier.promote_pps = 200'000.0;
-        c.params.classifier.demote_pps = 100'000.0;
-        c.params.classifier.dwell = sim::us(300);
-      });
+exp::ScenarioConfig base_config(const Setup& s, int senders) {
+  exp::ScenarioConfig cfg;
+  cfg.mode = exp::Mode::kMflow;
+  cfg.num_flows = senders;
+  cfg.server_cores = 8;
+  cfg.app_cores = 1;
+  cfg.first_kernel_core = 1;
+  cfg.kernel_cores = 7;
+  cfg.warmup = s.warmup;
+  cfg.measure = s.measure;
+  cfg.seed = s.seed;
+  cfg.mflow = mflow_config();
+  auto& c = cfg.control;
+  c.enabled = true;
+  c.interval = sim::us(100);
+  c.params.monitor.window = sim::ms(4);
+  c.params.monitor.max_samples = 64;
+  c.params.classifier.promote_pps = 200'000.0;
+  c.params.classifier.demote_pps = 100'000.0;
+  c.params.classifier.dwell = sim::us(300);
+  return cfg;
 }
 
-void add_elastic(exp::ScenarioBuilder& b) {
-  b.elastic([](auto& e) {
-    e.interval = sim::us(200);
-    e.params.per_worker_pps = 150'000.0;
-    e.params.headroom = 1.25;
-    e.params.cooldown = sim::us(400);
-    e.params.down_dwell = sim::ms(1);
-  });
+void add_elastic(exp::ScenarioConfig& cfg) {
+  auto& e = cfg.elastic;
+  e.enabled = true;
+  e.interval = sim::us(200);
+  e.params.per_worker_pps = 150'000.0;
+  e.params.headroom = 1.25;
+  e.params.cooldown = sim::us(400);
+  e.params.down_dwell = sim::ms(1);
 }
 
 // --- workloads ---------------------------------------------------------------
@@ -98,36 +103,30 @@ void add_elastic(exp::ScenarioBuilder& b) {
 /// sides: capacity must ride the whole hill up AND back down with real
 /// trough time at each end. Flows 1..mice are steady mice.
 exp::ScenarioConfig diurnal_config(const Setup& s, bool elastic) {
-  auto b = base_builder(s, 1 + s.mice);
-  std::vector<exp::ScenarioConfig::RateChange> schedule;
+  auto cfg = base_config(s, 1 + s.mice);
+  auto& schedule = cfg.rate_changes;
   schedule.push_back({0, 1, sim::ms(4)});  // trough until the cycle starts
   exp::append_diurnal(schedule, /*senders=*/1, /*start=*/sim::ms(6),
                       /*period=*/sim::ms(16), /*steps=*/16,
                       /*trough_pace=*/sim::ms(4), /*peak_pace=*/sim::us(120));
   for (int i = 1; i <= s.mice; ++i) schedule.push_back({i, 1, s.mouse_pace});
-  b.tweak([&](exp::ScenarioConfig& c) {
-    c.rate_changes = std::move(schedule);
-  });
-  if (elastic) add_elastic(b);
-  return b.build();
+  if (elastic) add_elastic(cfg);
+  return cfg;
 }
 
 /// All four frontline senders idle until the crowd hits at 10ms and drains
 /// at 18ms; the mouse crowd is steady throughout.
 exp::ScenarioConfig flash_config(const Setup& s, bool elastic) {
   constexpr int kSurge = 4;
-  auto b = base_builder(s, kSurge + s.mice);
-  std::vector<exp::ScenarioConfig::RateChange> schedule;
+  auto cfg = base_config(s, kSurge + s.mice);
+  auto& schedule = cfg.rate_changes;
   exp::append_flash_crowd(schedule, kSurge, /*start=*/1, /*at=*/sim::ms(10),
                           /*duration=*/sim::ms(8), /*idle_pace=*/sim::ms(4),
                           /*crowd_pace=*/sim::us(400));
   for (int i = kSurge; i < kSurge + s.mice; ++i)
     schedule.push_back({i, 1, s.mouse_pace});
-  b.tweak([&](exp::ScenarioConfig& c) {
-    c.rate_changes = std::move(schedule);
-  });
-  if (elastic) add_elastic(b);
-  return b.build();
+  if (elastic) add_elastic(cfg);
+  return cfg;
 }
 
 /// An elephant rotating round-robin over four senders every 6ms, above a
@@ -138,8 +137,8 @@ exp::ScenarioConfig flash_config(const Setup& s, bool elastic) {
 exp::ScenarioConfig elephants_config(const Setup& s, bool elastic) {
   constexpr int kRotating = 4;
   constexpr int kCrowd = 300;
-  auto b = base_builder(s, kRotating + kCrowd);
-  std::vector<exp::ScenarioConfig::RateChange> schedule;
+  auto cfg = base_config(s, kRotating + kCrowd);
+  auto& schedule = cfg.rate_changes;
   exp::append_rotating_elephants(schedule, kRotating, /*start=*/1,
                                  /*end=*/s.warmup + s.measure,
                                  /*rotation=*/sim::ms(6),
@@ -147,11 +146,8 @@ exp::ScenarioConfig elephants_config(const Setup& s, bool elastic) {
                                  /*elephant_pace=*/sim::us(100));
   for (int i = kRotating; i < kRotating + kCrowd; ++i)
     schedule.push_back({i, 1, sim::ms(120)});
-  b.tweak([&](exp::ScenarioConfig& c) {
-    c.rate_changes = std::move(schedule);
-  });
-  if (elastic) add_elastic(b);
-  return b.build();
+  if (elastic) add_elastic(cfg);
+  return cfg;
 }
 
 // --- metrics -----------------------------------------------------------------

@@ -1,15 +1,21 @@
 // Microbenchmarks for the hot data structures: flow hash, header codecs,
-// checksum, RX ring, GRO, histogram, and pooled-vs-heap packet
-// construction. Emits BENCH_micro_datastructures.json via bench::Harness
-// (part of the CI perf-smoke comparison — see docs/BENCHMARKS.md).
+// checksum, RX ring, GRO, histogram, pooled-vs-heap packet construction,
+// and MFLOW's own mechanisms (batch assigner, reassembler deposit/merge
+// cycle, simulator event loop). Emits BENCH_micro_datastructures.json via
+// bench::Harness (part of the CI perf-smoke comparison — see
+// docs/BENCHMARKS.md).
+#include <algorithm>
 #include <chrono>
 #include <iostream>
 
 #include "bench/harness.hpp"
+#include "core/reassembler.hpp"
+#include "core/splitter.hpp"
 #include "net/checksum.hpp"
 #include "net/gro.hpp"
 #include "net/nic.hpp"
 #include "rt/pool.hpp"
+#include "sim/simulator.hpp"
 #include "util/cli.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
@@ -154,6 +160,67 @@ int main(int argc, char** argv) {
     });
     g_sink = static_cast<std::uint64_t>(hist.p99());
     return r;
+  });
+
+  for (const std::uint32_t batch : {8u, 256u}) {
+    h.run_case("batch_assign_" + std::to_string(batch), "ops/s", true, [&] {
+      core::MflowConfig cfg;
+      cfg.batch_size = batch;
+      core::BatchAssigner assigner(cfg);
+      return rate(n, [&](std::uint64_t) {
+        g_sink = static_cast<std::uint64_t>(assigner.assign(1, 1).target_core);
+      });
+    });
+  }
+
+  // One round deposits 1024 packets cut into `batch`-sized micro-flows and
+  // drains them in order; only the deposit/merge cycle is timed.
+  for (const std::uint32_t batch : {8u, 64u, 256u}) {
+    h.run_case("reassembler_cycle_" + std::to_string(batch), "pkts/s", true,
+               [&] {
+      constexpr std::uint32_t kPkts = 1024;
+      const stack::CostModel costs;
+      const net::FlowKey flow{net::Ipv4Addr(1, 1, 1, 1),
+                              net::Ipv4Addr(2, 2, 2, 2), 1, 2,
+                              net::Ipv4Header::kProtoUdp};
+      const std::uint64_t rounds = std::max<std::uint64_t>(1, n / 2048);
+      double timed = 0.0;
+      for (std::uint64_t r = 0; r < rounds; ++r) {
+        core::Reassembler ra(costs);
+        std::vector<net::PacketPtr> pkts;
+        std::uint64_t b = 0;
+        for (std::uint32_t i = 0; i < kPkts; ++i) {
+          if (i % batch == 0) ra.note_batch_open(1, ++b);
+          ra.note_dispatch(1, b, 1);
+          auto p = net::make_udp_datagram(flow, 100);
+          p->flow_id = 1;
+          p->wire_seq = i;
+          p->microflow_id = b;
+          pkts.push_back(std::move(p));
+        }
+        const double t0 = now_seconds();
+        for (auto& p : pkts) ra.deposit(std::move(p), 2);
+        std::uint64_t merged = 0;
+        while (ra.pop_ready()) ++merged;
+        timed += now_seconds() - t0;
+        g_sink = merged;
+      }
+      return static_cast<double>(rounds * kPkts) / timed;
+    });
+  }
+
+  h.run_case("sim_event_loop", "events/s", true, [&] {
+    constexpr int kEvents = 1000;
+    const std::uint64_t rounds = std::max<std::uint64_t>(1, n / 2000);
+    const double t0 = now_seconds();
+    for (std::uint64_t r = 0; r < rounds; ++r) {
+      sim::Simulator sim;
+      std::uint64_t fired = 0;
+      for (int i = 0; i < kEvents; ++i) sim.at(i, [&fired] { ++fired; });
+      sim.run();
+      g_sink = fired;
+    }
+    return static_cast<double>(rounds * kEvents) / (now_seconds() - t0);
   });
 
   h.finish(std::cout);

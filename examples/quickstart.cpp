@@ -13,21 +13,21 @@
 int main() {
   using namespace mflow;
 
-  // One elephant TCP flow, 64KB messages fragmented into MSS segments.
-  exp::ScenarioBuilder scenario;
-  scenario.tcp(1).message_size(65536);
+  // One elephant TCP flow (the ScenarioConfig default), 64KB messages
+  // fragmented into MSS segments.
+  exp::ScenarioConfig scenario;
 
   std::cout << "Simulating a single elephant TCP flow into a container\n"
                "behind a VXLAN overlay network...\n\n";
 
-  const auto vanilla =
-      exp::run_scenario(scenario.mode(exp::Mode::kVanilla).build());
+  scenario.mode = exp::Mode::kVanilla;
+  const auto vanilla = exp::run_scenario(scenario);
   std::cout << "  " << exp::throughput_row(vanilla) << "\n";
 
   // Paper defaults: IRQ splitting, batch 256, two splitting cores, merge
   // before TCP.
-  const auto mflow =
-      exp::run_scenario(scenario.mode(exp::Mode::kMflow).build());
+  scenario.mode = exp::Mode::kMflow;
+  const auto mflow = exp::run_scenario(scenario);
   std::cout << "  " << exp::throughput_row(mflow) << "\n\n";
 
   std::cout << "MFLOW speedup: " << mflow.goodput_gbps / vanilla.goodput_gbps

@@ -3,7 +3,7 @@
 // data-path engine.
 //
 // It subsumes the previously ad-hoc seams:
-//   - the old `ScalingTarget` split-degree retarget (set_flow_degree /
+//   - the controller's split-degree retarget (set_flow_degree /
 //     max_degree / release_flow),
 //   - `core::MflowEngine`'s direct degree/release methods,
 //   - the rt engine's epoch rescale messages (EngineConfig::rescales was
@@ -85,10 +85,5 @@ class CapacityTarget {
     return false;
   }
 };
-
-/// Deprecated pre-PR-10 name for the seam; the capacity dimension did not
-/// exist yet. New code should say CapacityTarget. Kept one PR for external
-/// branches; remove next PR.
-using ScalingTarget = CapacityTarget;
 
 }  // namespace mflow::control

@@ -5,7 +5,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -27,10 +26,10 @@
 
 namespace mflow::exp {
 
-/// Prefer building a ScenarioConfig through exp::ScenarioBuilder (below):
-/// it validates at build() time and names the option clusters, so a typo'd
-/// layout fails where it was written instead of inside run_scenario().
-/// Direct field-poking remains supported as a deprecated shim for one PR.
+/// One experiment, written down field by field: default-construct, assign
+/// the fields that differ, and pass it to run_scenario(), which calls
+/// validate() first, so an inconsistent layout throws std::invalid_argument
+/// before anything is built.
 struct ScenarioConfig {
   Mode mode = Mode::kVanilla;
   std::uint8_t protocol = net::Ipv4Header::kProtoTcp;
@@ -353,157 +352,6 @@ struct ScenarioResult {
   /// Std deviation of utilization across the given receiver cores
   /// (percent points, as the paper reports for Figure 12).
   double utilization_stddev_pct(int first_core, int count) const;
-};
-
-/// Fluent builder for ScenarioConfig — the supported construction path.
-///
-/// Scalar knobs are chainable setters; the option clusters (faults,
-/// tracing, fastpath, control, nf, elastic) each take a configurator
-/// lambda over the named sub-struct and flip the cluster's `enabled` on
-/// (passing a cluster at all means you want it). build() runs validate(),
-/// so an inconsistent layout throws at the call site that wrote it:
-///
-///   auto cfg = ScenarioBuilder(Mode::kMflow)
-///                  .udp(3)
-///                  .windows(sim::ms(2), sim::ms(10))
-///                  .control([](auto& c) { c.interval = sim::us(50); })
-///                  .elastic([](auto& e) { e.params.headroom = 1.5; })
-///                  .build();
-///
-/// tweak() is the escape hatch for fields without a dedicated setter.
-class ScenarioBuilder {
- public:
-  ScenarioBuilder() = default;
-  explicit ScenarioBuilder(Mode mode) { cfg_.mode = mode; }
-
-  ScenarioBuilder& mode(Mode m) { return set([&](auto& c) { c.mode = m; }); }
-  /// TCP with this many concurrent flows (each its own socket + sender).
-  ScenarioBuilder& tcp(int flows) {
-    return set([&](auto& c) {
-      c.protocol = net::Ipv4Header::kProtoTcp;
-      c.num_flows = flows;
-    });
-  }
-  /// UDP with this many clients stressing one flow (the paper's setup).
-  ScenarioBuilder& udp(int clients) {
-    return set([&](auto& c) {
-      c.protocol = net::Ipv4Header::kProtoUdp;
-      c.udp_clients = clients;
-    });
-  }
-  ScenarioBuilder& message_size(std::uint32_t bytes) {
-    return set([&](auto& c) { c.message_size = bytes; });
-  }
-  /// Receiver machine layout in one call (the fields validate() most often
-  /// rejects when poked individually).
-  ScenarioBuilder& layout(int server_cores, int app_cores,
-                          int first_kernel_core, int kernel_cores) {
-    return set([&](auto& c) {
-      c.server_cores = server_cores;
-      c.app_cores = app_cores;
-      c.first_kernel_core = first_kernel_core;
-      c.kernel_cores = kernel_cores;
-    });
-  }
-  ScenarioBuilder& nic(int queues, std::size_t ring_capacity = 4096) {
-    return set([&](auto& c) {
-      c.nic_queues = queues;
-      c.nic_ring_capacity = ring_capacity;
-    });
-  }
-  ScenarioBuilder& windows(sim::Time warmup, sim::Time measure) {
-    return set([&](auto& c) {
-      c.warmup = warmup;
-      c.measure = measure;
-    });
-  }
-  ScenarioBuilder& seed(std::uint64_t s) {
-    return set([&](auto& c) { c.seed = s; });
-  }
-  ScenarioBuilder& costs(const stack::CostModel& m) {
-    return set([&](auto& c) { c.costs = m; });
-  }
-  ScenarioBuilder& mflow(const core::MflowConfig& m) {
-    return set([&](auto& c) { c.mflow = m; });
-  }
-  /// 0 = saturation; otherwise one message per sender per interval.
-  ScenarioBuilder& pace(sim::Time per_message) {
-    return set([&](auto& c) { c.pace_per_message = per_message; });
-  }
-  ScenarioBuilder& window_bytes(std::uint64_t bytes) {
-    return set([&](auto& c) { c.window_bytes = bytes; });
-  }
-  /// Append one mid-run sender pace change (absolute time).
-  ScenarioBuilder& rate_change(int sender, sim::Time at, sim::Time pace) {
-    return set([&](auto& c) {
-      c.rate_changes.push_back({sender, at, pace});
-    });
-  }
-  ScenarioBuilder& usage_split_at(sim::Time at) {
-    return set([&](auto& c) { c.usage_split_at = at; });
-  }
-
-  // --- option clusters -----------------------------------------------------
-  using FaultsFn = std::function<void(net::FaultPlan&)>;
-  using TracingFn = std::function<void(trace::TraceConfig&)>;
-  using FastPathFn = std::function<void(ScenarioConfig::FastPath&)>;
-  using ControlFn = std::function<void(ScenarioConfig::ControlPlane&)>;
-  using NfFn = std::function<void(ScenarioConfig::Nf&)>;
-  using ElasticFn = std::function<void(ScenarioConfig::Elastic&)>;
-
-  ScenarioBuilder& faults(const FaultsFn& fn) {
-    return set([&](auto& c) { fn(c.faults); });
-  }
-  ScenarioBuilder& tracing(const TracingFn& fn = {}) {
-    return set([&](auto& c) {
-      c.trace.enabled = true;
-      if (fn) fn(c.trace);
-    });
-  }
-  ScenarioBuilder& fastpath(const FastPathFn& fn = {}) {
-    return set([&](auto& c) {
-      c.fastpath.enabled = true;
-      if (fn) fn(c.fastpath);
-    });
-  }
-  ScenarioBuilder& control(const ControlFn& fn = {}) {
-    return set([&](auto& c) {
-      c.control.enabled = true;
-      if (fn) fn(c.control);
-    });
-  }
-  ScenarioBuilder& nf(const NfFn& fn = {}) {
-    return set([&](auto& c) {
-      c.nf.enabled = true;
-      if (fn) fn(c.nf);
-    });
-  }
-  ScenarioBuilder& elastic(const ElasticFn& fn = {}) {
-    return set([&](auto& c) {
-      c.elastic.enabled = true;
-      if (fn) fn(c.elastic);
-    });
-  }
-
-  /// Escape hatch for fields without a dedicated setter.
-  ScenarioBuilder& tweak(const std::function<void(ScenarioConfig&)>& fn) {
-    return set(fn);
-  }
-
-  /// Validate-at-build: throws std::invalid_argument with the same
-  /// actionable messages as ScenarioConfig::validate().
-  ScenarioConfig build() const {
-    cfg_.validate();
-    return cfg_;
-  }
-
- private:
-  template <typename Fn>
-  ScenarioBuilder& set(const Fn& fn) {
-    fn(cfg_);
-    return *this;
-  }
-  ScenarioConfig cfg_;
 };
 
 /// Run one scenario to completion and collect metrics.

@@ -30,8 +30,9 @@ struct RtPacket {
   std::uint64_t seq = 0;       // position in the original flow
   std::uint64_t batch = 0;     // micro-flow id (1-based)
   std::uint32_t cost_ns = 0;   // synthetic per-packet processing cost
-  /// Rescale epoch the generator stamped this packet with (count of applied
-  /// EngineConfig::rescales at staging time). The overlay fast path keys
+  /// Rescale epoch the generator stamped this packet with (count of worker
+  /// mapping changes applied at staging time, from EngineConfig::rescales
+  /// and live capacity requests alike). The overlay fast path keys
   /// cache validity on it: a worker seeing a newer epoch than its cached
   /// entry re-resolves through the full decap, so a split-degree change
   /// never applies a stale decision.

@@ -242,30 +242,33 @@ exp::ScenarioConfig elastic_des_config() {
   core::MflowConfig mcfg = core::udp_device_scaling_config();
   mcfg.tcp_in_reader = true;
   mcfg.splitting_cores = {2, 3, 4, 5};
-  return exp::ScenarioBuilder(exp::Mode::kMflow)
-      .tcp(3)
-      .message_size(65536)
-      .layout(8, 1, 1, 7)
-      .windows(sim::ms(2), sim::ms(10))
-      .mflow(mcfg)
-      .control([](auto& c) {
-        c.interval = sim::us(100);
-        c.params.monitor.window = sim::ms(1);
-        c.params.classifier.promote_pps = 200'000.0;
-        c.params.classifier.demote_pps = 100'000.0;
-        c.params.classifier.dwell = sim::us(300);
-      })
-      .elastic([](auto& e) {
-        e.interval = sim::us(100);
-        e.params.per_worker_pps = 150'000.0;
-        e.params.headroom = 1.2;
-        e.params.cooldown = sim::us(200);
-        e.params.down_dwell = sim::us(400);
-      })
-      .rate_change(1, 0, sim::ms(2))
-      .rate_change(2, 0, sim::ms(2))
-      .rate_change(0, sim::ms(6), sim::ms(2))
-      .build();
+  exp::ScenarioConfig cfg;
+  cfg.mode = exp::Mode::kMflow;
+  cfg.num_flows = 3;
+  cfg.server_cores = 8;
+  cfg.app_cores = 1;
+  cfg.first_kernel_core = 1;
+  cfg.kernel_cores = 7;
+  cfg.warmup = sim::ms(2);
+  cfg.measure = sim::ms(10);
+  cfg.mflow = mcfg;
+  auto& c = cfg.control;
+  c.enabled = true;
+  c.interval = sim::us(100);
+  c.params.monitor.window = sim::ms(1);
+  c.params.classifier.promote_pps = 200'000.0;
+  c.params.classifier.demote_pps = 100'000.0;
+  c.params.classifier.dwell = sim::us(300);
+  auto& e = cfg.elastic;
+  e.enabled = true;
+  e.interval = sim::us(100);
+  e.params.per_worker_pps = 150'000.0;
+  e.params.headroom = 1.2;
+  e.params.cooldown = sim::us(200);
+  e.params.down_dwell = sim::us(400);
+  cfg.rate_changes = {
+      {1, 0, sim::ms(2)}, {2, 0, sim::ms(2)}, {0, sim::ms(6), sim::ms(2)}};
+  return cfg;
 }
 
 }  // namespace
@@ -402,21 +405,6 @@ TEST(ElasticScenario, Deterministic) {
     EXPECT_EQ(a.elastic.history[i].at, b.elastic.history[i].at);
     EXPECT_EQ(a.elastic.history[i].to, b.elastic.history[i].to);
   }
-}
-
-TEST(ElasticScenario, BuilderRejectsElasticWithoutControl) {
-  core::MflowConfig mcfg = core::udp_device_scaling_config();
-  mcfg.tcp_in_reader = true;
-  mcfg.splitting_cores = {2, 3};
-  auto b = exp::ScenarioBuilder(exp::Mode::kMflow)
-               .tcp(2)
-               .message_size(65536)
-               .layout(8, 1, 1, 7)
-               .windows(sim::ms(1), sim::ms(2))
-               .mflow(mcfg)
-               .elastic();  // no .control(): nothing to read load from
-  EXPECT_THROW(b.build(), std::invalid_argument);
-  EXPECT_NO_THROW(b.control().build());
 }
 
 // --- rt live capacity channel ------------------------------------------------

@@ -484,6 +484,15 @@ TEST(ScenarioValidate, RejectsControlPlaneWithoutMflow) {
   EXPECT_NO_THROW(cfg.validate());
 }
 
+TEST(ScenarioValidate, RejectsElasticWithoutControl) {
+  auto cfg = valid_config();
+  cfg.mode = exp::Mode::kMflow;
+  cfg.elastic.enabled = true;  // no control plane: nothing to read load from
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.control.enabled = true;
+  EXPECT_NO_THROW(cfg.validate());
+}
+
 TEST(ScenarioValidate, RejectsRateChangeForUnknownSender) {
   auto cfg = valid_config();
   cfg.rate_changes.push_back({cfg.num_flows, sim::ms(1), 0});
@@ -506,25 +515,27 @@ exp::ScenarioConfig live_rescale_config() {
   core::MflowConfig mcfg = core::udp_device_scaling_config();
   mcfg.tcp_in_reader = true;
   mcfg.splitting_cores = {2, 3, 4, 5};
-  return exp::ScenarioBuilder(exp::Mode::kMflow)
-      .tcp(3)
-      .message_size(65536)
-      .layout(/*server_cores=*/8, /*app_cores=*/1, /*first_kernel_core=*/1,
-              /*kernel_cores=*/7)
-      .windows(sim::ms(2), sim::ms(10))
-      .mflow(mcfg)
-      .control([](exp::ScenarioConfig::ControlPlane& cp) {
-        cp.interval = sim::us(100);
-        cp.params.monitor.window = sim::ms(1);
-        cp.params.classifier.promote_pps = 200'000.0;
-        cp.params.classifier.demote_pps = 100'000.0;
-        cp.params.classifier.dwell = sim::us(300);
-      })
-      // Flow 0 throttles to mouse rates mid-measurement and surges back: one
-      // full elephant -> mouse -> elephant round trip while traffic flows.
-      .rate_change(0, sim::ms(5), sim::ms(2))
-      .rate_change(0, sim::ms(9), 0)
-      .build();
+  exp::ScenarioConfig cfg;
+  cfg.mode = exp::Mode::kMflow;
+  cfg.num_flows = 3;
+  cfg.server_cores = 8;
+  cfg.app_cores = 1;
+  cfg.first_kernel_core = 1;
+  cfg.kernel_cores = 7;
+  cfg.warmup = sim::ms(2);
+  cfg.measure = sim::ms(10);
+  cfg.mflow = mcfg;
+  auto& cp = cfg.control;
+  cp.enabled = true;
+  cp.interval = sim::us(100);
+  cp.params.monitor.window = sim::ms(1);
+  cp.params.classifier.promote_pps = 200'000.0;
+  cp.params.classifier.demote_pps = 100'000.0;
+  cp.params.classifier.dwell = sim::us(300);
+  // Flow 0 throttles to mouse rates mid-measurement and surges back: one
+  // full elephant -> mouse -> elephant round trip while traffic flows.
+  cfg.rate_changes = {{0, sim::ms(5), sim::ms(2)}, {0, sim::ms(9), 0}};
+  return cfg;
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 // orderings the paper reports hold in the simulation.
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 #include "experiment/scenario.hpp"
 
 using namespace mflow;
@@ -13,49 +11,16 @@ namespace {
 
 exp::ScenarioResult quick(Mode mode, std::uint8_t proto,
                           std::uint32_t msg = 65536) {
-  exp::ScenarioBuilder b(mode);
-  if (proto == net::Ipv4Header::kProtoTcp)
-    b.tcp(1);
-  else
-    b.udp(3);
-  return exp::run_scenario(
-      b.message_size(msg).windows(sim::ms(5), sim::ms(15)).build());
+  exp::ScenarioConfig cfg;
+  cfg.mode = mode;
+  cfg.protocol = proto;
+  cfg.message_size = msg;
+  cfg.warmup = sim::ms(5);
+  cfg.measure = sim::ms(15);
+  return exp::run_scenario(cfg);
 }
 
 }  // namespace
-
-// --- builder: validate-at-build ----------------------------------------------
-
-TEST(ScenarioBuilder, RejectsInconsistentLayoutAtBuild) {
-  // App cores overlapping the kernel range is the classic poke mistake;
-  // the builder surfaces it at the call site instead of inside
-  // run_scenario().
-  exp::ScenarioBuilder b;
-  b.layout(/*server_cores=*/4, /*app_cores=*/3, /*first_kernel_core=*/1,
-           /*kernel_cores=*/3);
-  EXPECT_THROW(b.build(), std::invalid_argument);
-}
-
-TEST(ScenarioBuilder, ClusterConfiguratorEnablesTheCluster) {
-  const auto cfg = exp::ScenarioBuilder(Mode::kMflow)
-                       .control([](exp::ScenarioConfig::ControlPlane& cp) {
-                         cp.interval = sim::us(50);
-                       })
-                       .build();
-  EXPECT_TRUE(cfg.control.enabled);  // passing the cluster means wanting it
-  EXPECT_EQ(cfg.control.interval, sim::us(50));
-}
-
-TEST(ScenarioBuilder, TweakReachesFieldsWithoutSetters) {
-  const auto cfg = exp::ScenarioBuilder()
-                       .tweak([](exp::ScenarioConfig& c) {
-                         c.packet_pool_slabs = 0;
-                         c.adaptive_batch = true;
-                       })
-                       .build();
-  EXPECT_EQ(cfg.packet_pool_slabs, 0u);
-  EXPECT_TRUE(cfg.adaptive_batch);
-}
 
 TEST(Scenario, EveryModeDeliversTcpTraffic) {
   for (Mode m : exp::evaluation_modes()) {
