@@ -197,8 +197,15 @@ EngineResult Engine::run(
   for (std::size_t i = 0; i < W; ++i)
     split_rings.push_back(
         std::make_unique<SpscRing<RtPacket>>(config_.ring_capacity));
+  // Epochs not yet reached by the merge head belong to unmerged micro-flows.
+  // In a lossless run every micro-flow strictly between the merge head and
+  // the one being opened holds all its slabs, so at most
+  // pool_cap / batch_size + 2 are unmerged and an epoch ring that deep never
+  // refuses an announcement; a lossy run may defer one to a later boundary.
+  const std::size_t batch_size =
+      std::max<std::uint32_t>(config_.batch_size, 1);
   RtReassembler merger(W, config_.ring_capacity,
-                       std::max<std::size_t>(64, config_.rescales.size()));
+                       std::bit_ceil(pool_cap / batch_size + 2));
 
   // Consumer -> generator slab return path. Ring-based recycling keeps the
   // steady state free of pool CAS traffic (the Treiber free list is only
@@ -426,6 +433,7 @@ EngineResult Engine::run(
           const std::size_t ok = merger.deposit_batch(
               w, chunk.data(), n, config_.max_push_spins, pc);
           for (std::size_t i = ok; i < n; ++i) {
+            if (chunk[i].marker) continue;  // shed marker: no packet lost
             dropped.fetch_add(1, std::memory_order_release);
             return_slab(std::move(chunk[i].skb));
           }
@@ -555,6 +563,9 @@ EngineResult Engine::run(
           wt.event(trace::EventKind::kReasmHold, chunk[i].seq,
                    chunk[i].batch);
         for (std::size_t i = ok; i < m; ++i) {
+          // A shed marker loses no packet (a lost batch_end was counted
+          // when its marker replaced it).
+          if (chunk[i].marker) continue;
           dropped.fetch_add(1, std::memory_order_release);
           wt.event(trace::EventKind::kDrop, chunk[i].seq, chunk[i].batch);
           return_slab(std::move(chunk[i].skb));
@@ -594,12 +605,14 @@ EngineResult Engine::run(
     while (consumed + dropped.load(std::memory_order_acquire) < total) {
       const std::size_t n = merger.pop_ready_batch(out.data(), kChunk);
       if (n == 0) {
-        // The flag is read before the ring, so an empty ring behind a set
-        // flag has seen the owner's every deposit: the dry micro-flow —
+        // The flag is read before the owner is looked up again and before
+        // the ring: an exited worker has seen every epoch announcement, so
+        // the second lookup is not stale, and an empty ring behind a set
+        // flag has seen the owner's every deposit. The dry micro-flow —
         // whether never filled or emptied by drops — can be skipped.
         const std::size_t owner = merger.merge_owner();
         if (worker_exited[owner].load(std::memory_order_acquire) &&
-            merger.ring_empty(owner)) {
+            merger.merge_owner() == owner && merger.ring_empty(owner)) {
           merger.force_advance();
         } else {
           if (cc != nullptr) merge_dry.stall();
@@ -652,60 +665,60 @@ EngineResult Engine::run(
   // a micro-flow boundary, so a chunk targets exactly one worker) and
   // pushed with one batched ring operation.
   //
-  // Runtime rescale: the active worker set is a prefix [0, W_active) of the
-  // workers, re-evaluated only at micro-flow boundaries. Each change opens
-  // a new epoch starting at the batch being opened and announces it to the
-  // merger BEFORE any packet of that batch is pushed — the push's
-  // release/acquire chain then guarantees the consumer sees the epoch no
-  // later than the epoch's first packet.
+  // Runtime rescale: the active worker set is a prefix [0, w_active) of the
+  // workers, re-evaluated only at micro-flow boundaries.
   std::uint64_t batch = 0;
   std::uint32_t in_batch = config_.batch_size;
   std::size_t target = 0;
   std::size_t w_active = W;
+  std::size_t wanted = W;
   std::uint64_t epoch_first = 1;
   std::size_t rescale_idx = 0;
   std::uint64_t rescales_applied = 0;
-  std::uint64_t rescales_refused = 0;
-  // The live request last sampled, and whether its refusal was counted.
-  std::uint32_t live_req = 0;
-  bool live_refusal_counted = false;
+  // Split ring w carried a batch since its last epoch-flush marker.
+  std::vector<char> unmarked(W, 0);
   capacity_.active.store(static_cast<std::uint32_t>(W),
                          std::memory_order_release);
-  // Shared epoch-change protocol for the deterministic schedule AND live
-  // capacity requests: open a new epoch at the batch being opened,
-  // announce it to the merger before any packet of that batch is pushed,
-  // then close every previously-active ring with an epoch-flush marker so
-  // the consumer can prove its final old-epoch batch is complete — after
-  // a shrink no later batch would ever arrive there to provide the FIFO
-  // evidence. Returns false when the merger's epoch budget refuses the
-  // announcement: the mapping then stays as it is and no marker goes out,
-  // since routing under a mapping the consumer never learns of would wedge
-  // it on the wrong ring.
-  auto apply_active = [&](std::size_t requested_workers) {
-    const std::size_t nw = std::min<std::size_t>(
-        std::max<std::size_t>(requested_workers, 1), W);
-    if (nw == w_active) return true;  // no mapping change, no epoch needed
-    if (!merger.announce_epoch({batch, static_cast<std::uint32_t>(nw)}))
-      return false;
+  // Epoch-change protocol, run at a boundary when the wanted worker count
+  // differs from the mapping: open a new epoch at the batch being opened
+  // and announce it to the merger before any packet of that batch is
+  // pushed, so the push's release/acquire chain carries the epoch to the
+  // consumer. Then close every previously-active ring with an epoch-flush
+  // marker so the consumer can prove its final old-epoch batch is complete
+  // — after a shrink no later batch would ever arrive there to provide the
+  // FIFO evidence. A ring that carried no batch since its last marker
+  // already has that evidence; marking it again would pile markers onto a
+  // ring the merge head may never visit until they fill it.
+  //
+  // A full epoch ring defers the change: mapping and rings stay as they
+  // are and `wanted` is retried at the next boundary. The generator never
+  // blocks on the ring, since in a lossy run the merge head may be waiting
+  // for a batch only the generator can still push.
+  const auto apply_wanted = [&] {
+    const std::size_t nw = std::clamp<std::size_t>(wanted, 1, W);
+    if (nw == w_active ||
+        !merger.announce_epoch({batch, static_cast<std::uint32_t>(nw)}))
+      return;
     ++rescales_applied;
-    const std::size_t old_active = w_active;
-    w_active = nw;
-    epoch_first = batch;
-    for (std::size_t w2 = 0; w2 < old_active; ++w2) {
+    for (std::size_t w2 = 0; w2 < w_active; ++w2) {
+      if (!unmarked[w2]) continue;
       RtPacket mark;
       mark.batch = batch;
       mark.marker = true;
       auto& ring2 = *split_rings[w2];
       std::uint32_t spins2 = 0;
-      while (!ring2.try_push(std::move(mark))) {
+      bool pushed;
+      while (!(pushed = ring2.try_push(std::move(mark)))) {
         if (config_.max_push_spins != 0 && ++spins2 >= config_.max_push_spins)
           break;  // shed: end-of-stream force_advance covers the tail
         std::this_thread::yield();
       }
+      unmarked[w2] = !pushed;
     }
+    w_active = nw;
+    epoch_first = batch;
     capacity_.active.store(static_cast<std::uint32_t>(w_active),
                            std::memory_order_release);
-    return true;
   };
   ThreadTrace gt(tr, t0, static_cast<int>(W) + 1);  // generator track
   std::vector<RtPacket> stage(kChunk);
@@ -720,30 +733,19 @@ EngineResult Engine::run(
     if (in_batch >= config_.batch_size) {
       ++batch;
       in_batch = 0;
+      // The latest due schedule entry, then the live capacity request
+      // (rt::EngineCapacityAdapter), which wins as the operator's latest
+      // word. At most one epoch is announced per boundary.
       while (rescale_idx < config_.rescales.size() &&
-             i >= config_.rescales[rescale_idx].after_packets) {
-        if (!apply_active(config_.rescales[rescale_idx].active_workers))
-          ++rescales_refused;
-        ++rescale_idx;
-      }
-      // Live capacity request (rt::EngineCapacityAdapter). The schedule is
-      // replayed first so a test that uses both has a defined order; the
-      // request wins ties since it is the operator's latest word. It is
-      // re-sampled at every boundary, so a refused request is counted once,
-      // not once per boundary it stays posted.
+             i >= config_.rescales[rescale_idx].after_packets)
+        wanted = config_.rescales[rescale_idx++].active_workers;
       if (const std::uint32_t req =
               capacity_.requested.load(std::memory_order_acquire);
-          req != 0) {
-        if (req != live_req) {
-          live_req = req;
-          live_refusal_counted = false;
-        }
-        if (!apply_active(req) && !live_refusal_counted) {
-          ++rescales_refused;
-          live_refusal_counted = true;
-        }
-      }
+          req != 0)
+        wanted = req;
+      apply_wanted();
       target = static_cast<std::size_t>((batch - epoch_first) % w_active);
+      unmarked[target] = 1;
       if (ftable != nullptr) {
         // Register the batch's flow before any of its packets are pushed,
         // so worker touches can never race an unregistered flow into
@@ -895,7 +897,6 @@ EngineResult Engine::run(
   res.pool_recycled = pool.recycled();
   res.pool_exhausted = pool.exhausted();
   res.rescales_applied = rescales_applied;
-  res.rescales_refused = rescales_refused;
   res.active_workers_final = static_cast<std::uint32_t>(w_active);
   for (const auto& ov : ov_counts) {
     res.cache_hits += ov.hits;

@@ -87,7 +87,10 @@ struct EngineConfig {
   /// deterministic schedule. Applied at the next micro-flow boundary via an
   /// epoch message on the merger's internal SPSC ring (allocation-free, no
   /// stall: old-epoch batches drain under the old worker mapping while new
-  /// ones fill under the new). Entries must be ascending in after_packets.
+  /// ones fill under the new). When several entries fall due at one
+  /// boundary, only the latest counts. A full epoch ring (possible only in
+  /// a lossy run) defers the change to a later boundary; it is never
+  /// dropped. Entries must be ascending in after_packets.
   struct Rescale {
     std::uint64_t after_packets = 0;
     std::size_t active_workers = 0;
@@ -200,13 +203,11 @@ struct EngineResult {
   std::uint64_t pool_acquired = 0;
   std::uint64_t pool_recycled = 0;
   std::uint64_t pool_exhausted = 0;
-  /// Epoch changes actually announced to the merger (one per effective
-  /// EngineConfig::rescales entry; same-degree entries coalesce to none).
+  /// Epoch changes announced to the merger: at most one per micro-flow
+  /// boundary whose wanted worker count (latest due EngineConfig::rescales
+  /// entry, then the live request) differs from the current mapping.
+  /// Same-degree requests announce nothing.
   std::uint64_t rescales_applied = 0;
-  /// Epoch changes the merger's epoch budget refused, each schedule entry
-  /// or distinct live request counted once. A refused change leaves the
-  /// worker mapping as it was, so the run still terminates in order.
-  std::uint64_t rescales_refused = 0;
   /// Overlay-mode accounting (all zero unless overlay.enabled), summed
   /// over the workers after join.
   std::uint64_t cache_hits = 0;
@@ -265,9 +266,9 @@ struct EngineResult {
 /// only — the same place the deterministic rescale schedule applies — and
 /// runs the identical epoch-announce + ring-flush protocol, then publishes
 /// the applied value into `active`. Requests are therefore never torn:
-/// between boundaries the old mapping keeps draining untouched. Once the
-/// merger's epoch budget is spent, further changes are refused: `active`
-/// keeps its value and EngineResult::rescales_refused counts the refusal.
+/// between boundaries the old mapping keeps draining untouched. A posted
+/// request stays wanted until it applies: if the merger's epoch ring is
+/// full at a boundary, `active` keeps its value until a later one.
 struct CapacityControl {
   std::atomic<std::uint32_t> requested{0};
   std::atomic<std::uint32_t> active{0};

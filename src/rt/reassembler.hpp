@@ -6,6 +6,10 @@
 // implied by the splitter's round-robin, so the consumer needs no shared
 // mutable state beyond the rings themselves — the "global merging counter"
 // is consumer-private, exactly as recvmsg-context merging is in the paper.
+// A rescale changes that implied ownership from a given batch on: the
+// generator announces an epoch on a small SPSC ring, and the consumer
+// retires it once the merge head reaches that batch, so only the epoch
+// governing the head and those still ahead of it are ever stored.
 //
 // Packets are MOVE-ONLY: each RtPacket carries its pooled skb
 // (net::PacketPtr, see rt/pool.hpp), so a deposit transfers slab ownership
@@ -14,7 +18,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -64,26 +67,21 @@ class RtReassembler {
     std::uint32_t workers = 0;
   };
 
-  /// `workers` buffer rings, each `ring_capacity_pow2` deep (power of two,
-  /// enforced by SpscRing's constructor). Up to `max_epochs` rescale
-  /// announcements are accepted over the reassembler's lifetime (storage is
-  /// pre-reserved so applying them allocates nothing).
+  /// `workers` buffer rings, each `ring_capacity_pow2` deep, and an epoch
+  /// ring holding up to `epoch_capacity_pow2` announcements the merge head
+  /// has not reached yet (both powers of two, enforced by SpscRing's
+  /// constructor). Epochs retire as the merge head reaches them, so the
+  /// number announced over the merger's life is unbounded.
   RtReassembler(std::size_t workers, std::size_t ring_capacity_pow2,
-                std::size_t max_epochs = 64);
+                std::size_t epoch_capacity_pow2 = 64);
 
-  /// Worker `w` deposits a processed packet (SPSC per worker).
-  /// A full ring is retried (with yield) at most `max_spins` times;
-  /// 0 means retry forever. Returns false when the retry budget is
-  /// exhausted — `pkt` is then left INTACT (its skb is not consumed), and
-  /// the caller owns the loss and must account for it so the consumer's
-  /// conservation check still terminates.
-  [[nodiscard]] bool deposit(std::size_t w, RtPacket&& pkt,
-                             std::uint32_t max_spins = 0);
-
-  /// Deposit `count` packets from `pkts` in order; returns how many were
-  /// accepted (a prefix — the rest are left intact for the caller to retry
-  /// or drop). Amortizes ring atomics across the batch; spins/yields like
-  /// deposit() only when the ring is full mid-batch.
+  /// Worker `w` deposits `count` packets from `pkts` in order; returns how
+  /// many were accepted (a prefix — the rest are left intact, skb and all,
+  /// for the caller to retry or drop). Amortizes ring atomics across the
+  /// batch. A full ring is retried (with yield) at most `max_spins` times;
+  /// 0 means retry forever. A caller that gives up on the tail owns the
+  /// loss and must account for it so the consumer's conservation check
+  /// still terminates.
   ///
   /// `prof` (optional): full-ring stall episodes inside the deposit are
   /// charged to `prof->output_full_*` — the fan-in fabric's
@@ -94,20 +92,16 @@ class RtReassembler {
                                           std::uint32_t max_spins = 0,
                                           StageCounters* prof = nullptr);
 
-  /// Consumer: next packet in original flow order, or nullopt if the head
-  /// of the current micro-flow hasn't arrived yet.
-  std::optional<RtPacket> pop_ready();
-
   /// Consumer: pop up to `max` in-order packets into `out`, crossing
   /// micro-flow boundaries when the next micro-flow's head has already
-  /// arrived. Returns how many were written; 0 means the merge head is dry
-  /// (same condition as pop_ready() == nullopt). Amortizes ring atomics
-  /// across whole micro-flow runs — the consumer-side twin of
-  /// deposit_batch().
+  /// arrived. Returns how many were written; 0 means the merge head is dry.
+  /// Amortizes ring atomics across whole micro-flow runs.
   std::size_t pop_ready_batch(RtPacket* out, std::size_t max);
 
-  /// Consumer side: buffer ring owning the micro-flow under merge.
-  std::size_t merge_owner() { return owner_of(merge_counter_); }
+  /// Consumer side: buffer ring owning the micro-flow under merge. Retires
+  /// every announced epoch the merge head has reached on the way, so the
+  /// epoch ring only ever holds epochs still ahead of the head.
+  std::size_t merge_owner();
 
   /// Buffer ring `w` holds nothing right now. Exact once worker `w` has
   /// exited: nothing can be deposited there any more.
@@ -121,30 +115,18 @@ class RtReassembler {
   void force_advance();
 
   /// Producer side (the splitter/generator thread): all batches from
-  /// `first_batch` on round-robin over the first `e.workers` rings. MUST be
-  /// announced before any packet of `first_batch` is pushed toward the
-  /// workers — the consumer observes packets only through an
-  /// acquire/release chain rooted at that push, so the announcement is then
-  /// guaranteed visible by the time the merge counter reaches the epoch.
-  /// Returns false when the epoch budget (`max_epochs`) is exhausted.
-  [[nodiscard]] bool announce_epoch(Epoch e);
-
-  /// Consumer side: ring index owning `batch` under the epochs applied so
-  /// far (drains pending announcements first).
-  std::size_t owner_of(std::uint64_t batch);
-
-  /// A packet of `batch` was dropped before its deposit; informational —
-  /// the rt merge never stalls on holes (per-worker FIFO implies batch
-  /// completion), so this only feeds accounting.
-  void note_drop(std::uint64_t batch, std::uint32_t segs) {
-    drops_noted_ += segs;
-    (void)batch;
+  /// `first_batch` on round-robin over the first `e.workers` rings
+  /// (1 <= workers <= ring count). Announcements must come in ascending
+  /// `first_batch` order, and an epoch MUST be announced before any packet
+  /// of `first_batch` is pushed toward the workers — the consumer observes
+  /// packets only through an acquire/release chain rooted at that push, and
+  /// looks the owner up again before it takes a later batch at a ring's
+  /// head as proof that the micro-flow under merge is complete.
+  /// Returns false when the epoch ring is full of epochs the merge head has
+  /// not reached; the caller then keeps its mapping and retries later.
+  [[nodiscard]] bool announce_epoch(Epoch e) {
+    return epoch_ring_.try_push(e);
   }
-  std::uint64_t drops_noted() const { return drops_noted_; }
-
-  /// All buffer rings empty — nothing deposited awaits merging. Quiescent
-  /// use only (consumer idle): the rescale-drain completion condition.
-  bool drained() const;
 
   /// Total packets currently buffered across all fan-in rings. Approximate
   /// from any thread (each ring's size is a racy-but-monotone snapshot);
@@ -153,19 +135,12 @@ class RtReassembler {
   std::size_t occupancy() const;
 
  private:
-  /// Drain pending epoch announcements into the applied table. Called on
-  /// every consumer lookup: cost is one empty-check on the epoch ring.
-  void apply_epochs();
-
   std::vector<std::unique_ptr<SpscRing<RtPacket>>> rings_;
   std::uint64_t merge_counter_ = 1;  // consumer-private
   std::uint64_t batches_merged_ = 0;
-  std::uint64_t drops_noted_ = 0;
 
-  SpscRing<Epoch> epoch_ring_;
-  std::vector<Epoch> epochs_;  // applied, ascending first_batch; reserved
-  std::size_t max_epochs_;
-  std::size_t announced_ = 0;  // producer-private budget counter
+  SpscRing<Epoch> epoch_ring_;  // announced, not yet reached by the head
+  Epoch current_;               // governs the merge head (consumer-private)
 };
 
 }  // namespace mflow::rt

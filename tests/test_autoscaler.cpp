@@ -460,8 +460,10 @@ TEST(RtCapacity, ScaleUpOnTooSmallHostDegradesToUnpinned) {
 
   rt::EngineResult res;
   std::thread runner([&] { res = eng.run(200'000); });
-  // Live scale-up to the full (unpinnable) worker count while running.
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // Live scale-up to the full (unpinnable) worker count while running. It
+  // is posted once the schedule's shrink has applied: a request already
+  // waiting at the first boundary would win over the shrink there.
+  while (eng.capacity().active.load() != 1) std::this_thread::yield();
   adapter.set_active_workers(workers);
   runner.join();
 

@@ -1,6 +1,6 @@
 // Dynamic flow control plane: monitor -> classifier -> scaler units, the
-// shared MergeStream concept instantiated for BOTH engines' reassemblers,
-// and live elephant<->mouse rescales end to end in the DES scenario.
+// rescale-drain protocol at BOTH engines' reassemblers, and live
+// elephant<->mouse rescales end to end in the DES scenario.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -9,10 +9,10 @@
 #include "control/classifier.hpp"
 #include "control/monitor.hpp"
 #include "control/policy.hpp"
-#include "core/merge_view.hpp"
+#include "core/reassembler.hpp"
 #include "core/splitter.hpp"
 #include "experiment/scenario.hpp"
-#include "rt/merge_view.hpp"
+#include "rt/reassembler.hpp"
 
 using namespace mflow;
 using control::FlowClass;
@@ -207,26 +207,9 @@ TEST(Controller, PromotesScalesAndDemotes) {
   EXPECT_EQ(target.calls.size(), ctl.history().size());
 }
 
-// --- MergeStream concept: both engines through the same helpers --------------
+// --- Rescale drain at the merge point, both engines -------------------------
 
 namespace {
-
-// Deposit `count` packets of `batch` carrying seqs [first_seq, ...) through
-// the view. `mk` is the engine-specific item builder.
-template <typename View, typename MakeItem>
-void deposit_run(View& v, MakeItem&& mk, std::uint64_t batch,
-                 std::uint64_t first_seq, int count) {
-  for (int i = 0; i < count; ++i)
-    EXPECT_TRUE(v.deposit(mk(first_seq + static_cast<std::uint64_t>(i),
-                             batch)));
-}
-
-// Pop everything currently ready, appending original-flow seqs.
-template <typename View>
-void drain_into(View& v, std::vector<std::uint64_t>& seqs) {
-  while (auto item = v.pop())
-    seqs.push_back(v.descriptor(*item).first);
-}
 
 // The shared invariant both engines uphold across a live rescale: every
 // deposited seq comes out exactly once, in original flow order.
@@ -236,31 +219,61 @@ void expect_full_in_order(const std::vector<std::uint64_t>& seqs,
   for (std::uint64_t i = 0; i < count; ++i) EXPECT_EQ(seqs[i], i);
 }
 
-net::PacketPtr core_item(net::FlowId flow, std::uint64_t seq,
-                         std::uint64_t microflow) {
-  auto p = net::make_udp_datagram(
-      net::FlowKey{net::Ipv4Addr(1, 1, 1, 1), net::Ipv4Addr(2, 2, 2, 2), 1,
-                   2, net::Ipv4Header::kProtoUdp},
-      100);
-  p->flow_id = flow;
-  p->wire_seq = seq;
-  p->microflow_id = microflow;
-  return p;
+// Deposit `count` packets of micro-flow `batch` carrying seqs
+// [first_seq, ...) into the DES reassembler.
+void core_deposit(core::Reassembler& ra, net::FlowId flow,
+                  std::uint64_t batch, std::uint64_t first_seq, int count) {
+  for (int i = 0; i < count; ++i) {
+    auto p = net::make_udp_datagram(
+        net::FlowKey{net::Ipv4Addr(1, 1, 1, 1), net::Ipv4Addr(2, 2, 2, 2), 1,
+                     2, net::Ipv4Header::kProtoUdp},
+        100);
+    p->flow_id = flow;
+    p->wire_seq = first_seq + static_cast<std::uint64_t>(i);
+    p->microflow_id = batch;
+    ra.deposit(std::move(p), /*from_core=*/-1);
+  }
+}
+
+// Pop everything the DES reassembler has ready, appending wire seqs.
+void core_drain(core::Reassembler& ra, std::vector<std::uint64_t>& seqs) {
+  while (auto p = ra.pop_ready()) seqs.push_back(p->wire_seq);
+}
+
+// Deposit `count` packets of `batch` carrying seqs [first_seq, ...) into
+// buffer ring `w` of the rt reassembler.
+void rt_deposit(rt::RtReassembler& ra, std::size_t w, std::uint64_t batch,
+                std::uint64_t first_seq, int count) {
+  for (int i = 0; i < count; ++i) {
+    rt::RtPacket p;
+    p.seq = first_seq + static_cast<std::uint64_t>(i);
+    p.batch = batch;
+    ASSERT_EQ(ra.deposit_batch(w, &p, 1), 1u);
+  }
+}
+
+// An epoch-flush marker for the epoch opening at `batch`, on ring `w`.
+void rt_mark(rt::RtReassembler& ra, std::size_t w, std::uint64_t batch) {
+  rt::RtPacket mark;
+  mark.batch = batch;
+  mark.marker = true;
+  ASSERT_EQ(ra.deposit_batch(w, &mark, 1), 1u);
+}
+
+void rt_drain(rt::RtReassembler& ra, std::vector<std::uint64_t>& seqs) {
+  rt::RtPacket out[8];
+  while (const std::size_t n = ra.pop_ready_batch(out, 8))
+    for (std::size_t k = 0; k < n; ++k) seqs.push_back(out[k].seq);
 }
 
 }  // namespace
 
-// DES reassembler through the concept: split at degree 2, demote (unsplit
-// hold), re-split — the full rescale-drain protocol, observed only through
-// the MergeStream surface.
-TEST(MergeStream, CoreViewOrderedAcrossRescale) {
+// DES reassembler: split at degree 2, demote (unsplit hold), re-split — the
+// full rescale-drain protocol.
+TEST(CoreReassembler, OrderedAcrossRescale) {
   const net::FlowId kFlow = 7;
   stack::CostModel costs;
   core::Reassembler ra(costs);
-  core::MergeStreamView view(ra, kFlow);
-  auto mk = [&](std::uint64_t seq, std::uint64_t batch) {
-    return core_item(kFlow, seq, batch);
-  };
   std::vector<std::uint64_t> seqs;
 
   // Split period 1: batches 1-2, two packets each (seqs 0-3).
@@ -272,27 +285,27 @@ TEST(MergeStream, CoreViewOrderedAcrossRescale) {
   ra.note_dispatch(kFlow, 2, 1);
   ra.note_dispatch(kFlow, 2, 1);
   // Batch 2 lands first: nothing ready until batch 1 fills in.
-  deposit_run(view, mk, 2, 2, 2);
-  drain_into(view, seqs);
+  core_deposit(ra, kFlow, 2, 2, 2);
+  core_drain(ra, seqs);
   EXPECT_TRUE(seqs.empty());
-  deposit_run(view, mk, 1, 0, 2);
-  drain_into(view, seqs);
+  core_deposit(ra, kFlow, 1, 0, 2);
+  core_drain(ra, seqs);
   EXPECT_EQ(seqs.size(), 4u);
 
   // Batch 3 opens, gets one of its two packets...
   ra.note_batch_open(kFlow, 3);
   ra.note_dispatch(kFlow, 3, 1);
   ra.note_dispatch(kFlow, 3, 1);
-  deposit_run(view, mk, 3, 4, 1);
-  drain_into(view, seqs);
+  core_deposit(ra, kFlow, 3, 4, 1);
+  core_drain(ra, seqs);
   // ...then the flow demotes: its default-path packet (seq 6) must be held
   // behind batch 3's still-missing seq 5.
   ra.note_flow_unsplit(kFlow);
-  deposit_run(view, mk, 0, 6, 1);
-  drain_into(view, seqs);
+  core_deposit(ra, kFlow, 0, 6, 1);
+  core_drain(ra, seqs);
   EXPECT_EQ(seqs.size(), 5u);  // seq 6 held, seq 5 outstanding
-  deposit_run(view, mk, 3, 5, 1);
-  drain_into(view, seqs);
+  core_deposit(ra, kFlow, 3, 5, 1);
+  core_drain(ra, seqs);
 
   // Re-split (period 2, batch 4): the pre-split gate waits for the one
   // default-path segment, which the flushed hold supplies.
@@ -300,22 +313,18 @@ TEST(MergeStream, CoreViewOrderedAcrossRescale) {
   ra.note_batch_open(kFlow, 4);
   ra.note_dispatch(kFlow, 4, 1);
   ra.note_dispatch(kFlow, 4, 1);
-  deposit_run(view, mk, 4, 7, 2);
-  drain_into(view, seqs);
+  core_deposit(ra, kFlow, 4, 7, 2);
+  core_drain(ra, seqs);
 
   expect_full_in_order(seqs, 9);
-  EXPECT_TRUE(view.drained());
-  EXPECT_GE(view.batches_merged(), 2u);
+  EXPECT_TRUE(ra.drained());
+  EXPECT_GE(ra.batches_merged(), 2u);
 }
 
-TEST(MergeStream, CoreViewNoteDropUnblocksMerge) {
+TEST(CoreReassembler, NoteDropUnblocksMerge) {
   const net::FlowId kFlow = 3;
   stack::CostModel costs;
   core::Reassembler ra(costs);
-  core::MergeStreamView view(ra, kFlow);
-  auto mk = [&](std::uint64_t seq, std::uint64_t batch) {
-    return core_item(kFlow, seq, batch);
-  };
   ra.note_flow_split(kFlow, 0, 1);
   ra.note_batch_open(kFlow, 1);
   ra.note_dispatch(kFlow, 1, 1);
@@ -325,78 +334,57 @@ TEST(MergeStream, CoreViewNoteDropUnblocksMerge) {
   // Seq 1 (batch 1) is lost before the merge point; batch 2 would wedge
   // behind it without the retraction.
   std::vector<std::uint64_t> seqs;
-  deposit_run(view, mk, 1, 0, 1);
-  deposit_run(view, mk, 2, 2, 1);
-  drain_into(view, seqs);
+  core_deposit(ra, kFlow, 1, 0, 1);
+  core_deposit(ra, kFlow, 2, 2, 1);
+  core_drain(ra, seqs);
   EXPECT_EQ(seqs, (std::vector<std::uint64_t>{0}));
-  view.note_drop(1, 1);
-  drain_into(view, seqs);
+  ra.note_drop(kFlow, 1, 1);
+  core_drain(ra, seqs);
   EXPECT_EQ(seqs, (std::vector<std::uint64_t>{0, 2}));
-  EXPECT_TRUE(view.drained());
+  EXPECT_TRUE(ra.drained());
 }
 
-// rt reassembler through the same helpers: shrink 2->1 workers then grow
-// back, with the engine's epoch-flush markers closing the completion gaps.
-TEST(MergeStream, RtViewOrderedAcrossRescale) {
+// rt reassembler: shrink 2->1 workers then grow back, with the engine's
+// epoch-flush markers closing the completion gaps. Each batch goes to the
+// ring its epoch assigns, as the engine's generator routes it.
+TEST(RtReassembler, OrderedAcrossRescale) {
   rt::RtReassembler ra(2, 64);
-  rt::RtMergeStreamView view(ra);
-  auto mk = [](std::uint64_t seq, std::uint64_t batch) {
-    rt::RtPacket p;
-    p.seq = seq;
-    p.batch = batch;
-    return p;
-  };
   std::vector<std::uint64_t> seqs;
 
   // Epoch {1, 2 workers}: b1 -> ring 0, b2 -> ring 1, b3 -> ring 0. Batch 2
   // deposited first — order must still come out 0..N.
-  deposit_run(view, mk, 2, 2, 2);
-  deposit_run(view, mk, 1, 0, 2);
-  deposit_run(view, mk, 3, 4, 2);
+  rt_deposit(ra, 1, 2, 2, 2);
+  rt_deposit(ra, 0, 1, 0, 2);
+  rt_deposit(ra, 0, 3, 4, 2);
 
   // Shrink to 1 worker from batch 4: announce, then flush-mark every
   // previously-active ring exactly as the engine's generator does.
   ASSERT_TRUE(ra.announce_epoch({4, 1}));
-  for (std::size_t w = 0; w < 2; ++w) {
-    rt::RtPacket mark;
-    mark.batch = 4;
-    mark.marker = true;
-    ASSERT_TRUE(ra.deposit(w, std::move(mark)));
-  }
-  deposit_run(view, mk, 4, 6, 2);
-  deposit_run(view, mk, 5, 8, 2);
+  rt_mark(ra, 0, 4);
+  rt_mark(ra, 1, 4);
+  rt_deposit(ra, 0, 4, 6, 2);
+  rt_deposit(ra, 0, 5, 8, 2);
 
-  // Grow back to 2 workers from batch 6 (ring 0 was the only active one).
+  // Grow back to 2 workers from batch 6 (ring 0 was the only active one):
+  // b6 -> ring 0, b7 -> ring 1.
   ASSERT_TRUE(ra.announce_epoch({6, 2}));
-  {
-    rt::RtPacket mark;
-    mark.batch = 6;
-    mark.marker = true;
-    ASSERT_TRUE(ra.deposit(0, std::move(mark)));
-  }
-  deposit_run(view, mk, 6, 10, 2);
-  deposit_run(view, mk, 7, 12, 2);
+  rt_mark(ra, 0, 6);
+  rt_deposit(ra, 0, 6, 10, 2);
+  rt_deposit(ra, 1, 7, 12, 2);
 
-  drain_into(view, seqs);
+  rt_drain(ra, seqs);
   // End of stream: the final batches have no successor to prove them
   // complete — the engine force-advances there.
   ra.force_advance();
-  drain_into(view, seqs);
+  rt_drain(ra, seqs);
   ra.force_advance();
-  drain_into(view, seqs);
+  rt_drain(ra, seqs);
 
   expect_full_in_order(seqs, 14);
-  // Every ring empty, including the stale marker a shrink stranded on
+  // Every ring empty, including the stale marker the shrink stranded on
   // ring 1 (discarded when the grow epoch made ring 1 active again).
-  EXPECT_TRUE(view.drained());
-  EXPECT_GE(view.batches_merged(), 6u);
-}
-
-TEST(MergeStream, RtViewNoteDropIsAccounted) {
-  rt::RtReassembler ra(2, 64);
-  rt::RtMergeStreamView view(ra);
-  view.note_drop(3, 5);
-  EXPECT_EQ(ra.drops_noted(), 5u);
+  EXPECT_EQ(ra.occupancy(), 0u);
+  EXPECT_EQ(ra.batches_merged(), 7u);
 }
 
 // --- BatchAssigner degree overrides ------------------------------------------

@@ -176,44 +176,85 @@ TEST(Calibrate, RatePositiveAndStable) {
   EXPECT_DOUBLE_EQ(a, b);  // memoized
 }
 
+namespace {
+
+// Deposit one metadata-only packet into buffer ring `w`.
+void put(RtReassembler& ra, std::size_t w, std::uint64_t seq,
+         std::uint64_t batch, bool batch_end = false) {
+  RtPacket pkt;
+  pkt.seq = seq;
+  pkt.batch = batch;
+  pkt.batch_end = batch_end;
+  ASSERT_EQ(ra.deposit_batch(w, &pkt, 1), 1u);
+}
+
+// Seqs of everything the merge head releases right now, in order.
+std::vector<std::uint64_t> pop_seqs(RtReassembler& ra) {
+  std::vector<std::uint64_t> seqs;
+  RtPacket out[8];
+  while (const std::size_t n = ra.pop_ready_batch(out, 8))
+    for (std::size_t k = 0; k < n; ++k) seqs.push_back(out[k].seq);
+  return seqs;
+}
+
+}  // namespace
+
 TEST(RtReassembler, MergesRoundRobinBatches) {
   RtReassembler ra(2, 64);
   // Batch 1 -> worker 0, batch 2 -> worker 1, batch 3 -> worker 0.
-  ASSERT_TRUE(ra.deposit(1, RtPacket{2, 2, 0, false}));  // batch 2 first
-  ASSERT_TRUE(ra.deposit(0, RtPacket{0, 1, 0, false}));
-  ASSERT_TRUE(ra.deposit(0, RtPacket{1, 1, 0, false}));
-  ASSERT_TRUE(ra.deposit(0, RtPacket{3, 3, 0, false}));
-  std::vector<std::uint64_t> seqs;
-  while (auto p = ra.pop_ready()) seqs.push_back(p->seq);
+  put(ra, 1, 2, 2);  // batch 2 first
+  put(ra, 0, 0, 1);
+  put(ra, 0, 1, 1);
+  put(ra, 0, 3, 3);
   // Batch 2's ring is dry and no later batch proves it complete — that is
   // only knowable at end of stream, where the engine force-advances.
-  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{0, 1, 2}));
+  EXPECT_EQ(pop_seqs(ra), (std::vector<std::uint64_t>{0, 1, 2}));
   ra.force_advance();
-  while (auto p = ra.pop_ready()) seqs.push_back(p->seq);
-  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(pop_seqs(ra), (std::vector<std::uint64_t>{3}));
   EXPECT_EQ(ra.batches_merged(), 2u);
 }
 
 // A micro-flow's final packet completes it at the merge by itself: neither
 // a later batch on the same ring nor the end of the stream is needed.
 TEST(RtReassembler, BatchEndCompletesMicroflowWithoutLaterEvidence) {
-  for (const bool batched : {false, true}) {
-    RtReassembler ra(2, 64);
-    ASSERT_TRUE(ra.deposit(1, RtPacket{.seq = 2, .batch = 2}));
-    ASSERT_TRUE(ra.deposit(0, RtPacket{.seq = 0, .batch = 1}));
-    ASSERT_TRUE(
-        ra.deposit(0, RtPacket{.seq = 1, .batch = 1, .batch_end = true}));
-    std::vector<std::uint64_t> seqs;
-    if (batched) {
-      RtPacket out[8];
-      const std::size_t n = ra.pop_ready_batch(out, 8);
-      for (std::size_t k = 0; k < n; ++k) seqs.push_back(out[k].seq);
-    } else {
-      while (auto p = ra.pop_ready()) seqs.push_back(p->seq);
-    }
-    EXPECT_EQ(seqs, (std::vector<std::uint64_t>{0, 1, 2})) << batched;
-    EXPECT_EQ(ra.batches_merged(), 1u) << batched;
+  RtReassembler ra(2, 64);
+  put(ra, 1, 2, 2);
+  put(ra, 0, 0, 1);
+  put(ra, 0, 1, 1, /*batch_end=*/true);
+  EXPECT_EQ(pop_seqs(ra), (std::vector<std::uint64_t>{0, 1, 2}));
+  EXPECT_EQ(ra.batches_merged(), 1u);
+}
+
+// The epoch ring holds only epochs the merge head has not reached: it
+// refuses exactly when it is full of those, takes one more each time the
+// head passes one, and so accepts any number over the merger's life.
+TEST(RtReassembler, EpochRingRefusesOnlyWhenFullOfUnreachedEpochs) {
+  RtReassembler ra(2, 64, /*epoch_capacity_pow2=*/4);
+  // Every batch from 2 on opens an epoch, so each batch's owner is ring 0.
+  std::uint64_t next_epoch = 2;
+  const auto announce = [&] {
+    const bool ok = ra.announce_epoch(
+        {next_epoch, next_epoch % 2 == 0 ? 1u : 2u});
+    if (ok) ++next_epoch;
+    return ok;
+  };
+  for (int k = 0; k < 4; ++k) ASSERT_TRUE(announce());
+  EXPECT_FALSE(announce());  // batches 2-5 announced, head still at 1
+
+  put(ra, 0, 0, 1, /*batch_end=*/true);
+  EXPECT_EQ(pop_seqs(ra), (std::vector<std::uint64_t>{0}));
+  EXPECT_TRUE(announce());   // the head reached batch 2: its epoch retired
+  EXPECT_FALSE(announce());  // batches 3-6 unreached
+
+  std::uint64_t seq = 1;
+  for (std::uint64_t batch = 2; batch < 1500; ++batch, ++seq) {
+    put(ra, 0, seq, batch, /*batch_end=*/true);
+    ASSERT_EQ(pop_seqs(ra), (std::vector<std::uint64_t>{seq}));
+    ASSERT_TRUE(announce()) << batch;
   }
+  EXPECT_GT(next_epoch - 2, 1000u);
+  EXPECT_EQ(ra.batches_merged(), 1499u);
+  EXPECT_EQ(ra.occupancy(), 0u);
 }
 
 struct RtSweep {
@@ -253,14 +294,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(RtReassembler, DepositRetryBudgetBoundsTheSpin) {
   RtReassembler ra(1, 4);
-  for (std::uint64_t i = 0; i < 4; ++i)
-    ASSERT_TRUE(ra.deposit(0, RtPacket{i, 1, 0, false}));
+  for (std::uint64_t i = 0; i < 4; ++i) put(ra, 0, i, 1);
   // Ring full and the consumer never runs: a bounded deposit must give up
-  // instead of yielding forever.
-  EXPECT_FALSE(ra.deposit(0, RtPacket{4, 1, 0, false}, /*max_spins=*/8));
+  // instead of yielding forever, leaving the packet with the caller.
+  RtPacket pkt;
+  pkt.seq = 4;
+  pkt.batch = 1;
+  EXPECT_EQ(ra.deposit_batch(0, &pkt, 1, /*max_spins=*/8), 0u);
+  EXPECT_EQ(pkt.seq, 4u);
   // Consuming one slot makes the same deposit succeed.
-  ASSERT_TRUE(ra.pop_ready().has_value());
-  EXPECT_TRUE(ra.deposit(0, RtPacket{4, 1, 0, false}, /*max_spins=*/8));
+  RtPacket out;
+  ASSERT_EQ(ra.pop_ready_batch(&out, 1), 1u);
+  EXPECT_EQ(ra.deposit_batch(0, &pkt, 1, /*max_spins=*/8), 1u);
 }
 
 TEST(RtEngine, InjectedDropsRecoverWithoutWedging) {
@@ -385,14 +430,13 @@ TEST(RtEngine, RuntimeRescaleShrinkAndGrowStaysOrdered) {
   EXPECT_EQ(res.rescales_applied, 2u);
 }
 
-// Live capacity changes past the merger's epoch budget (64 per run): the
-// budget's changes apply, later ones are refused and counted, and a
-// refused change leaves the worker mapping untouched, so the run still
-// terminates with every packet in order. The poster waits for each change
-// to apply, or for proof that the generator sampled it: the generator runs
-// at most pool_capacity packets ahead of delivery, so once delivery has
-// moved that far plus two batches, a micro-flow boundary has passed.
-TEST(RtEngine, LiveCapacityChangesPastEpochBudgetTerminateInOrder) {
+// Live capacity changes all apply, in order: epochs retire at the merge
+// head, so there is no budget to run out of. The poster waits for each
+// change to apply, or for proof that the generator sampled it: the
+// generator runs at most pool_capacity packets ahead of delivery, so once
+// delivery has moved that far plus two batches, a micro-flow boundary has
+// passed.
+TEST(RtEngine, LiveCapacityChangesAllApplyInOrder) {
   EngineConfig cfg;
   cfg.workers = 2;
   cfg.batch_size = 8;
@@ -427,8 +471,88 @@ TEST(RtEngine, LiveCapacityChangesPastEpochBudgetTerminateInOrder) {
   EXPECT_TRUE(res.in_order);
   EXPECT_EQ(res.packets, kTotal);
   EXPECT_EQ(res.packets_dropped, 0u);
-  EXPECT_EQ(res.rescales_applied, 64u);
-  EXPECT_GT(res.rescales_refused, 0u);
+  EXPECT_EQ(res.rescales_applied, static_cast<std::uint64_t>(kChanges));
+}
+
+namespace {
+
+// A schedule of `changes` entries, one every `every` packets from packet 0,
+// alternating 1 and 2 workers (so every entry changes the mapping).
+std::vector<EngineConfig::Rescale> alternating_schedule(std::uint64_t changes,
+                                                        std::uint64_t every) {
+  std::vector<EngineConfig::Rescale> s;
+  for (std::uint64_t k = 0; k < changes; ++k)
+    s.push_back({k * every, k % 2 == 0 ? 1u : 2u});
+  return s;
+}
+
+}  // namespace
+
+// 10k scheduled changes, each due at its own micro-flow boundary: a
+// lossless run applies every one and delivers in order.
+TEST(RtEngine, TenThousandScheduledChangesAllApply) {
+  EngineConfig cfg;
+  cfg.workers = 2;
+  cfg.batch_size = 8;
+  cfg.cost_ns_per_packet = 0;
+  cfg.max_push_spins = 0;  // lossless
+  constexpr std::uint64_t kChanges = 10000;
+  cfg.rescales = alternating_schedule(kChanges, 2 * cfg.batch_size);
+  const std::uint64_t total = kChanges * 2 * cfg.batch_size;
+  std::uint64_t observed = 0;
+  const auto res = Engine(cfg).run(total, [&](const RtPacket& pkt) {
+    EXPECT_EQ(pkt.seq, observed);
+    ++observed;
+  });
+  EXPECT_TRUE(res.in_order);
+  EXPECT_EQ(res.packets, total);
+  EXPECT_EQ(observed, total);
+  EXPECT_EQ(res.rescales_applied, kChanges);
+}
+
+// Worst case for the epoch ring's depth: one-packet micro-flows, a change
+// at every boundary, and a pool sized so pool / batch_size + 2 is exactly a
+// power of two — the ring is as small as the engine ever makes it. The
+// processing cost lets the generator run a whole pool ahead of the merge,
+// so an unmerged epoch sits behind every slab. Lossless, so every change
+// applies.
+TEST(RtEngine, ChangeAtEveryUnitBatchBoundaryAllApply) {
+  EngineConfig cfg;
+  cfg.workers = 2;
+  cfg.batch_size = 1;
+  cfg.ring_capacity = 64;
+  cfg.pool_capacity = 62;
+  cfg.cost_ns_per_packet = 200;
+  cfg.max_push_spins = 0;  // lossless
+  constexpr std::uint64_t kTotal = 20000;
+  cfg.rescales = alternating_schedule(kTotal, 1);
+  const auto res = Engine(cfg).run(kTotal);
+  EXPECT_TRUE(res.in_order);
+  EXPECT_EQ(res.packets, kTotal);
+  EXPECT_EQ(res.packets_dropped, 0u);
+  EXPECT_EQ(res.rescales_applied, kTotal);
+}
+
+// The 10k schedule with injected drops and bounded retries: a full epoch
+// ring may defer a change, but the run terminates with every packet
+// accounted for and the survivors in order.
+TEST(RtEngine, TenThousandScheduledChangesUnderFaultsTerminate) {
+  EngineConfig cfg;
+  cfg.workers = 2;
+  cfg.batch_size = 8;
+  cfg.cost_ns_per_packet = 0;
+  cfg.fault_drop_rate = 0.02;
+  cfg.fault_seed = 11;
+  cfg.max_push_spins = 1u << 12;
+  constexpr std::uint64_t kChanges = 10000;
+  cfg.rescales = alternating_schedule(kChanges, 2 * cfg.batch_size);
+  const std::uint64_t total = kChanges * 2 * cfg.batch_size;
+  const auto res = Engine(cfg).run(total);
+  EXPECT_GT(res.packets_dropped, 0u);
+  EXPECT_EQ(res.packets + res.packets_dropped, total);
+  EXPECT_TRUE(res.in_order);
+  EXPECT_GT(res.rescales_applied, 0u);
+  EXPECT_LE(res.rescales_applied, kChanges);
 }
 
 // Same-degree rescale entries coalesce to no epoch at all.
