@@ -6,6 +6,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <stdexcept>
 
 #include "control/flowtable.hpp"
 #include "rt/calibrate.hpp"
@@ -17,10 +18,19 @@ namespace mflow::rt {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 /// Packets staged per ring operation. Amortizes one acquire-load plus one
 /// release-store across the whole chunk; small enough that a chunk never
 /// approaches the default ring depth.
 constexpr std::size_t kChunk = 128;
+
+std::uint64_t ns_since(Clock::time_point start) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           start)
+          .count());
+}
 
 /// Thread-local trace buffer for the rt engine. Each thread appends to its
 /// own vector while running and hands the whole batch to the tracer with
@@ -28,8 +38,7 @@ constexpr std::size_t kChunk = 128;
 /// workers are live, which keeps the tsan preset quiet.
 class ThreadTrace {
  public:
-  ThreadTrace(trace::Tracer* tr,
-              std::chrono::steady_clock::time_point t0, int core)
+  ThreadTrace(trace::Tracer* tr, Clock::time_point t0, int core)
       : tr_(tr), t0_(t0), core_(static_cast<std::int16_t>(core)) {}
 
   ~ThreadTrace() { flush(); }
@@ -39,10 +48,7 @@ class ThreadTrace {
              sim::Time dur = 0) {
     if (tr_ == nullptr || !tr_->sampled(seq)) return;
     trace::TraceEvent ev;
-    ev.ts = static_cast<sim::Time>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0_)
-            .count());
+    ev.ts = static_cast<sim::Time>(ns_since(t0_));
     ev.dur = dur;
     ev.seq = seq;
     ev.microflow = microflow;
@@ -59,7 +65,7 @@ class ThreadTrace {
 
  private:
   trace::Tracer* tr_;
-  std::chrono::steady_clock::time_point t0_;
+  Clock::time_point t0_;
   std::int16_t core_;
   std::vector<trace::TraceEvent> buf_;
 };
@@ -176,432 +182,635 @@ constexpr std::size_t kPrefetchBuf = 4;
   }
 }
 
-}  // namespace
+/// The NF plane is on and its chain runs `kind`.
+bool nf_runs(const EngineConfig& cfg, nf::Kind kind) {
+  const auto& chain = cfg.nf.chain.chain;
+  return cfg.nf.enabled &&
+         std::find(chain.begin(), chain.end(), kind) != chain.end();
+}
 
-EngineResult Engine::run(
-    std::uint64_t total,
-    const std::function<void(const RtPacket&)>& on_output) {
-  const std::size_t W = config_.workers;
+/// One worker's counters: on its own stack while it runs, stored once at
+/// exit, so no per-packet increment writes a line another worker writes.
+struct WorkerCounts {
+  std::uint64_t hits = 0, misses = 0, invals = 0, fails = 0;  // overlay
+  std::uint64_t nf_pkts = 0, rewrites = 0, rewrite_fails = 0, locks = 0;
+  // Dropped slabs returned through the drop ring vs. the pool's CAS list.
+  std::uint64_t ring_returns = 0, cas_fallbacks = 0;
+};
 
-  // Pool is declared FIRST so it is destroyed LAST: every ring below holds
-  // PacketPtrs whose destructors recycle into it. Auto-sizing covers every
-  // ring slot plus per-thread chunk staging, so lossless runs never see
-  // pool exhaustion.
+/// A worker thread's private state, on that thread's stack.
+struct Lane {
+  std::size_t w;
+  std::vector<CacheSlot>& cache;  // this worker's overlay cache
+  util::Rng faults;
+  ThreadTrace trace;
+  WorkerCounts counts{};
+  std::uint64_t last_touched = 0;  // flow ids are >= 1 when tracked
+  // Replica-table NF state of the current run of equal (flow, batch),
+  // resolved once per run. Only this worker mutates its table while threads
+  // run, so the entry stays put until this worker's next upsert.
+  nf::FlowState* run_state = nullptr;
+  net::FlowId run_flow = 0;
+  std::uint64_t run_batch = 0;
+};
+
+/// One Engine::run, on the caller's stack: its threads' bodies and state,
+/// all built before any thread spawns so the steady state is
+/// allocation-free. What one thread writes while the others run sits on
+/// cache lines of its own, or on that thread's stack until it exits.
+struct Pipeline {
+  const EngineConfig& cfg;
+  CapacityControl& capacity;
+  const std::uint64_t total;
+  const std::function<void(const RtPacket&)>& on_output;
+  const std::size_t W = cfg.workers;
+  // Auto-sizing covers every ring slot plus per-thread chunk staging, so
+  // lossless runs never see pool exhaustion.
   const std::size_t pool_cap =
-      config_.pool_capacity != 0
-          ? config_.pool_capacity
-          : config_.ring_capacity * (2 * W + 2) + (W + 3) * kChunk;
-  PacketPool pool({.slabs = pool_cap});
+      cfg.pool_capacity != 0
+          ? cfg.pool_capacity
+          : cfg.ring_capacity * (2 * W + 2) + (W + 3) * kChunk;
 
+  // The pool is declared FIRST so it is destroyed LAST: every ring below
+  // holds PacketPtrs whose destructors recycle into it.
+  PacketPool pool{{.slabs = pool_cap}};
   std::vector<std::unique_ptr<SpscRing<RtPacket>>> split_rings;
-  for (std::size_t i = 0; i < W; ++i)
-    split_rings.push_back(
-        std::make_unique<SpscRing<RtPacket>>(config_.ring_capacity));
-  // Epochs not yet reached by the merge head belong to unmerged micro-flows.
-  // In a lossless run every micro-flow strictly between the merge head and
-  // the one being opened holds all its slabs, so at most
-  // pool_cap / batch_size + 2 are unmerged and an epoch ring that deep never
-  // refuses an announcement; a lossy run may defer one to a later boundary.
-  const std::size_t batch_size =
-      std::max<std::uint32_t>(config_.batch_size, 1);
-  RtReassembler merger(W, config_.ring_capacity,
-                       std::bit_ceil(pool_cap / batch_size + 2));
-
+  // Epochs not yet reached by the merge head belong to unmerged
+  // micro-flows. In a lossless run every micro-flow strictly between the
+  // merge head and the one being opened holds all its slabs, so at most
+  // pool_cap / batch_size + 2 are unmerged and an epoch ring that deep
+  // never refuses an announcement; a lossy run may defer one to a later
+  // boundary.
+  RtReassembler merger{W, cfg.ring_capacity,
+                       std::bit_ceil(pool_cap / cfg.batch_size + 2)};
   // Consumer -> generator slab return path. Ring-based recycling keeps the
   // steady state free of pool CAS traffic (the Treiber free list is only
   // the fallback when this ring is full/empty — e.g. around drops).
-  SpscRing<net::PacketPtr> recycle_ring(std::bit_ceil(pool_cap + 1));
-
+  SpscRing<net::PacketPtr> recycle_ring{std::bit_ceil(pool_cap + 1)};
   // Worker -> generator drop-return fan-in: one small SPSC ring per worker
   // so slabs dropped mid-pipeline (injected faults, deposit backpressure)
   // return without CAS-contending on the pool free list — under fan-in, N
   // droppers hammering one Treiber head is a real contention point. The
-  // generator batch-drains these only when the main recycle ring is dry;
-  // overflow falls back to the CAS list (the PacketPtr destructor).
+  // generator drains these on every stash refill; overflow falls back to
+  // the CAS list (the PacketPtr destructor).
   std::vector<std::unique_ptr<SpscRing<net::PacketPtr>>> drop_rings;
-  for (std::size_t i = 0; i < W; ++i)
-    drop_rings.push_back(std::make_unique<SpscRing<net::PacketPtr>>(
-        std::bit_ceil(2 * kChunk)));
-  struct RecycleCounts {
-    std::uint64_t ring_returns = 0, cas_fallbacks = 0;
-  };
-  std::vector<RecycleCounts> rec_counts(W);
-  std::uint64_t consumer_ring_returns = 0;   // consumer-thread private,
-  std::uint64_t consumer_cas_fallbacks = 0;  // read only after join
 
   // Scalability profiler: one cache-line-aligned counter block per
   // pipeline thread, written only by its owner while running and folded
-  // after join (rt/profiler.hpp). Null pointers when profiling is off, so
-  // the default path never touches them.
-  const bool prof_on = config_.profile;
-  std::vector<StageCounters> prof_workers(W);
-  StageCounters prof_generator, prof_consumer;
+  // after join (rt/profiler.hpp). Untouched unless cfg.profile.
+  ProfileReport profile{
+      .generator = {}, .consumer = {}, .worker = std::vector<StageCounters>(W)};
 
-  // Topology-aware core assignment: auto-plan from the discovered
-  // topology, then apply any explicit per-thread overrides. Worker and
-  // consumer threads pin themselves on startup; the generator (caller)
-  // thread is pinned here and restored before returning.
   CorePlan plan;
-  plan.workers.assign(W, -1);
   std::atomic<std::uint32_t> threads_pinned{0};
-  if (config_.topology.pin_threads) {
-    plan = plan_cores(CpuTopology::discover(), W);
-    if (config_.topology.generator_cpu >= 0)
-      plan.generator = config_.topology.generator_cpu;
-    if (config_.topology.consumer_cpu >= 0)
-      plan.consumer = config_.topology.consumer_cpu;
-    for (std::size_t i = 0;
-         i < config_.topology.worker_cpus.size() && i < W; ++i)
-      if (config_.topology.worker_cpus[i] >= 0)
-        plan.workers[i] = config_.topology.worker_cpus[i];
-  }
-  const bool generator_pinned =
-      plan.generator >= 0 && pin_current_thread(plan.generator);
-  if (generator_pinned) threads_pinned.fetch_add(1);
 
-  // Overlay-mode state, all sized BEFORE any thread spawns so the steady
-  // state stays allocation-free: one direct-mapped cache per worker (only
-  // its owner touches it), one counter block per worker (written once,
-  // at worker exit; read after join), and the generator's header template
-  // with its buffer reserved like a pool slab's.
-  const bool overlay_on = config_.overlay.enabled;
+  const bool overlay_on = cfg.overlay.enabled;
   const std::uint64_t overlay_flows =
-      std::max<std::uint32_t>(config_.overlay.flows, 1);
-  std::vector<std::vector<CacheSlot>> caches(W);
-  if (overlay_on && config_.overlay.cache) {
-    const std::size_t slots =
-        std::bit_ceil(std::max<std::size_t>(config_.overlay.cache_slots, 1));
-    for (auto& c : caches) c.resize(slots);
-  }
-  struct OverlayCounts {
-    std::uint64_t hits = 0, misses = 0, invals = 0, fails = 0;
-  };
-  std::vector<OverlayCounts> ov_counts(W);
+      std::max<std::uint32_t>(cfg.overlay.flows, 1);
+  std::vector<std::vector<CacheSlot>> caches =
+      std::vector<std::vector<CacheSlot>>(W);
   OverlayTemplate ov_tmpl;
-  if (overlay_on) {
-    ov_tmpl.pkt = net::make_packet();
-    ov_tmpl.pkt->buf.reserve(pool.config().buffer_bytes);
-  }
 
-  // Flow-state plane (churn mode): one shared FlowTable, created before
-  // thread spawn. The generator inserts/sweeps; workers only touch() —
-  // which never allocates — so the no-alloc steady state holds for them.
-  struct FlowStat {
-    std::uint64_t batches = 0;
-  };
-  std::unique_ptr<control::FlowTable<FlowStat>> ftable_storage;
-  if (config_.flow_table.enabled) {
-    ftable_storage = std::make_unique<control::FlowTable<FlowStat>>(
-        control::FlowTableParams{
-            config_.flow_table.shards, config_.flow_table.capacity,
-            static_cast<sim::Time>(
-                std::max<std::uint64_t>(config_.flow_table.ttl_batches, 1))});
-  }
-  control::FlowTable<FlowStat>* const ftable = ftable_storage.get();
+  // Churn-plane flow table: batches registered per flow.
+  std::unique_ptr<control::FlowTable<std::uint64_t>> ftable;
   const std::uint64_t flow_life =
-      std::max<std::uint64_t>(config_.flow_table.flow_lifetime_batches, 1);
+      std::max<std::uint64_t>(cfg.flow_table.flow_lifetime_batches, 1);
 
-  // NF plane: Maglev table and every state table built BEFORE thread spawn.
-  // The shared table's shard mutex is the kSharedLock lock; the private
-  // tables are strictly single-writer (only their owning worker touches
-  // them while threads run; folded after join).
-  const bool nf_on = config_.nf.enabled && !config_.nf.chain.chain.empty();
+  const bool nf_on = cfg.nf.enabled && !cfg.nf.chain.chain.empty();
   const bool nf_shared =
-      nf_on && config_.nf.strategy == nf::Strategy::kSharedLock;
-  const bool nf_has_nat =
-      nf_on && std::find(config_.nf.chain.chain.begin(),
-                         config_.nf.chain.chain.end(),
-                         nf::Kind::kNat) != config_.nf.chain.chain.end();
-  const bool nf_has_lb =
-      nf_on && std::find(config_.nf.chain.chain.begin(),
-                         config_.nf.chain.chain.end(),
-                         nf::Kind::kLoadBalancer) !=
-                   config_.nf.chain.chain.end();
+      nf_on && cfg.nf.strategy == nf::Strategy::kSharedLock;
+  const bool nf_has_nat = nf_runs(cfg, nf::Kind::kNat);
   const nf::MaglevTable nf_maglev =
-      nf_has_lb ? nf::MaglevTable::build(config_.nf.chain.lb_backends,
-                                         config_.nf.chain.lb_table_size,
-                                         config_.nf.chain.lb_seed)
-                : nf::MaglevTable{};
-  const nf::MaglevTable* const nf_lb = nf_has_lb ? &nf_maglev : nullptr;
+      nf_runs(cfg, nf::Kind::kLoadBalancer)
+          ? nf::MaglevTable::build(cfg.nf.chain.lb_backends,
+                                   cfg.nf.chain.lb_table_size,
+                                   cfg.nf.chain.lb_seed)
+          : nf::MaglevTable{};
   std::unique_ptr<control::FlowTable<nf::FlowState>> nf_shared_table;
   std::vector<std::unique_ptr<control::FlowTable<nf::FlowState>>> nf_tables;
-  if (nf_shared) {
-    nf_shared_table = std::make_unique<control::FlowTable<nf::FlowState>>(
-        control::FlowTableParams{config_.nf.shared_shards,
-                                 config_.nf.state_capacity, 0});
-  } else if (nf_on) {
-    for (std::size_t wi = 0; wi < W; ++wi)
-      nf_tables.push_back(
-          std::make_unique<control::FlowTable<nf::FlowState>>(
-              control::FlowTableParams{1, config_.nf.state_capacity, 0}));
-  }
-  struct NfCounts {
-    std::uint64_t pkts = 0, rewrites = 0, rewrite_fails = 0, locks = 0;
-  };
-  std::vector<NfCounts> nf_counts(W);
 
   std::atomic<bool> produce_done{false};
   // Per-worker exit flags, set after the worker's last deposit: an exited
   // worker with an empty buffer ring proves the micro-flow it owns at the
   // merge head is complete.
-  std::vector<std::atomic<bool>> worker_exited(W);
+  std::vector<std::atomic<bool>> worker_exited =
+      std::vector<std::atomic<bool>>(W);
   // Packets lost to backpressure (retry budget exhausted) or injected
   // faults. The consumer terminates on consumed + dropped == total, so
   // every loss must be counted by whoever gave up on the packet.
   std::atomic<std::uint64_t> dropped{0};
 
-  const auto t0 = std::chrono::steady_clock::now();
   // Captured once before any thread spawns; the spawn happens-before makes
-  // the pointer safely visible to every worker without atomics.
-  trace::Tracer* tr = trace::active();
+  // the pointer safely visible to every thread without atomics.
+  trace::Tracer* const tr = trace::active();
+  Clock::time_point t0;
 
-  // Worker threads: pop a chunk from their splitting ring, "process" each
-  // packet (calibrated spin), deposit the surviving chunk into their
-  // buffer ring.
-  std::vector<std::jthread> workers;
-  workers.reserve(W);
-  for (std::size_t w = 0; w < W; ++w) {
-    workers.emplace_back([&, w] {
-      if (plan.workers[w] >= 0 && pin_current_thread(plan.workers[w]))
-        threads_pinned.fetch_add(1, std::memory_order_relaxed);
-      auto& in = *split_rings[w];
-      auto& drop_ring = *drop_rings[w];
-      RecycleCounts& rc = rec_counts[w];
-      // Drop-site slab return: per-worker SPSC ring first, CAS list only
-      // on overflow (try_push moves only on success, so the fallback
-      // reset() still owns the slab).
-      const auto return_slab = [&](net::PacketPtr&& skb) {
-        if (!skb) return;
-        if (drop_ring.try_push(std::move(skb))) {
-          ++rc.ring_returns;
-        } else {
-          skb.reset();
-          ++rc.cas_fallbacks;
-        }
-      };
-      StageCounters* const pc = prof_on ? &prof_workers[w] : nullptr;
-      StallClock input_dry;
-      std::uint64_t chunks_seen = 0;
-      const auto w_start = std::chrono::steady_clock::now();
-      util::Rng faults(config_.fault_seed + 0x9e37 * (w + 1));
-      ThreadTrace wt(tr, t0, static_cast<int>(w));
-      std::vector<RtPacket> chunk(kChunk);
-      bool saw_last = false;
-      // Pure-forwarding configuration (no tracer, no synthetic cost, no
-      // fault injection, no overlay bytes to decapsulate): nothing in the
-      // per-packet loop below would fire, so whole chunks can be forwarded
-      // straight to the merger.
-      const bool forward_only = tr == nullptr &&
-                                config_.cost_ns_per_packet == 0 &&
-                                config_.fault_drop_rate <= 0.0 &&
-                                !overlay_on && ftable == nullptr && !nf_on;
-      auto& cache = caches[w];
-      const std::size_t slot_mask = cache.empty() ? 0 : cache.size() - 1;
-      OverlayCounts ov;
-      NfCounts nc;
-      // Replica-table NF state of the current run of equal (flow, batch):
-      // resolved once per run, since a chunk never crosses a micro-flow.
-      // Only this worker mutates its table while threads run, so the entry
-      // stays put until this worker's next upsert.
-      nf::FlowState* run_state = nullptr;
-      net::FlowId run_flow = 0;
-      std::uint64_t run_batch = 0;
-      while (true) {
-        const std::size_t n = in.try_pop_batch(chunk.data(), kChunk);
-        if (n == 0) {
-          if (saw_last ||
-              (produce_done.load(std::memory_order_acquire) && in.empty()))
-            break;
-          if (pc != nullptr) input_dry.stall();
-          std::this_thread::yield();
-          continue;
-        }
-        if (pc != nullptr) {
-          input_dry.resolve(pc->input_dry_episodes, pc->input_dry_ns);
-          pc->items += n;
-          // Sampled queue pressure on this worker's input ring (consumer-
-          // side size() is exact for already-published items).
-          if ((++chunks_seen & 31) == 0) {
-            pc->occupancy_sum += in.size();
-            ++pc->occupancy_samples;
-          }
-        }
-        if (forward_only) {
-          // The end-of-stream packet is always the final element of its
-          // chunk (the generator emits in seq order).
-          saw_last = saw_last || chunk[n - 1].last;
-          const std::size_t ok = merger.deposit_batch(
-              w, chunk.data(), n, config_.max_push_spins, pc);
-          for (std::size_t i = ok; i < n; ++i) {
-            if (chunk[i].marker) continue;  // shed marker: no packet lost
-            dropped.fetch_add(1, std::memory_order_release);
-            return_slab(std::move(chunk[i].skb));
-          }
-          continue;
-        }
-        // Process in place; compact survivors to the front of the chunk so
-        // one deposit_batch publishes them all.
-        std::size_t m = 0;
-        std::uint64_t last_touched = 0;  // flow ids are >= 1 when tracked
-        for (std::size_t i = 0; i < n; ++i) {
-          RtPacket& pkt = chunk[i];
-          saw_last = saw_last || pkt.last;
-          wt.event(trace::EventKind::kRingDequeue, pkt.seq, pkt.batch);
-          if (ftable != nullptr && !pkt.marker && pkt.skb &&
-              pkt.skb->flow_id != last_touched) {
-            // Replay the flow's own batch index: monotone against the
-            // generator's stamp, so this keeps recency live without ever
-            // perturbing the deterministic expiry order.
-            ftable->touch(pkt.skb->flow_id,
-                          static_cast<sim::Time>(pkt.batch));
-            last_touched = pkt.skb->flow_id;
-          }
-          if (overlay_on && !pkt.marker && pkt.skb) {
-            net::Packet& skb = *pkt.skb;
-            bool spliced = false;
-            if (!cache.empty()) {
-              CacheSlot& slot = cache[skb.flow_id & slot_mask];
-              if (slot.valid && slot.flow_id == skb.flow_id) {
-                if (slot.epoch != pkt.epoch) {
-                  // Rescale epoch advanced past the entry: the decision is
-                  // stale by protocol, even though the bytes still match.
-                  slot.valid = false;
-                  ++ov.invals;
-                } else {
-                  const auto bytes = skb.buf.data();
-                  if (bytes.size() >= net::kVxlanOverhead &&
-                      bytes[kOuterSportOff] == slot.sport_hi &&
-                      bytes[kOuterSportOff + 1] == slot.sport_lo &&
-                      net::vxlan_splice_decap(skb, config_.overlay.vni)) {
-                    ++ov.hits;
-                    spliced = true;
-                  }
-                }
-              }
-            }
-            if (!spliced) {
-              // Slow path: full validating decap, then (re)install the
-              // entry with this packet's outer template + epoch.
-              const auto bytes = skb.buf.data();
-              std::uint8_t hi = 0, lo = 0;
-              if (bytes.size() > kOuterSportOff + 1) {
-                hi = bytes[kOuterSportOff];
-                lo = bytes[kOuterSportOff + 1];
-              }
-              const net::DecapResult res = net::vxlan_decap(skb);
-              if (!res.ok || res.vni != config_.overlay.vni) {
-                ++ov.fails;
-              } else if (!cache.empty()) {
-                ++ov.misses;
-                cache[skb.flow_id & slot_mask] =
-                    CacheSlot{skb.flow_id, pkt.epoch, hi, lo, true};
-              }
-            }
-          }
-          if (pkt.cost_ns > 0) spin_ns(pkt.cost_ns);
-          wt.event(trace::EventKind::kStageExit, pkt.seq, pkt.batch,
-                   /*aux=*/0xFF, static_cast<sim::Time>(pkt.cost_ns));
-          const bool lost = !pkt.marker && config_.fault_drop_rate > 0.0 &&
-                            faults.chance(config_.fault_drop_rate);
-          if (lost) {
-            dropped.fetch_add(1, std::memory_order_release);
-            wt.event(trace::EventKind::kDrop, pkt.seq, pkt.batch);
-            return_slab(std::move(pkt.skb));  // recycle the slab now
-            // A micro-flow's final packet completes it at the merge; a lost
-            // one leaves a marker for the next micro-flow in its place.
-            if (!pkt.batch_end) continue;
-            ++pkt.batch;
-            pkt.marker = true;
-            pkt.batch_end = false;
-          } else if (nf_on && !pkt.marker && pkt.skb) {
-            // NF chain over SURVIVORS only, so the merged state counts
-            // exactly the delivered stream (drops upstream of here never
-            // enter it). The recency clock is the batch index, as for the
-            // churn flow table; ttl is 0 so it only orders evictions.
-            net::Packet& skb = *pkt.skb;
-            const nf::PacketView view = nf::view_of(skb);
-            ++nc.pkts;
-            std::uint16_t ext_port = 0;
-            auto update = [&](nf::FlowState& st) {
-              for (nf::Kind k : config_.nf.chain.chain)
-                nf::apply(config_.nf.chain, nf_lb, k, view, st);
-              ext_port = st.nat.ext_port;
-            };
-            if (nf_shared) {
-              ++nc.locks;
-              nf_shared_table->upsert_apply(
-                  skb.flow_id, static_cast<sim::Time>(pkt.batch), update);
-            } else {
-              if (run_state == nullptr || skb.flow_id != run_flow ||
-                  pkt.batch != run_batch) {
-                run_state = &nf_tables[w]->upsert(
-                    skb.flow_id, static_cast<sim::Time>(pkt.batch));
-                run_flow = skb.flow_id;
-                run_batch = pkt.batch;
-              }
-              update(*run_state);
-            }
-            if (nf_has_nat && overlay_on && !skb.encapsulated &&
-                ext_port != 0) {
-              if (nf::nat_rewrite(config_.nf.chain, skb, ext_port))
-                ++nc.rewrites;
-              else
-                ++nc.rewrite_fails;
-            }
-            wt.event(trace::EventKind::kNfApply, pkt.seq, pkt.batch);
-          }
-          if (m != i)
-            chunk[m++] = std::move(pkt);
-          else
-            ++m;
-        }
-        const std::size_t ok = merger.deposit_batch(
-            w, chunk.data(), m, config_.max_push_spins, pc);
-        // Scalar metadata survives the move into the ring, so tracing off
-        // the staged entries after deposit_batch is safe.
-        for (std::size_t i = 0; i < ok; ++i)
-          wt.event(trace::EventKind::kReasmHold, chunk[i].seq,
-                   chunk[i].batch);
-        for (std::size_t i = ok; i < m; ++i) {
-          // A shed marker loses no packet (a lost batch_end was counted
-          // when its marker replaced it).
-          if (chunk[i].marker) continue;
-          dropped.fetch_add(1, std::memory_order_release);
-          wt.event(trace::EventKind::kDrop, chunk[i].seq, chunk[i].batch);
-          return_slab(std::move(chunk[i].skb));
-        }
-      }
-      wt.flush();
-      ov_counts[w] = ov;  // single writes, read only after join
-      nf_counts[w] = nc;
-      if (pc != nullptr) {
-        input_dry.resolve(pc->input_dry_episodes, pc->input_dry_ns);
-        pc->recycle_cas_fallbacks = rc.cas_fallbacks;
-        pc->active_ns = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - w_start)
-                .count());
-      }
-      worker_exited[w].store(true, std::memory_order_release);
-    });
+  // Written only by the thread that owns them, read by fold() after join:
+  // the consumer's on a cache line of their own, the workers' once, at exit.
+  alignas(64) std::uint64_t consumed = 0;
+  bool in_order = true;
+  std::uint64_t consumer_ring_returns = 0, consumer_cas_fallbacks = 0;
+  std::vector<WorkerCounts> worker_counts = std::vector<WorkerCounts>(W);
+
+  // The generator's state (the caller thread only), on cache lines of its
+  // own. Runtime rescale: the active workers are the prefix [0, w_active),
+  // mapped round-robin from batch epoch_first on and re-evaluated only at
+  // micro-flow boundaries.
+  alignas(64) std::uint64_t next_seq = 0;
+  std::uint64_t batch = 0;                  // micro-flow being generated
+  std::uint32_t in_batch = cfg.batch_size;  // its packets generated so far
+  std::size_t target = 0;                   // the worker that owns it
+  std::size_t w_active = W, wanted = W;
+  std::uint64_t epoch_first = 1;
+  std::size_t rescale_idx = 0;  // next schedule entry not yet due
+  std::uint64_t rescales_applied = 0;
+  // Split ring w carried a batch since its last epoch-flush marker.
+  std::vector<char> unmarked = std::vector<char>(W, 0);
+  std::vector<RtPacket> stage = std::vector<RtPacket>(kChunk);
+  // Slabs popped off the recycle and drop rings, not yet staged.
+  std::vector<net::PacketPtr> stash = std::vector<net::PacketPtr>(kChunk);
+  std::size_t stash_n = 0, stash_i = 0;
+  std::uint64_t gen_cas_acquires = 0;  // slabs drawn off the pool CAS list
+  StageCounters* const gen_prof = cfg.profile ? &profile.generator : nullptr;
+  StallClock pool_dry, out_full;
+  std::uint64_t gen_chunks = 0;
+
+  Pipeline(const EngineConfig& config, CapacityControl& capacity_control,
+           std::uint64_t total_packets,
+           const std::function<void(const RtPacket&)>& output)
+      : cfg(config),
+        capacity(capacity_control),
+        total(total_packets),
+        on_output(output) {
+    for (std::size_t w = 0; w < W; ++w) {
+      split_rings.push_back(
+          std::make_unique<SpscRing<RtPacket>>(cfg.ring_capacity));
+      drop_rings.push_back(std::make_unique<SpscRing<net::PacketPtr>>(
+          std::bit_ceil(2 * kChunk)));
+    }
+
+    // Topology-aware core assignment: auto-plan from the discovered
+    // topology, then apply any explicit per-thread overrides. Every
+    // pipeline thread pins itself when its body starts.
+    plan.workers.assign(W, -1);
+    if (cfg.topology.pin_threads) {
+      plan = plan_cores(CpuTopology::discover(), W);
+      if (cfg.topology.generator_cpu >= 0)
+        plan.generator = cfg.topology.generator_cpu;
+      if (cfg.topology.consumer_cpu >= 0)
+        plan.consumer = cfg.topology.consumer_cpu;
+      for (std::size_t i = 0; i < cfg.topology.worker_cpus.size() && i < W;
+           ++i)
+        if (cfg.topology.worker_cpus[i] >= 0)
+          plan.workers[i] = cfg.topology.worker_cpus[i];
+    }
+
+    // Overlay mode: one direct-mapped cache per worker (only its owner
+    // touches it) and the generator's header template, its buffer reserved
+    // like a pool slab's.
+    if (overlay_on && cfg.overlay.cache) {
+      const std::size_t slots =
+          std::bit_ceil(std::max<std::size_t>(cfg.overlay.cache_slots, 1));
+      for (auto& c : caches) c.resize(slots);
+    }
+    if (overlay_on) {
+      ov_tmpl.pkt = net::make_packet();
+      ov_tmpl.pkt->buf.reserve(pool.config().buffer_bytes);
+    }
+
+    // Flow-state plane (churn mode): one shared FlowTable. The generator
+    // inserts/sweeps; workers only touch() — which never allocates.
+    if (cfg.flow_table.enabled) {
+      ftable = std::make_unique<control::FlowTable<std::uint64_t>>(
+          control::FlowTableParams{
+              cfg.flow_table.shards, cfg.flow_table.capacity,
+              static_cast<sim::Time>(
+                  std::max<std::uint64_t>(cfg.flow_table.ttl_batches, 1))});
+    }
+
+    // NF plane: the shared table's shard mutex is the kSharedLock lock; the
+    // private tables are strictly single-writer (only their owning worker
+    // touches them while threads run; folded after join).
+    if (nf_shared) {
+      nf_shared_table = std::make_unique<control::FlowTable<nf::FlowState>>(
+          control::FlowTableParams{cfg.nf.shared_shards,
+                                   cfg.nf.state_capacity, 0});
+    } else if (nf_on) {
+      for (std::size_t w = 0; w < W; ++w)
+        nf_tables.push_back(
+            std::make_unique<control::FlowTable<nf::FlowState>>(
+                control::FlowTableParams{1, cfg.nf.state_capacity, 0}));
+    }
+    t0 = Clock::now();
   }
 
-  // Consumer thread: batch-based merge + order verification. Gap-tolerant:
-  // a drop leaves a hole in the seq space, so "in order" means survivor
-  // seqs strictly increase (equivalent to exact 0..N-1 when nothing drops).
-  std::uint64_t consumed = 0;
-  std::uint64_t next_seq_floor = 0;
-  bool in_order = true;
-  std::jthread consumer([&] {
+  /// Generator (the caller thread): round-robin micro-flow batches, as the
+  /// splitting mechanisms do, staged in chunks that never cross a
+  /// micro-flow, so each chunk goes to one worker in one batched push.
+  void generate() {
+    const bool pinned =
+        plan.generator >= 0 && pin_current_thread(plan.generator);
+    if (pinned) threads_pinned.fetch_add(1, std::memory_order_relaxed);
+    ThreadTrace gt(tr, t0, static_cast<int>(W) + 1);
+    capacity.active.store(static_cast<std::uint32_t>(W),
+                          std::memory_order_release);
+    while (next_seq < total) {
+      if (in_batch >= cfg.batch_size) open_microflow();
+      const std::size_t staged = stage_chunk(gt);
+      if (overlay_on) {
+        stamp_overlay_chunk(stage.data(), staged, ov_tmpl, batch,
+                            overlay_flows, cfg.overlay.vni);
+      } else {
+        stamp_plain_chunk(stage.data(), staged, flow_of(batch), nf_on);
+      }
+      push_chunk(gt, staged);
+    }
+    produce_done.store(true, std::memory_order_release);
+    gt.flush();
+    if (gen_prof != nullptr) {
+      gen_prof->recycle_cas_fallbacks = gen_cas_acquires;
+      gen_prof->active_ns = ns_since(t0);
+    }
+    // Slabs parked in the stash go back to the pool before the consumer's
+    // recycle pushes are cut off.
+    for (std::size_t k = stash_i; k < stash_n; ++k) stash[k].reset();
+    if (pinned) unpin_current_thread();
+  }
+
+  /// The flow micro-flow `b` belongs to: overlay mode cycles through its
+  /// inner flows, with the flow table on a new flow starts every
+  /// flow_lifetime_batches (churn), and otherwise each is its own flow.
+  net::FlowId flow_of(std::uint64_t b) const {
+    if (overlay_on) return static_cast<net::FlowId>(b % overlay_flows + 1);
+    return static_cast<net::FlowId>(ftable != nullptr ? b / flow_life + 1 : b);
+  }
+
+  /// Open the next micro-flow. The latest due schedule entry, then the
+  /// live capacity request (rt::EngineCapacityAdapter), which wins as the
+  /// operator's latest word, set the wanted worker count; at most one
+  /// epoch is announced per boundary.
+  void open_microflow() {
+    ++batch;
+    in_batch = 0;
+    while (rescale_idx < cfg.rescales.size() &&
+           next_seq >= cfg.rescales[rescale_idx].after_packets)
+      wanted = cfg.rescales[rescale_idx++].active_workers;
+    if (const std::uint32_t req =
+            capacity.requested.load(std::memory_order_acquire);
+        req != 0)
+      wanted = req;
+    apply_wanted();
+    target = static_cast<std::size_t>((batch - epoch_first) % w_active);
+    unmarked[target] = 1;
+    if (ftable == nullptr) return;
+    // Register the batch's flow before any of its packets are pushed, so
+    // worker touches can never race an unregistered flow into being
+    // missed. The clock is the batch index.
+    const auto now = static_cast<sim::Time>(batch);
+    const net::FlowId fid = flow_of(batch);
+    ++ftable->upsert(fid, now);
+    ftable->touch(fid, now);
+    if (batch % std::max<std::uint64_t>(cfg.flow_table.sweep_every, 1) == 0)
+      ftable->expire_idle(now);
+  }
+
+  /// Epoch-change protocol, run at a boundary when the wanted worker count
+  /// differs from the mapping: open a new epoch at the batch being opened
+  /// and announce it to the merger before any packet of that batch is
+  /// pushed, so the push's release/acquire chain carries the epoch to the
+  /// consumer. Then close every previously-active ring with an epoch-flush
+  /// marker so the consumer can prove its final old-epoch batch is complete
+  /// — after a shrink no later batch would ever arrive there to provide the
+  /// FIFO evidence. A ring that carried no batch since its last marker
+  /// already has that evidence; marking it again would pile markers onto a
+  /// ring the merge head may never visit until they fill it.
+  ///
+  /// A full epoch ring defers the change: mapping and rings stay as they
+  /// are and `wanted` is retried at the next boundary. The generator never
+  /// blocks on the ring, since in a lossy run the merge head may be waiting
+  /// for a batch only the generator can still push.
+  void apply_wanted() {
+    const std::size_t nw = std::clamp<std::size_t>(wanted, 1, W);
+    if (nw == w_active ||
+        !merger.announce_epoch({batch, static_cast<std::uint32_t>(nw)}))
+      return;
+    ++rescales_applied;
+    for (std::size_t w = 0; w < w_active; ++w) {
+      if (!unmarked[w]) continue;
+      RtPacket mark;
+      mark.batch = batch;
+      mark.marker = true;
+      YieldRetry retry(cfg.max_push_spins);
+      bool pushed;
+      // A shed marker is fine: end-of-stream force_advance covers the tail.
+      while (!(pushed = split_rings[w]->try_push(std::move(mark))) &&
+             retry.again()) {
+      }
+      unmarked[w] = !pushed;
+    }
+    w_active = nw;
+    epoch_first = batch;
+    capacity.active.store(static_cast<std::uint32_t>(nw),
+                          std::memory_order_release);
+  }
+
+  /// Stage the open micro-flow's next chunk, one slab per packet; a packet
+  /// that never gets a slab is shed. Returns how many were staged.
+  std::size_t stage_chunk(ThreadTrace& gt) {
+    const std::uint64_t want = std::min<std::uint64_t>(
+        {kChunk, cfg.batch_size - in_batch, total - next_seq});
+    std::size_t staged = 0;
+    for (std::uint64_t k = 0; k < want; ++k, ++next_seq, ++in_batch) {
+      net::PacketPtr skb = acquire_slab();
+      if (gen_prof != nullptr)
+        pool_dry.resolve(gen_prof->pool_dry_episodes, gen_prof->pool_dry_ns);
+      gt.event(trace::EventKind::kSplitDeposit, next_seq, batch,
+               static_cast<std::uint64_t>(target));
+      if (!skb) {
+        // Pool stayed dry past the retry budget: shed the packet here
+        // rather than wedging the generator.
+        dropped.fetch_add(1, std::memory_order_release);
+        gt.event(trace::EventKind::kDrop, next_seq, batch);
+        continue;
+      }
+      stage[staged++] = RtPacket{next_seq, batch, cfg.cost_ns_per_packet,
+                                 static_cast<std::uint32_t>(rescales_applied),
+                                 next_seq + 1 == total, std::move(skb)};
+    }
+    // A chunk never crosses a micro-flow, so a micro-flow's final packet is
+    // the last of its final chunk (unless it was shed above).
+    if (staged != 0 && stage[staged - 1].seq + 1 == next_seq &&
+        (in_batch == cfg.batch_size || next_seq == total))
+      stage[staged - 1].batch_end = true;
+    return staged;
+  }
+
+  /// One slab: recycle ring first (batched pop into the stash), pool free
+  /// list second, bounded yield-retry third. Null when the pool stays dry.
+  net::PacketPtr acquire_slab() {
+    YieldRetry retry(cfg.max_push_spins);
+    for (;;) {
+      if (stash_i == stash_n) {
+        stash_n = recycle_ring.try_pop_batch(stash.data(), kChunk);
+        stash_i = 0;
+        // Top up from the per-worker drop-return rings on EVERY refill (not
+        // just when the main ring is dry): the drop rings are small, so
+        // sweeping them each refill keeps them from overflowing to the
+        // pool's CAS list. One consumer (this thread) over N SPSC rings —
+        // same fan-in shape as the merge side; an empty ring costs one
+        // cached-index check.
+        for (std::size_t w = 0; stash_n < kChunk && w < W; ++w)
+          stash_n += drop_rings[w]->try_pop_batch(stash.data() + stash_n,
+                                                  kChunk - stash_n);
+      }
+      if (stash_i < stash_n) return std::move(stash[stash_i++]);
+      if (net::PacketPtr skb = pool.acquire()) {
+        ++gen_cas_acquires;
+        return skb;
+      }
+      if (gen_prof != nullptr) pool_dry.stall();
+      if (!retry.again()) return nullptr;
+    }
+  }
+
+  /// Push the staged chunk to the open micro-flow's worker. A full ring is
+  /// retried within the shared budget, then the unpushed tail is shed.
+  void push_chunk(ThreadTrace& gt, std::size_t staged) {
+    auto& ring = *split_rings[target];
+    const std::size_t done = push_batch_retrying(
+        ring, stage.data(), staged, cfg.max_push_spins, [&] {
+          if (gen_prof != nullptr) out_full.stall();
+        });
+    for (std::size_t k = done; k < staged; ++k) {
+      dropped.fetch_add(1, std::memory_order_release);
+      gt.event(trace::EventKind::kDrop, stage[k].seq, stage[k].batch);
+      stage[k].skb.reset();
+    }
+    if (gen_prof != nullptr) {
+      out_full.resolve(gen_prof->output_full_episodes,
+                       gen_prof->output_full_ns);
+      gen_prof->items += done;
+      // Sampled fan-out pressure on the split ring just written to.
+      if ((++gen_chunks & 31) == 0) {
+        gen_prof->occupancy_sum += ring.size();
+        ++gen_prof->occupancy_samples;
+      }
+    }
+  }
+
+  /// Worker `w`: pop a chunk off its split ring, run every packet through
+  /// process(), and deposit the survivors into its buffer ring in one batch.
+  void work(std::size_t w) {
+    if (plan.workers[w] >= 0 && pin_current_thread(plan.workers[w]))
+      threads_pinned.fetch_add(1, std::memory_order_relaxed);
+    auto& in = *split_rings[w];
+    Lane lane{w, caches[w], util::Rng(cfg.fault_seed + 0x9e37 * (w + 1)),
+              ThreadTrace(tr, t0, static_cast<int>(w))};
+    StageCounters* const pc = cfg.profile ? &profile.worker[w] : nullptr;
+    StallClock input_dry;
+    std::uint64_t chunks_seen = 0;
+    const auto start = Clock::now();
+    std::vector<RtPacket> chunk(kChunk);
+    bool saw_last = false;
+    while (true) {
+      const std::size_t n = in.try_pop_batch(chunk.data(), kChunk);
+      if (n == 0) {
+        if (saw_last ||
+            (produce_done.load(std::memory_order_acquire) && in.empty()))
+          break;
+        if (pc != nullptr) input_dry.stall();
+        std::this_thread::yield();
+        continue;
+      }
+      if (pc != nullptr) {
+        input_dry.resolve(pc->input_dry_episodes, pc->input_dry_ns);
+        pc->items += n;
+        // Sampled queue pressure on this worker's input ring (consumer-
+        // side size() is exact for already-published items).
+        if ((++chunks_seen & 31) == 0) {
+          pc->occupancy_sum += in.size();
+          ++pc->occupancy_samples;
+        }
+      }
+      // Process in place; compact survivors to the front of the chunk so
+      // one deposit_batch publishes them all.
+      std::size_t m = 0;
+      lane.last_touched = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        RtPacket& pkt = chunk[i];
+        saw_last = saw_last || pkt.last;
+        if (!process(lane, pkt)) continue;
+        if (m != i) chunk[m] = std::move(pkt);
+        ++m;
+      }
+      const std::size_t ok =
+          merger.deposit_batch(w, chunk.data(), m, cfg.max_push_spins, pc);
+      // Scalar metadata survives the move into the ring, so tracing off
+      // the staged entries after deposit_batch is safe.
+      for (std::size_t i = 0; i < ok; ++i)
+        lane.trace.event(trace::EventKind::kReasmHold, chunk[i].seq,
+                         chunk[i].batch);
+      for (std::size_t i = ok; i < m; ++i) drop(lane, chunk[i]);
+    }
+    lane.trace.flush();
+    worker_counts[w] = lane.counts;
+    if (pc != nullptr) {
+      input_dry.resolve(pc->input_dry_episodes, pc->input_dry_ns);
+      pc->recycle_cas_fallbacks = lane.counts.cas_fallbacks;
+      pc->active_ns = ns_since(start);
+    }
+    worker_exited[w].store(true, std::memory_order_release);
+  }
+
+  /// The worker's steps for one packet, in order. Returns false when the
+  /// packet was lost and leaves nothing in its place.
+  bool process(Lane& lane, RtPacket& pkt) {
+    lane.trace.event(trace::EventKind::kRingDequeue, pkt.seq, pkt.batch);
+    const bool carries = !pkt.marker && pkt.skb;
+    if (ftable != nullptr && carries) touch_flow(lane, pkt);
+    if (overlay_on && carries) decap(lane, pkt);
+    if (pkt.cost_ns > 0) spin_ns(pkt.cost_ns);
+    lane.trace.event(trace::EventKind::kStageExit, pkt.seq, pkt.batch,
+                     /*aux=*/0xFF, static_cast<sim::Time>(pkt.cost_ns));
+    if (!pkt.marker && cfg.fault_drop_rate > 0.0 &&
+        lane.faults.chance(cfg.fault_drop_rate))
+      return fault_drop(lane, pkt);
+    if (nf_on && carries) apply_nf(lane, pkt);
+    return true;
+  }
+
+  /// Keep the packet's flow live in the churn flow table, once per run of
+  /// one flow in a chunk. Replaying the flow's own batch index is monotone
+  /// against the generator's stamp: it never perturbs the expiry order.
+  void touch_flow(Lane& lane, const RtPacket& pkt) {
+    const net::FlowId fid = pkt.skb->flow_id;
+    if (fid == lane.last_touched) return;
+    ftable->touch(fid, static_cast<sim::Time>(pkt.batch));
+    lane.last_touched = fid;
+  }
+
+  /// Strip the VXLAN outer stack off the packet's real bytes: splice it off
+  /// on a valid cache hit, else run the full validating decap and
+  /// (re)install the entry with this packet's outer template and epoch.
+  void decap(Lane& lane, const RtPacket& pkt) {
+    net::Packet& skb = *pkt.skb;
+    if (!lane.cache.empty()) {
+      CacheSlot& slot = lane.cache[skb.flow_id & (lane.cache.size() - 1)];
+      if (slot.valid && slot.flow_id == skb.flow_id) {
+        if (slot.epoch != pkt.epoch) {
+          // Rescale epoch advanced past the entry: the decision is stale
+          // by protocol, even though the bytes still match.
+          slot.valid = false;
+          ++lane.counts.invals;
+        } else {
+          const auto bytes = skb.buf.data();
+          if (bytes.size() >= net::kVxlanOverhead &&
+              bytes[kOuterSportOff] == slot.sport_hi &&
+              bytes[kOuterSportOff + 1] == slot.sport_lo &&
+              net::vxlan_splice_decap(skb, cfg.overlay.vni)) {
+            ++lane.counts.hits;
+            return;
+          }
+        }
+      }
+    }
+    const auto bytes = skb.buf.data();
+    std::uint8_t hi = 0, lo = 0;
+    if (bytes.size() > kOuterSportOff + 1) {
+      hi = bytes[kOuterSportOff];
+      lo = bytes[kOuterSportOff + 1];
+    }
+    const net::DecapResult res = net::vxlan_decap(skb);
+    if (!res.ok || res.vni != cfg.overlay.vni) {
+      ++lane.counts.fails;
+    } else if (!lane.cache.empty()) {
+      ++lane.counts.misses;
+      lane.cache[skb.flow_id & (lane.cache.size() - 1)] =
+          CacheSlot{skb.flow_id, pkt.epoch, hi, lo, true};
+    }
+  }
+
+  /// An injected fault lost the packet. A micro-flow's final packet
+  /// completes it at the merge, so a lost one leaves a marker for the next
+  /// micro-flow in its place; returns whether that marker was left.
+  bool fault_drop(Lane& lane, RtPacket& pkt) {
+    drop(lane, pkt);
+    if (!pkt.batch_end) return false;
+    ++pkt.batch;
+    pkt.marker = true;
+    pkt.batch_end = false;
+    return true;
+  }
+
+  /// Run the NF chain over a surviving packet — survivors only, so the
+  /// merged state counts exactly the delivered stream. The recency clock
+  /// is the batch index, as for the churn flow table; ttl is 0 so it only
+  /// orders evictions.
+  void apply_nf(Lane& lane, const RtPacket& pkt) {
+    net::Packet& skb = *pkt.skb;
+    const nf::PacketView view = nf::view_of(skb);
+    ++lane.counts.nf_pkts;
+    std::uint16_t ext_port = 0;
+    auto update = [&](nf::FlowState& st) {
+      for (nf::Kind k : cfg.nf.chain.chain)
+        nf::apply(cfg.nf.chain, &nf_maglev, k, view, st);
+      ext_port = st.nat.ext_port;
+    };
+    const auto now = static_cast<sim::Time>(pkt.batch);
+    if (nf_shared) {
+      ++lane.counts.locks;
+      nf_shared_table->upsert_apply(skb.flow_id, now, update);
+    } else {
+      if (lane.run_state == nullptr || skb.flow_id != lane.run_flow ||
+          pkt.batch != lane.run_batch) {
+        lane.run_state = &nf_tables[lane.w]->upsert(skb.flow_id, now);
+        lane.run_flow = skb.flow_id;
+        lane.run_batch = pkt.batch;
+      }
+      update(*lane.run_state);
+    }
+    if (nf_has_nat && overlay_on && !skb.encapsulated && ext_port != 0) {
+      if (nf::nat_rewrite(cfg.nf.chain, skb, ext_port))
+        ++lane.counts.rewrites;
+      else
+        ++lane.counts.rewrite_fails;
+    }
+    lane.trace.event(trace::EventKind::kNfApply, pkt.seq, pkt.batch);
+  }
+
+  /// Give up on a packet: a lost one at the fault site, or the deposit's
+  /// unaccepted tail. A shed marker loses no packet (a lost batch_end was
+  /// counted when its marker replaced it). Anything else is counted, so
+  /// the consumer's conservation check still terminates, and its slab goes
+  /// back through the worker's drop ring — the CAS list only on overflow
+  /// (try_push moves only on success, so reset() still owns the slab).
+  void drop(Lane& lane, RtPacket& pkt) {
+    if (pkt.marker) return;
+    dropped.fetch_add(1, std::memory_order_release);
+    lane.trace.event(trace::EventKind::kDrop, pkt.seq, pkt.batch);
+    if (!pkt.skb) return;
+    if (drop_rings[lane.w]->try_push(std::move(pkt.skb))) {
+      ++lane.counts.ring_returns;
+    } else {
+      pkt.skb.reset();
+      ++lane.counts.cas_fallbacks;
+    }
+  }
+
+  /// Consumer: batched in-order merge plus order verification. Gap-tolerant:
+  /// a drop leaves a hole in the seq space, so "in order" means survivor
+  /// seqs strictly increase (exactly 0..N-1 when nothing drops).
+  void consume() {
     if (plan.consumer >= 0 && pin_current_thread(plan.consumer))
       threads_pinned.fetch_add(1, std::memory_order_relaxed);
-    StageCounters* const cc = prof_on ? &prof_consumer : nullptr;
+    StageCounters* const cc = cfg.profile ? &profile.consumer : nullptr;
     StallClock merge_dry;
     std::uint64_t pops_seen = 0;
-    const auto c_start = std::chrono::steady_clock::now();
+    const auto start = Clock::now();
     ThreadTrace ct(tr, t0, static_cast<int>(W));  // track one past workers
     std::vector<RtPacket> out(kChunk);
     std::vector<net::PacketPtr> spent(kChunk);
+    std::uint64_t next_seq_floor = 0;
     while (consumed + dropped.load(std::memory_order_acquire) < total) {
       const std::size_t n = merger.pop_ready_batch(out.data(), kChunk);
       if (n == 0) {
@@ -653,303 +862,102 @@ EngineResult Engine::run(
     if (cc != nullptr) {
       merge_dry.resolve(cc->input_dry_episodes, cc->input_dry_ns);
       cc->recycle_cas_fallbacks = consumer_cas_fallbacks;
-      cc->active_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - c_start)
-              .count());
-    }
-  });
-
-  // Generator (this thread): round-robin micro-flow batches, as the
-  // splitting mechanisms do. Packets are staged in chunks (never crossing
-  // a micro-flow boundary, so a chunk targets exactly one worker) and
-  // pushed with one batched ring operation.
-  //
-  // Runtime rescale: the active worker set is a prefix [0, w_active) of the
-  // workers, re-evaluated only at micro-flow boundaries.
-  std::uint64_t batch = 0;
-  std::uint32_t in_batch = config_.batch_size;
-  std::size_t target = 0;
-  std::size_t w_active = W;
-  std::size_t wanted = W;
-  std::uint64_t epoch_first = 1;
-  std::size_t rescale_idx = 0;
-  std::uint64_t rescales_applied = 0;
-  // Split ring w carried a batch since its last epoch-flush marker.
-  std::vector<char> unmarked(W, 0);
-  capacity_.active.store(static_cast<std::uint32_t>(W),
-                         std::memory_order_release);
-  // Epoch-change protocol, run at a boundary when the wanted worker count
-  // differs from the mapping: open a new epoch at the batch being opened
-  // and announce it to the merger before any packet of that batch is
-  // pushed, so the push's release/acquire chain carries the epoch to the
-  // consumer. Then close every previously-active ring with an epoch-flush
-  // marker so the consumer can prove its final old-epoch batch is complete
-  // — after a shrink no later batch would ever arrive there to provide the
-  // FIFO evidence. A ring that carried no batch since its last marker
-  // already has that evidence; marking it again would pile markers onto a
-  // ring the merge head may never visit until they fill it.
-  //
-  // A full epoch ring defers the change: mapping and rings stay as they
-  // are and `wanted` is retried at the next boundary. The generator never
-  // blocks on the ring, since in a lossy run the merge head may be waiting
-  // for a batch only the generator can still push.
-  const auto apply_wanted = [&] {
-    const std::size_t nw = std::clamp<std::size_t>(wanted, 1, W);
-    if (nw == w_active ||
-        !merger.announce_epoch({batch, static_cast<std::uint32_t>(nw)}))
-      return;
-    ++rescales_applied;
-    for (std::size_t w2 = 0; w2 < w_active; ++w2) {
-      if (!unmarked[w2]) continue;
-      RtPacket mark;
-      mark.batch = batch;
-      mark.marker = true;
-      auto& ring2 = *split_rings[w2];
-      std::uint32_t spins2 = 0;
-      bool pushed;
-      while (!(pushed = ring2.try_push(std::move(mark)))) {
-        if (config_.max_push_spins != 0 && ++spins2 >= config_.max_push_spins)
-          break;  // shed: end-of-stream force_advance covers the tail
-        std::this_thread::yield();
-      }
-      unmarked[w2] = !pushed;
-    }
-    w_active = nw;
-    epoch_first = batch;
-    capacity_.active.store(static_cast<std::uint32_t>(w_active),
-                           std::memory_order_release);
-  };
-  ThreadTrace gt(tr, t0, static_cast<int>(W) + 1);  // generator track
-  std::vector<RtPacket> stage(kChunk);
-  std::vector<net::PacketPtr> stash(kChunk);  // slabs popped off recycle ring
-  std::size_t stash_n = 0, stash_i = 0;
-  StageCounters* const gc = prof_on ? &prof_generator : nullptr;
-  StallClock pool_dry, out_full;
-  std::uint64_t gen_chunks = 0;
-  std::uint64_t gen_cas_acquires = 0;  // slabs drawn off the pool CAS list
-  std::uint64_t i = 0;
-  while (i < total) {
-    if (in_batch >= config_.batch_size) {
-      ++batch;
-      in_batch = 0;
-      // The latest due schedule entry, then the live capacity request
-      // (rt::EngineCapacityAdapter), which wins as the operator's latest
-      // word. At most one epoch is announced per boundary.
-      while (rescale_idx < config_.rescales.size() &&
-             i >= config_.rescales[rescale_idx].after_packets)
-        wanted = config_.rescales[rescale_idx++].active_workers;
-      if (const std::uint32_t req =
-              capacity_.requested.load(std::memory_order_acquire);
-          req != 0)
-        wanted = req;
-      apply_wanted();
-      target = static_cast<std::size_t>((batch - epoch_first) % w_active);
-      unmarked[target] = 1;
-      if (ftable != nullptr) {
-        // Register the batch's flow before any of its packets are pushed,
-        // so worker touches can never race an unregistered flow into
-        // being missed. The clock is the batch index.
-        const net::FlowId fid =
-            overlay_on ? static_cast<net::FlowId>(batch % overlay_flows + 1)
-                       : static_cast<net::FlowId>(batch / flow_life + 1);
-        FlowStat& fs =
-            ftable->upsert(fid, static_cast<sim::Time>(batch));
-        fs.batches += 1;
-        ftable->touch(fid, static_cast<sim::Time>(batch));
-        if (batch % std::max<std::uint64_t>(
-                        config_.flow_table.sweep_every, 1) ==
-            0)
-          ftable->expire_idle(static_cast<sim::Time>(batch));
-      }
-    }
-    const std::uint64_t room_in_batch = config_.batch_size - in_batch;
-    const std::uint64_t want =
-        std::min<std::uint64_t>({kChunk, room_in_batch, total - i});
-
-    // Stage `want` packets, acquiring one slab each: recycle ring first
-    // (batched pop into the stash), pool free list second, bounded
-    // spin-wait third. A packet that never gets a slab is shed here.
-    std::size_t staged = 0;
-    for (std::uint64_t k = 0; k < want; ++k, ++i, ++in_batch) {
-      net::PacketPtr skb;
-      std::uint32_t spins = 0;
-      for (;;) {
-        if (stash_i == stash_n) {
-          stash_n = recycle_ring.try_pop_batch(stash.data(), kChunk);
-          stash_i = 0;
-          // Top up from the per-worker drop-return rings on EVERY refill
-          // (not just when the main ring is dry): the drop rings are small,
-          // so sweeping them each refill keeps them from overflowing to
-          // the pool's CAS list. One consumer (this thread) over N SPSC
-          // rings — same fan-in shape as the merge side; an empty ring
-          // costs one cached-index check.
-          for (std::size_t w2 = 0; stash_n < kChunk && w2 < W; ++w2)
-            stash_n += drop_rings[w2]->try_pop_batch(stash.data() + stash_n,
-                                                     kChunk - stash_n);
-        }
-        if (stash_i < stash_n) {
-          skb = std::move(stash[stash_i++]);
-          break;
-        }
-        if ((skb = pool.acquire())) {
-          ++gen_cas_acquires;
-          break;
-        }
-        if (gc != nullptr) pool_dry.stall();
-        if (config_.max_push_spins != 0 &&
-            ++spins >= config_.max_push_spins)
-          break;
-        std::this_thread::yield();
-      }
-      if (gc != nullptr)
-        pool_dry.resolve(gc->pool_dry_episodes, gc->pool_dry_ns);
-      gt.event(trace::EventKind::kSplitDeposit, i, batch,
-               static_cast<std::uint64_t>(target));
-      if (!skb) {
-        // Pool stayed dry past the retry budget: shed the packet here
-        // rather than wedging the generator.
-        dropped.fetch_add(1, std::memory_order_release);
-        gt.event(trace::EventKind::kDrop, i, batch);
-        continue;
-      }
-      stage[staged++] = RtPacket{i, batch, config_.cost_ns_per_packet,
-                                 static_cast<std::uint32_t>(rescales_applied),
-                                 i + 1 == total, std::move(skb)};
-    }
-    // A chunk never crosses a micro-flow, so a micro-flow's final packet is
-    // the last of its final chunk (unless it was shed above).
-    if (staged != 0 && stage[staged - 1].seq + 1 == i &&
-        (in_batch == config_.batch_size || i == total))
-      stage[staged - 1].batch_end = true;
-    if (overlay_on) {
-      stamp_overlay_chunk(stage.data(), staged, ov_tmpl, batch, overlay_flows,
-                          config_.overlay.vni);
-    } else {
-      // With the flow table on, flow identity follows the churn generator
-      // (a new flow every flow_lifetime_batches) instead of being per-batch.
-      stamp_plain_chunk(stage.data(), staged,
-                        ftable != nullptr
-                            ? static_cast<net::FlowId>(batch / flow_life + 1)
-                            : static_cast<net::FlowId>(batch),
-                        nf_on);
-    }
-
-    // Push the staged chunk; a full ring is retried (with yield) within
-    // the shared budget, then the unpushed tail is shed.
-    auto& ring = *split_rings[target];
-    std::size_t done = 0;
-    std::uint32_t spins = 0;
-    while (done < staged) {
-      const std::size_t n =
-          ring.try_push_batch(stage.data() + done, staged - done);
-      done += n;
-      if (done == staged) break;
-      if (n == 0) {
-        if (gc != nullptr) out_full.stall();
-        if (config_.max_push_spins != 0 &&
-            ++spins >= config_.max_push_spins)
-          break;
-        std::this_thread::yield();
-      }
-    }
-    for (std::size_t k = done; k < staged; ++k) {
-      dropped.fetch_add(1, std::memory_order_release);
-      gt.event(trace::EventKind::kDrop, stage[k].seq, stage[k].batch);
-      stage[k].skb.reset();
-    }
-    if (gc != nullptr) {
-      out_full.resolve(gc->output_full_episodes, gc->output_full_ns);
-      gc->items += done;
-      // Sampled fan-out pressure on the split ring just written to.
-      if ((++gen_chunks & 31) == 0) {
-        gc->occupancy_sum += ring.size();
-        ++gc->occupancy_samples;
-      }
+      cc->active_ns = ns_since(start);
     }
   }
-  produce_done.store(true, std::memory_order_release);
-  gt.flush();
-  if (gc != nullptr) {
-    gc->recycle_cas_fallbacks = gen_cas_acquires;
-    gc->active_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
+
+  /// Fold every thread's results into `res`; called right after join.
+  void fold(EngineResult& res) {
+    res.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    res.packets = consumed;
+    res.packets_dropped = dropped.load(std::memory_order_acquire);
+    res.batches_merged = merger.batches_merged();
+    res.in_order = in_order && consumed + res.packets_dropped == total;
+    res.pool_acquired = pool.acquired();
+    res.pool_recycled = pool.recycled();
+    res.pool_exhausted = pool.exhausted();
+    res.rescales_applied = rescales_applied;
+    res.active_workers_final = static_cast<std::uint32_t>(w_active);
+    // Recycle-fabric split: ring-path returns vs CAS-list fallbacks, summed
+    // over every thread that touched a slab return path.
+    res.recycle_ring_returns = consumer_ring_returns;
+    res.recycle_cas_fallbacks = consumer_cas_fallbacks + gen_cas_acquires;
+    for (const WorkerCounts& c : worker_counts) {
+      res.cache_hits += c.hits;
+      res.cache_misses += c.misses;
+      res.cache_invalidations += c.invals;
+      res.decap_failures += c.fails;
+      res.nf_packets += c.nf_pkts;
+      res.nf_nat_rewrites += c.rewrites;
+      res.nf_nat_rewrite_failures += c.rewrite_fails;
+      res.nf_lock_acquires += c.locks;
+      res.recycle_ring_returns += c.ring_returns;
+      res.recycle_cas_fallbacks += c.cas_fallbacks;
+    }
+    if (ftable != nullptr) {
+      res.flow_table.peak = ftable->peak_size();
+      res.flow_table.expired = ftable->expirations();
+      res.flow_table.live = ftable->size();
+    }
+    if (nf_on) {
+      // Fold every table (shared, or one replica per worker) into the
+      // merged per-flow state; the fold is exact because nf::FlowState is
+      // a lattice.
+      std::map<net::FlowId, nf::FlowState> merged;
+      const auto fold_table = [&merged](net::FlowId fid,
+                                        const nf::FlowState& st) {
+        nf::merge(merged[fid], st);
+      };
+      if (nf_shared_table) nf_shared_table->for_each(fold_table);
+      for (const auto& t : nf_tables) t->for_each(fold_table);
+      res.nf_flows = merged.size();
+      std::uint64_t h = 0;
+      res.nf_state.reserve(merged.size());
+      for (const auto& [fid, st] : merged) {
+        h = nf::fold_digest(h, fid, st);
+        res.nf_state.emplace_back(fid, st);
+      }
+      res.nf_state_digest = h;
+    }
+    res.threads_pinned = threads_pinned.load(std::memory_order_acquire);
+    if (cfg.profile) {
+      res.profile = std::move(profile);
+      res.profile.enabled = true;
+      res.profile.workers = W;
+      res.profile.wall_seconds = res.wall_seconds;
+    }
   }
-  // Slabs parked in the stash go back to the pool before the consumer's
-  // recycle pushes are cut off.
-  for (std::size_t k = stash_i; k < stash_n; ++k) stash[k].reset();
+};
 
-  consumer.join();
-  workers.clear();  // join all
-  const auto t1 = std::chrono::steady_clock::now();
-  if (generator_pinned) unpin_current_thread();
+}  // namespace
 
+Engine::Engine(EngineConfig config) : config_(std::move(config)) {
+  if (config_.workers == 0)
+    throw std::invalid_argument("rt::Engine: workers must be at least 1");
+  if (config_.batch_size == 0)
+    throw std::invalid_argument("rt::Engine: batch_size must be at least 1");
+  if (!std::is_sorted(config_.rescales.begin(), config_.rescales.end(),
+                      [](const auto& a, const auto& b) {
+                        return a.after_packets < b.after_packets;
+                      }))
+    throw std::invalid_argument(
+        "rt::Engine: rescales must be ascending in after_packets");
+}
+
+EngineResult Engine::run(
+    std::uint64_t total,
+    const std::function<void(const RtPacket&)>& on_output) {
+  Pipeline p(config_, capacity_, total, on_output);
+  {
+    std::vector<std::jthread> workers;
+    workers.reserve(p.W);
+    for (std::size_t w = 0; w < p.W; ++w)
+      workers.emplace_back([&p, w] { p.work(w); });
+    std::jthread consumer([&p] { p.consume(); });
+    p.generate();
+  }  // joins the consumer, then the workers
   EngineResult res;
-  res.packets = consumed;
-  res.packets_dropped = dropped.load(std::memory_order_acquire);
-  res.batches_merged = merger.batches_merged();
-  res.wall_seconds =
-      std::chrono::duration<double>(t1 - t0).count();
-  res.in_order = in_order && consumed + res.packets_dropped == total;
-  res.pool_acquired = pool.acquired();
-  res.pool_recycled = pool.recycled();
-  res.pool_exhausted = pool.exhausted();
-  res.rescales_applied = rescales_applied;
-  res.active_workers_final = static_cast<std::uint32_t>(w_active);
-  for (const auto& ov : ov_counts) {
-    res.cache_hits += ov.hits;
-    res.cache_misses += ov.misses;
-    res.cache_invalidations += ov.invals;
-    res.decap_failures += ov.fails;
-  }
-  if (ftable != nullptr) {
-    res.flow_table.peak = ftable->peak_size();
-    res.flow_table.expired = ftable->expirations();
-    res.flow_table.live = ftable->size();
-  }
-  if (nf_on) {
-    for (const auto& nc : nf_counts) {
-      res.nf_packets += nc.pkts;
-      res.nf_nat_rewrites += nc.rewrites;
-      res.nf_nat_rewrite_failures += nc.rewrite_fails;
-      res.nf_lock_acquires += nc.locks;
-    }
-    // Fold every table (shared, or one replica per worker) into the merged
-    // per-flow state; the fold is exact because nf::FlowState is a lattice.
-    std::map<net::FlowId, nf::FlowState> merged;
-    const auto fold = [&merged](net::FlowId fid, const nf::FlowState& st) {
-      nf::merge(merged[fid], st);
-    };
-    if (nf_shared_table) nf_shared_table->for_each(fold);
-    for (const auto& t : nf_tables) t->for_each(fold);
-    res.nf_flows = merged.size();
-    std::uint64_t h = 0;
-    res.nf_state.reserve(merged.size());
-    for (const auto& [fid, st] : merged) {
-      h = nf::fold_digest(h, fid, st);
-      res.nf_state.emplace_back(fid, st);
-    }
-    res.nf_state_digest = h;
-  }
-  // Recycle-fabric split: ring-path returns vs CAS-list fallbacks, summed
-  // over every thread that touched a slab return path.
-  for (const auto& rc : rec_counts) {
-    res.recycle_ring_returns += rc.ring_returns;
-    res.recycle_cas_fallbacks += rc.cas_fallbacks;
-  }
-  res.recycle_ring_returns += consumer_ring_returns;
-  res.recycle_cas_fallbacks += consumer_cas_fallbacks + gen_cas_acquires;
-  res.threads_pinned = threads_pinned.load(std::memory_order_acquire);
-  if (prof_on) {
-    res.profile.enabled = true;
-    res.profile.workers = W;
-    res.profile.wall_seconds = res.wall_seconds;
-    res.profile.generator = prof_generator;
-    res.profile.consumer = prof_consumer;
-    res.profile.worker = std::move(prof_workers);
-  }
+  p.fold(res);
   return res;
 }
 

@@ -20,6 +20,14 @@
 //        v
 //   in-order output, verified against the generator's sequence.
 //
+// In engine.cpp one run is a file-local Pipeline: its constructor builds
+// every ring, table and counter block before a thread spawns, and each
+// thread runs one of its bodies — generate() on the caller thread, work(w)
+// on worker w, consume() on the consumer — before fold() gathers the
+// results after join. Every worker runs the same per-packet loop whatever
+// the config: flow-table touch, overlay decap, cost spin, injected fault,
+// NF chain, each step a no-op when its feature is off.
+//
 // Slab return is itself a fan-in fabric: delivered slabs go back to the
 // generator through a consumer→generator SPSC recycle ring, and slabs
 // dropped mid-pipeline (injected faults, shed on backpressure) through one
@@ -90,7 +98,8 @@ struct EngineConfig {
   /// ones fill under the new). When several entries fall due at one
   /// boundary, only the latest counts. A full epoch ring (possible only in
   /// a lossy run) defers the change to a later boundary; it is never
-  /// dropped. Entries must be ascending in after_packets.
+  /// dropped. Entries must be ascending in after_packets (the Engine
+  /// constructor throws otherwise).
   struct Rescale {
     std::uint64_t after_packets = 0;
     std::size_t active_workers = 0;
@@ -276,7 +285,10 @@ struct CapacityControl {
 
 class Engine {
  public:
-  explicit Engine(EngineConfig config) : config_(config) {}
+  /// Throws std::invalid_argument for a config no run could serve: no
+  /// workers, empty micro-flows (batch_size 0), or a rescale schedule that
+  /// is not ascending in after_packets.
+  explicit Engine(EngineConfig config);
 
   const EngineConfig& config() const { return config_; }
 
@@ -316,8 +328,7 @@ class EngineCapacityAdapter final : public control::CapacityTarget {
   }
   std::uint32_t max_degree() const override { return active_workers(); }
   std::uint32_t worker_limit() const override {
-    return static_cast<std::uint32_t>(
-        std::max<std::size_t>(engine_.config().workers, 1));
+    return static_cast<std::uint32_t>(engine_.config().workers);
   }
   std::uint32_t active_workers() const override {
     const std::uint32_t a =

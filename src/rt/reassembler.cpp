@@ -1,7 +1,5 @@
 #include "rt/reassembler.hpp"
 
-#include <thread>
-
 namespace mflow::rt {
 
 RtReassembler::RtReassembler(std::size_t workers,
@@ -31,20 +29,11 @@ std::size_t RtReassembler::deposit_batch(std::size_t w, RtPacket* pkts,
                                          std::size_t count,
                                          std::uint32_t max_spins,
                                          StageCounters* prof) {
-  auto& ring = *rings_[w];
-  std::size_t done = 0;
-  std::uint32_t spins = 0;
   StallClock full;
-  while (done < count) {
-    const std::size_t n = ring.try_push_batch(pkts + done, count - done);
-    done += n;
-    if (done == count) break;
-    if (n == 0) {
-      if (prof != nullptr) full.stall();
-      if (max_spins != 0 && ++spins >= max_spins) break;
-      std::this_thread::yield();
-    }
-  }
+  const std::size_t done =
+      push_batch_retrying(*rings_[w], pkts, count, max_spins, [&] {
+        if (prof != nullptr) full.stall();
+      });
   // Resolve whether the stall ended in progress or in giving up — either
   // way the time was spent blocked on a full merge ring.
   if (prof != nullptr)

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -190,5 +191,44 @@ class SpscRing {
   std::uint64_t cached_head_{0};
   char pad_[64 - 2 * sizeof(std::uint64_t)];
 };
+
+/// Bounded yield-retry for a ring (or pool) operation that found no room:
+/// each again() counts one failed attempt and yields, and returns false
+/// once `max_spins` attempts have failed — the caller then gives up on the
+/// operation. 0 retries forever.
+class YieldRetry {
+ public:
+  explicit YieldRetry(std::uint32_t max_spins) : max_spins_(max_spins) {}
+
+  bool again() {
+    if (max_spins_ != 0 && ++spins_ >= max_spins_) return false;
+    std::this_thread::yield();
+    return true;
+  }
+
+ private:
+  std::uint32_t max_spins_;
+  std::uint32_t spins_ = 0;
+};
+
+/// Push `count` items from `items` in order, retrying a full ring under a
+/// YieldRetry(max_spins) budget; `on_full()` runs on every attempt that
+/// found no room. Returns how many were pushed: a prefix, the rest left
+/// intact for the caller to shed.
+template <typename T, typename OnFull>
+std::size_t push_batch_retrying(SpscRing<T>& ring, T* items, std::size_t count,
+                                std::uint32_t max_spins, OnFull&& on_full) {
+  YieldRetry retry(max_spins);
+  std::size_t done = 0;
+  while (done < count) {
+    const std::size_t n = ring.try_push_batch(items + done, count - done);
+    done += n;
+    if (n == 0) {
+      on_full();
+      if (!retry.again()) break;
+    }
+  }
+  return done;
+}
 
 }  // namespace mflow::rt

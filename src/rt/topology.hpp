@@ -26,8 +26,8 @@
 //
 //  3. `pin_current_thread()` / `unpin_current_thread()` — apply / undo an
 //     assignment (pthread affinity on Linux; no-ops returning false
-//     elsewhere). The engine pins its own (generator) thread for the
-//     duration of a run and restores the full mask on exit.
+//     elsewhere). The engine pins its own (generator) thread while it
+//     generates and restores the full mask before run() returns.
 //
 // tests/test_rt_scaling.cpp drives discovery against a fake sysfs tree and
 // pins the plan policy invariants.

@@ -5,12 +5,14 @@
 
 #include <deque>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "rt/calibrate.hpp"
 #include "rt/engine.hpp"
 #include "rt/spsc_ring.hpp"
+#include "trace/trace.hpp"
 #include "util/rng.hpp"
 
 using namespace mflow::rt;
@@ -635,4 +637,73 @@ TEST(RtEngine, FlowTableOverlayHotSetNeverExpires) {
   EXPECT_EQ(res.flow_table.peak, 8u);
   EXPECT_EQ(res.flow_table.live, 8u);
   EXPECT_EQ(res.flow_table.expired, 0u);
+}
+
+// A config no run could serve fails at construction, not mid-run: zero
+// workers used to divide by zero at the first micro-flow, zero-packet
+// micro-flows never advanced the generator, and a descending schedule
+// silently lost its later entry. Entries due at one packet are ascending.
+TEST(RtEngine, RejectsInvalidConfig) {
+  EngineConfig no_workers;
+  no_workers.workers = 0;
+  EXPECT_THROW(Engine{no_workers}, std::invalid_argument);
+  EngineConfig empty_microflows;
+  empty_microflows.batch_size = 0;
+  EXPECT_THROW(Engine{empty_microflows}, std::invalid_argument);
+  EngineConfig descending;
+  descending.rescales = {{5000, 1}, {1000, 2}};
+  EXPECT_THROW(Engine{descending}, std::invalid_argument);
+  EngineConfig tied;
+  tied.rescales = {{1000, 1}, {1000, 2}};
+  EXPECT_NO_THROW(Engine{tied});
+}
+
+// A tracer only observes: the rt-overlay-nf shape (VXLAN with per-worker
+// caches, flow table, nat,fw,lb under SCR, 2<->1 rescales) delivers the
+// same stream and the same state with one set as without. Injected faults
+// make the delivered sequence depend on every worker's per-packet path;
+// each worker's fault draws are a function of the packets it is given,
+// and a lossless run gives it the same packets every time.
+TEST(RtEngine, TracingChangesNoDeliveredState) {
+  if (!mflow::trace::compiled_in()) GTEST_SKIP() << "tracing compiled out";
+  EngineConfig cfg;
+  cfg.workers = 2;
+  cfg.batch_size = 64;
+  cfg.cost_ns_per_packet = 0;
+  cfg.max_push_spins = 0;  // no backpressure drops: faults are the only loss
+  cfg.fault_drop_rate = 0.01;
+  cfg.fault_seed = 3;
+  cfg.overlay.enabled = true;
+  cfg.overlay.cache = true;
+  cfg.overlay.flows = 24;
+  cfg.overlay.cache_slots = 16;  // conflict evictions: hits and misses both
+  cfg.flow_table.enabled = true;
+  cfg.nf.enabled = true;
+  cfg.nf.strategy = mflow::nf::Strategy::kScr;
+  cfg.nf.chain.chain = {mflow::nf::Kind::kNat, mflow::nf::Kind::kFirewall,
+                        mflow::nf::Kind::kLoadBalancer};
+  constexpr std::uint64_t kTotal = 20000;
+  cfg.rescales = {{5000, 1}, {10000, 2}, {15000, 1}};
+  const auto run = [&](mflow::trace::Tracer* tracer,
+                       std::vector<std::uint64_t>& seqs) {
+    mflow::trace::set_current(tracer);
+    const auto res = Engine(cfg).run(
+        kTotal, [&](const RtPacket& pkt) { seqs.push_back(pkt.seq); });
+    mflow::trace::set_current(nullptr);
+    return res;
+  };
+  std::vector<std::uint64_t> plain_seqs, traced_seqs;
+  const EngineResult plain = run(nullptr, plain_seqs);
+  mflow::trace::Tracer tr({.enabled = true});
+  const EngineResult traced = run(&tr, traced_seqs);
+  EXPECT_FALSE(tr.sorted_events().empty());
+  EXPECT_TRUE(plain.in_order);
+  EXPECT_TRUE(traced.in_order);
+  EXPECT_GT(plain.packets_dropped, 0u);
+  EXPECT_EQ(traced_seqs, plain_seqs);
+  EXPECT_EQ(traced.nf_state_digest, plain.nf_state_digest);
+  EXPECT_EQ(traced.cache_hits + traced.cache_misses,
+            plain.cache_hits + plain.cache_misses);
+  EXPECT_EQ(traced.rescales_applied, 3u);
+  EXPECT_EQ(plain.rescales_applied, 3u);
 }
