@@ -138,15 +138,12 @@ class IrqSplitter::FirstHalf final : public sim::Pollable {
             m.core(a.target_core).raise(*o.second_halves_[slot],
                                         /*remote=*/true);
         } else if (action == net::FaultAction::kDelay) {
-          // Shared holder keeps the packet owned even if the simulation
-          // ends before the delayed event fires (EventFn must be copyable).
-          auto held = std::make_shared<net::PacketPtr>(std::move(pkt));
           IrqSplitter* op = &o;
           const int target = a.target_core;
           m.simulator().after(
               faults->delay_ns(net::FaultPoint::kSplitQueue),
-              [op, slot, target, held, flow, batch] {
-                net::PacketPtr late = std::move(*held);
+              [op, slot, target, late = std::move(pkt), flow,
+               batch]() mutable {
                 core::Reassembler* lra = op->lookup_(*late);
                 if (op->request_rings_[slot]->push(std::move(late))) {
                   op->machine_.core(target).raise(*op->second_halves_[slot],

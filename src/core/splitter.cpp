@@ -182,16 +182,13 @@ void FlowSplitter::on_forward(net::PacketPtr pkt, std::size_t next_index,
                                   /*charge_handoff=*/false);
         break;
       case net::FaultAction::kDelay: {
-        // Shared holder keeps the packet owned even if the simulation ends
-        // before the delayed event fires (EventFn must be copyable).
-        auto held = std::make_shared<net::PacketPtr>(std::move(pkt));
         const std::size_t idx = next_index;
         const int target = a.target_core;
         machine_.simulator().after(
             faults->delay_ns(net::FaultPoint::kSplitQueue),
-            [this, idx, target, from_core, held] {
+            [this, idx, target, from_core, held = std::move(pkt)]() mutable {
               machine_.deliver_to_stage(idx, target, from_core,
-                                        std::move(*held),
+                                        std::move(held),
                                         /*charge_handoff=*/false);
             });
         return;

@@ -1,7 +1,7 @@
 #include "net/gro.hpp"
 
 #include <algorithm>
-#include <vector>
+#include <utility>
 
 namespace mflow::net {
 
@@ -26,38 +26,34 @@ void GroEngine::add(PacketPtr pkt, const Sink& sink) {
     sink(std::move(pkt));
     return;
   }
-  auto it = held_.find(pkt->flow_id);
-  if (it != held_.end()) {
-    Packet& held = *it->second;
-    if (can_merge(held, *pkt)) {
-      held.payload_len += pkt->payload_len;
-      held.gro_segs += pkt->gro_segs;
-      ++merged_;
-      return;  // segment absorbed; its buffer is released
-    }
-    // Not mergeable: flush the held super-skb first to keep flow order.
-    PacketPtr out = std::move(it->second);
-    held_.erase(it);
-    ++emitted_;
-    sink(std::move(out));
+  const FlowId id = pkt->flow_id;
+  auto it = std::lower_bound(
+      held_.begin(), held_.end(), id,
+      [](const auto& entry, FlowId key) { return entry.first < key; });
+  if (it == held_.end() || it->first != id) {
+    held_.emplace(it, id, std::move(pkt));
+    return;
   }
-  held_.emplace(pkt->flow_id, std::move(pkt));
+  Packet& held = *it->second;
+  if (can_merge(held, *pkt)) {
+    held.payload_len += pkt->payload_len;
+    held.gro_segs += pkt->gro_segs;
+    ++merged_;
+    return;  // segment absorbed; its buffer is released
+  }
+  // Not mergeable: the new segment takes the held one's place, and the held
+  // super-skb is emitted first to keep flow order.
+  PacketPtr out = std::exchange(it->second, std::move(pkt));
+  ++emitted_;
+  sink(std::move(out));
 }
 
 void GroEngine::flush(const Sink& sink) {
-  // Deterministic flush order: ascending flow id (map iteration order of an
-  // unordered_map is implementation-defined; sort tiny snapshot instead).
-  if (held_.empty()) return;
-  std::vector<FlowId> ids;
-  ids.reserve(held_.size());
-  for (auto& [id, _] : held_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  for (FlowId id : ids) {
-    auto it = held_.find(id);
+  for (auto& [_, pkt] : held_) {
     ++emitted_;
-    sink(std::move(it->second));
-    held_.erase(it);
+    sink(std::move(pkt));
   }
+  held_.clear();
 }
 
 }  // namespace mflow::net

@@ -13,7 +13,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "net/packet.hpp"
 
@@ -46,7 +47,10 @@ class GroEngine {
   bool can_merge(const Packet& held, const Packet& pkt) const;
 
   GroParams params_;
-  std::unordered_map<FlowId, PacketPtr> held_;
+  // One held super-skb per flow, sorted by flow id. A NAPI batch holds a
+  // handful of flows, so a flat vector costs no allocation per held skb,
+  // and flush emits in ascending-id order without sorting.
+  std::vector<std::pair<FlowId, PacketPtr>> held_;
   std::uint64_t merged_ = 0;
   std::uint64_t emitted_ = 0;
 };

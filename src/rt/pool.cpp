@@ -15,7 +15,6 @@ PacketPool::PacketPool(PoolConfig cfg) : cfg_(cfg), slots_(cfg.slabs) {
         std::memory_order_relaxed);
   }
   head_.store(pack(slots_.empty() ? kNil : 0, 0), std::memory_order_relaxed);
-  free_count_.store(slots_.size(), std::memory_order_relaxed);
 }
 
 PacketPool::~PacketPool() {
@@ -43,7 +42,6 @@ net::PacketPtr PacketPool::acquire() {
                                     std::memory_order_acq_rel,
                                     std::memory_order_acquire)) {
       slot.live.store(true, std::memory_order_relaxed);
-      free_count_.fetch_sub(1, std::memory_order_relaxed);
       acquired_.fetch_add(1, std::memory_order_relaxed);
       slot.pkt.reset();
       return net::PacketPtr(&slot.pkt, net::PacketDeleter{this});
@@ -79,12 +77,11 @@ void PacketPool::recycle(net::Packet* pkt) noexcept {
       break;
     }
   }
-  free_count_.fetch_add(1, std::memory_order_relaxed);
   recycled_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::size_t PacketPool::in_use() const {
-  return slots_.size() - free_count_.load(std::memory_order_relaxed);
+  return static_cast<std::size_t>(acquired() - recycled());
 }
 
 }  // namespace mflow::rt

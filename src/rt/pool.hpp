@@ -66,7 +66,7 @@ class PacketPool final : public net::PacketRecycler {
 
   const PoolConfig& config() const { return cfg_; }
   std::size_t capacity() const { return slots_.size(); }
-  /// Slabs currently handed out (capacity - free). Exact only when no
+  /// Slabs currently handed out (acquired - recycled). Exact only when no
   /// other thread is mid-acquire/recycle.
   std::size_t in_use() const;
 
@@ -106,8 +106,7 @@ class PacketPool final : public net::PacketRecycler {
   PoolConfig cfg_;
   std::vector<Slot> slots_;
   alignas(64) std::atomic<std::uint64_t> head_;
-  alignas(64) std::atomic<std::size_t> free_count_;
-  std::atomic<std::uint64_t> acquired_{0};
+  alignas(64) std::atomic<std::uint64_t> acquired_{0};
   std::atomic<std::uint64_t> recycled_{0};
   std::atomic<std::uint64_t> exhausted_{0};
 };

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cassert>
+#include <utility>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -21,14 +22,19 @@ class Simulator {
 
   Time now() const { return now_; }
 
-  /// Schedule fn at absolute virtual time `when` (>= now()).
-  void at(Time when, EventFn fn) {
+  /// Schedule fn (an EventFn or anything one is built from) at absolute
+  /// virtual time `when` (>= now()).
+  template <class F>
+  void at(Time when, F&& fn) {
     assert(when >= now_);
-    queue_.push(when, std::move(fn));
+    queue_.push(when, std::forward<F>(fn));
   }
 
   /// Schedule fn `delay` ns from now.
-  void after(Time delay, EventFn fn) { at(now_ + delay, std::move(fn)); }
+  template <class F>
+  void after(Time delay, F&& fn) {
+    at(now_ + delay, std::forward<F>(fn));
+  }
 
   /// Run until the event queue drains or virtual time reaches `until`.
   /// Events at exactly `until` do not fire. Returns the number of events run.

@@ -160,14 +160,11 @@ void Machine::inject_into_path(std::size_t index, int from_core,
                          /*charge_handoff=*/false);
         break;
       case net::FaultAction::kDelay: {
-        // EventFn must be copyable, so the unique_ptr rides in a shared
-        // holder; if the simulation ends before the event fires, the holder
-        // still frees the packet.
-        auto held = std::make_shared<net::PacketPtr>(std::move(pkt));
         sim_.after(faults_->delay_ns(net::FaultPoint::kHandoff),
-                   [this, index, target, from_core, held] {
+                   [this, index, target, from_core,
+                    held = std::move(pkt)]() mutable {
                      deliver_to_stage(index, target, from_core,
-                                      std::move(*held),
+                                      std::move(held),
                                       /*charge_handoff=*/false);
                    });
         return;

@@ -28,12 +28,9 @@ void WireLink::deliver(net::PacketPtr pkt) {
         dst_.nic().deliver(net::clone_packet(*pkt), sim_.now());
         break;
       case net::FaultAction::kDelay: {
-        // Shared holder keeps the packet owned even if the simulation ends
-        // before the delayed event fires (EventFn must be copyable).
-        auto held = std::make_shared<net::PacketPtr>(std::move(pkt));
         sim_.after(faults_->delay_ns(net::FaultPoint::kNicRing),
-                   [this, held] {
-                     dst_.nic().deliver(std::move(*held), sim_.now());
+                   [this, held = std::move(pkt)]() mutable {
+                     dst_.nic().deliver(std::move(held), sim_.now());
                    });
         return;
       }

@@ -1,12 +1,41 @@
+// sim::EventQueue / Simulator: ordering, FIFO ties, ownership of pending
+// callables, and the event loop's headline invariant — a steady-state run
+// performs ZERO heap allocations. The whole binary runs with a counting
+// global operator new so that test can diff the counter across a window.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <vector>
 
+#include "rt/pool.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
+namespace {
+std::atomic<std::uint64_t> g_new_calls{0};
+}  // namespace
+
+// Counting allocator: every operator-new flavor funnels through here.
+void* operator new(std::size_t n) {
+  g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
 using namespace mflow::sim;
+using mflow::net::PacketPtr;
+using mflow::rt::PacketPool;
+using mflow::rt::PoolConfig;
 
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
@@ -90,4 +119,105 @@ TEST(Simulator, EventsScheduledDuringRunExecute) {
 TEST(Simulator, SeededRngDeterministic) {
   Simulator a(99), b(99);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.rng().next(), b.rng().next());
+}
+
+TEST(EventQueue, FifoTieBreakSurvivesSlotReuse) {
+  // Pops free slots and the LIFO free list hands them back in reverse, so
+  // slot order stops matching insertion order; ties must still pop FIFO.
+  EventQueue q;
+  std::vector<int> order;
+  int next = 0;
+  for (; next < 8; ++next)
+    q.push(5, [&order, i = next] { order.push_back(i); });
+  for (int round = 0; round < 4; ++round) {
+    for (int k = 0; k < 3; ++k) q.pop().second();
+    for (int k = 0; k < 5; ++k, ++next)
+      q.push(5, [&order, i = next] { order.push_back(i); });
+  }
+  q.push(4, [&order] { order.push_back(-1); });  // earlier time jumps ahead
+  while (!q.empty()) q.pop().second();
+  std::vector<int> want;
+  for (int i = 0; i < 12; ++i) want.push_back(i);
+  want.push_back(-1);
+  for (int i = 12; i < next; ++i) want.push_back(i);
+  EXPECT_EQ(order, want);
+}
+
+TEST(EventQueue, PendingMoveOnlyCaptureIsReleasedOnClear) {
+  PacketPool pool(PoolConfig{.slabs = 8});  // outlives the queues below
+  {
+    EventQueue q;
+    for (int i = 0; i < 3; ++i) q.push(10 + i, [p = pool.acquire()] {});
+    EXPECT_EQ(pool.in_use(), 3u);
+    q.clear();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(pool.in_use(), 0u);
+    q.push(1, [p = pool.acquire()] {});
+    EXPECT_EQ(pool.in_use(), 1u);
+  }  // destroyed with the event still pending
+  EXPECT_EQ(pool.in_use(), 0u);
+}
+
+TEST(EventQueue, NonTrivialCapturesSurviveSlabGrowth) {
+  // Growing the slab relocates every pending callable; captures that own
+  // memory must arrive intact.
+  EventQueue q;
+  long sum = 0;
+  for (int i = 0; i < 1000; ++i)
+    q.push(1000 - i, [&sum, v = std::make_unique<int>(i)] { sum += *v; });
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(sum, 999L * 1000 / 2);
+}
+
+namespace {
+
+/// Self-rescheduling event whose capture fills EventFn's whole buffer.
+struct FullCapture {
+  Simulator* sim;
+  std::uint64_t* fired;
+  std::array<std::uint64_t, 5> payload;
+  void operator()() {
+    ++*fired;
+    ++payload[0];
+    sim->after(3 + static_cast<Time>(payload[0] % 5), *this);
+  }
+};
+static_assert(sizeof(FullCapture) == EventFn::kCapacity);
+
+/// Self-rescheduling event that owns a pooled packet and trades it for a
+/// fresh one each time it fires.
+struct PacketCapture {
+  Simulator* sim;
+  PacketPool* pool;
+  std::uint64_t* fired;
+  PacketPtr pkt;
+  void operator()() {
+    ++*fired;
+    pkt = pool->acquire();
+    sim->after(7, PacketCapture{sim, pool, fired, std::move(pkt)});
+  }
+};
+
+}  // namespace
+
+TEST(Simulator, SteadyStateEventLoopIsAllocationFree) {
+  PacketPool pool(PoolConfig{.slabs = 64});
+  Simulator sim;
+  std::uint64_t fired = 0;
+  for (int i = 0; i < 32; ++i) {
+    sim.at(i, FullCapture{&sim, &fired, {}});
+    sim.at(i, PacketCapture{&sim, &pool, &fired, pool.acquire()});
+    sim.at(i, [&sim, &fired] {
+      ++fired;
+      sim.after(11, [&fired] { ++fired; });  // one-shot events too
+    });
+  }
+  sim.run_until(1'000);  // warm-up: slab, heap and free list reach depth
+  const std::uint64_t before = g_new_calls.load();
+  const std::uint64_t fired_before = fired;
+  sim.run_until(100'000);
+  const std::uint64_t allocs = g_new_calls.load() - before;
+  EXPECT_GT(fired - fired_before, 100'000u);
+  EXPECT_EQ(allocs, 0u) << "steady-state event loop touched the allocator";
+  EXPECT_EQ(pool.in_use(), 32u);
 }

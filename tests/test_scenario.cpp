@@ -2,6 +2,9 @@
 // orderings the paper reports hold in the simulation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "experiment/scenario.hpp"
 
 using namespace mflow;
@@ -77,4 +80,136 @@ TEST(Scenario, SmallMessagesClientBound) {
   const auto van = quick(Mode::kVanilla, net::Ipv4Header::kProtoTcp, 16);
   const auto mfl = quick(Mode::kMflow, net::Ipv4Header::kProtoTcp, 16);
   EXPECT_NEAR(mfl.goodput_gbps / van.goodput_gbps, 1.0, 0.25);
+}
+
+// ---- pinned fingerprints ------------------------------------------------------
+//
+// The tests above compare a run against another run of the same build, so a
+// change to event ordering (say, the event queue's tie-break) would pass them.
+// These pin the exact model outputs of fixed configs instead. A change that
+// moves them changes the model, and must say so and re-record them.
+
+namespace {
+
+struct Fingerprint {
+  std::uint64_t events, messages, nic_drops, goodput_bits, p50, p99;
+};
+
+Fingerprint fingerprint(const exp::ScenarioResult& r) {
+  std::uint64_t bits = 0;
+  static_assert(sizeof bits == sizeof r.goodput_gbps);
+  std::memcpy(&bits, &r.goodput_gbps, sizeof bits);
+  return {r.events, r.messages, r.nic_drops, bits, r.latency.p50(),
+          r.latency.p99()};
+}
+
+void expect_pinned(const exp::ScenarioConfig& cfg, const Fingerprint& want,
+                   const char* name) {
+  const exp::ScenarioResult r = exp::run_scenario(cfg);
+  const Fingerprint got = fingerprint(r);
+  if (cfg.faults.any()) {
+    EXPECT_GT(r.injected_delays, 0u) << name;
+  }
+  EXPECT_EQ(got.events, want.events) << name;
+  EXPECT_EQ(got.messages, want.messages) << name;
+  EXPECT_EQ(got.nic_drops, want.nic_drops) << name;
+  EXPECT_EQ(got.goodput_bits, want.goodput_bits)
+      << name << ": goodput " << r.goodput_gbps << " Gbps";
+  EXPECT_EQ(got.p50, want.p50) << name;
+  EXPECT_EQ(got.p99, want.p99) << name;
+}
+
+/// The repo benchmark's des-mflow-tcp workload: the paper's Fig. 8 point.
+exp::ScenarioConfig mflow_tcp_config() {
+  exp::ScenarioConfig c;
+  c.seed = 1;
+  c.mode = Mode::kMflow;
+  c.protocol = net::Ipv4Header::kProtoTcp;
+  c.message_size = 65536;
+  c.num_flows = 1;
+  c.warmup = sim::ms(10);
+  c.measure = sim::ms(100);
+  return c;
+}
+
+/// The repo benchmark's des-control-churn workload: control plane over 200k
+/// churned flows/s, flow cache on, nat,fw,lb under SCR.
+exp::ScenarioConfig control_churn_config() {
+  exp::ScenarioConfig c;
+  c.seed = 1;
+  c.mode = Mode::kMflow;
+  c.protocol = net::Ipv4Header::kProtoTcp;
+  c.message_size = 65536;
+  c.num_flows = 2;
+  c.server_cores = 8;
+  c.app_cores = 1;
+  c.first_kernel_core = 1;
+  c.kernel_cores = 7;
+  c.warmup = sim::ms(4);
+  c.measure = sim::ms(50);
+  core::MflowConfig m = core::udp_device_scaling_config();
+  m.tcp_in_reader = true;
+  m.splitting_cores = {2, 3, 4, 5};
+  c.mflow = m;
+  c.control.enabled = true;
+  c.control.interval = sim::us(100);
+  auto& cp = c.control.params;
+  cp.monitor.window = sim::ms(4);
+  cp.monitor.max_samples = 64;
+  cp.monitor.table.ttl = sim::ms(2);
+  cp.classifier.promote_pps = 200'000;
+  cp.classifier.demote_pps = 100'000;
+  cp.classifier.dwell = sim::ms(1);
+  cp.scaling.per_core_pps = 150'000;
+  c.control.churn.enabled = true;
+  c.control.churn.flows_per_sec = 200'000;
+  c.control.churn.flow_lifetime = sim::ms(1);
+  c.control.churn.rate_pps = 20'000;
+  c.control.churn.reverse = true;
+  c.fastpath.enabled = true;
+  c.nf.enabled = true;
+  c.nf.strategy = nf::Strategy::kScr;
+  c.nf.chain.chain = {nf::Kind::kNat, nf::Kind::kFirewall,
+                      nf::Kind::kLoadBalancer};
+  return c;
+}
+
+/// kDelay faults at every fault point. The default MFLOW TCP path (IRQ split,
+/// pipelined branches) delays packets on the wire, at the steering handoff
+/// and in the IRQ splitter; the UDP device-scaling path (flow splitter
+/// before VXLAN) delays them in the flow splitter. Together the two configs
+/// cover all four places that hold a packet in a delayed event.
+exp::ScenarioConfig delayed_config(std::uint8_t proto) {
+  exp::ScenarioConfig c;
+  c.seed = 1;
+  c.mode = Mode::kMflow;
+  c.protocol = proto;
+  c.message_size = proto == net::Ipv4Header::kProtoTcp ? 65536 : 1448;
+  c.warmup = sim::ms(2);
+  c.measure = sim::ms(20);
+  for (net::FaultRates* r :
+       {&c.faults.nic_ring, &c.faults.handoff, &c.faults.split_queue}) {
+    r->delay = 0.002;
+    r->delay_ns = sim::us(20);
+  }
+  return c;
+}
+
+}  // namespace
+
+TEST(Scenario, PinnedFingerprints) {
+  // Recorded at the commit before the allocation-free event queue; the
+  // queue rewrite kept every one of them.
+  expect_pinned(mflow_tcp_config(),
+                {349168, 4924, 0, 4627959364592317205ull, 80896, 107520},
+                "des-mflow-tcp");
+  expect_pinned(control_churn_config(),
+                {156512, 2291, 0, 4627455647962778906ull, 1490944, 1622016},
+                "des-control-churn");
+  expect_pinned(delayed_config(net::Ipv4Header::kProtoTcp),
+                {71067, 991, 0, 4628007972753743348ull, 95232, 137216},
+                "delay-faults-tcp");
+  expect_pinned(delayed_config(net::Ipv4Header::kProtoUdp),
+                {17169, 8064, 0, 4616944723994200654ull, 405504, 532480},
+                "delay-faults-udp");
 }
