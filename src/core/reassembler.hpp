@@ -43,6 +43,7 @@
 #include "sim/simulator.hpp"
 #include "stack/costs.hpp"
 #include "stack/socket.hpp"
+#include "util/fifo.hpp"
 #include "util/stats.hpp"
 
 namespace mflow::core {
@@ -177,7 +178,7 @@ class Reassembler final : public stack::MergeBuffer {
     /// Unsplit hold: default-path packets deposited after a demotion are
     /// parked here until batches <= hold_barrier have drained (or the
     /// grace timer force-releases them).
-    std::deque<net::PacketPtr> hold;
+    util::Fifo<net::PacketPtr> hold;
     std::uint64_t hold_barrier = 0;
     bool holding = false;
     /// Eviction mark-and-sweep: set by the reaper on a blocked flow,
@@ -222,7 +223,7 @@ class Reassembler final : public stack::MergeBuffer {
 
   /// Unsplit traffic (microflow_id == 0) and late/duplicate split packets
   /// pass straight through.
-  std::deque<net::PacketPtr> passthrough_;
+  util::Fifo<net::PacketPtr> passthrough_;
   /// Default-path segments deposited per flow — the supply side of the
   /// pre-split ordering gate.
   std::unordered_map<net::FlowId, std::uint64_t> passthrough_segs_;

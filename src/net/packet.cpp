@@ -1,12 +1,16 @@
 #include "net/packet.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
 namespace mflow::net {
 
-PacketBuffer::PacketBuffer(std::size_t headroom)
-    : bytes_(headroom), head_(headroom) {}
+PacketBuffer::PacketBuffer(std::size_t headroom, std::size_t capacity)
+    : head_(headroom) {
+  bytes_.reserve(std::max(headroom, capacity));
+  bytes_.resize(headroom);
+}
 
 std::span<std::uint8_t> PacketBuffer::append(std::size_t n) {
   const std::size_t old = bytes_.size();

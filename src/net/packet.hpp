@@ -36,7 +36,9 @@ class PacketBuffer {
  public:
   /// Default headroom leaves room for one full VXLAN outer stack (50 bytes)
   /// plus an inner Ethernet header in front of whatever is appended.
-  explicit PacketBuffer(std::size_t headroom = 64);
+  /// `capacity` reserves backing bytes (headroom included) in the same
+  /// single allocation; a smaller value reserves just the headroom.
+  explicit PacketBuffer(std::size_t headroom = 64, std::size_t capacity = 0);
 
   /// Append `n` bytes at the tail; returns the writable region. May grow
   /// the backing store (allocates when size exceeds reserved capacity).
@@ -109,7 +111,7 @@ struct Packet {
   PacketBuffer buf;              // real header bytes (+ nothing else)
   std::uint32_t payload_len = 0;  // virtual payload bytes
 
-  FlowKey flow;                  // innermost 5-tuple
+  FlowKey flow{};                // innermost 5-tuple
   FlowId flow_id = 0;            // dense workload-assigned id
   bool encapsulated = false;     // still carrying VXLAN outer headers
 

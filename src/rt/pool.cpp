@@ -6,10 +6,11 @@
 namespace mflow::rt {
 
 PacketPool::PacketPool(PoolConfig cfg) : cfg_(cfg), slots_(cfg.slabs) {
-  // Pre-reserve every slab's backing buffer once, up front. This is the only
-  // place pooled packets ever touch the allocator.
+  // Build every slab's backing buffer once, up front, at its full capacity:
+  // one allocation per slab. This is the only place pooled packets ever
+  // touch the allocator.
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    slots_[i].pkt.buf.reserve(cfg_.buffer_bytes);
+    slots_[i].pkt.buf = net::PacketBuffer(cfg_.headroom, cfg_.buffer_bytes);
     slots_[i].next.store(
         i + 1 < slots_.size() ? static_cast<std::uint32_t>(i + 1) : kNil,
         std::memory_order_relaxed);

@@ -98,7 +98,9 @@ class PacketPool final : public net::PacketRecycler {
   }
 
   struct Slot {
-    net::Packet pkt;
+    // Empty until the constructor gives it its buffer: a zero-headroom
+    // buffer allocates nothing.
+    net::Packet pkt{.buf = net::PacketBuffer(0)};
     std::atomic<std::uint32_t> next{kNil};  // free-list link (slot index)
     std::atomic<bool> live{false};          // handed out right now?
   };

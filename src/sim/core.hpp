@@ -13,11 +13,11 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <string_view>
 
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
+#include "util/fifo.hpp"
 
 namespace mflow::sim {
 
@@ -130,7 +130,7 @@ class Core {
   int id_;
   CoreParams params_;
 
-  std::deque<Pollable*> run_list_;
+  util::Fifo<Pollable*> run_list_;
   bool loop_scheduled_ = false;
   bool in_poll_ = false;
   Time slice_ns_ = 0;     // CPU charged during the current poll

@@ -2,9 +2,9 @@
 //
 // Determinism matters: two events scheduled for the same virtual instant must
 // always fire in insertion order, so a re-run with the same seed replays the
-// same interleaving. Every event gets a sequence number at push, and the
-// queue pops in (time, sequence) order; the key is unique, so the pop order
-// does not depend on the heap's shape.
+// same interleaving. Every event gets a sequence number at push (or earlier,
+// at reserve_seq()), and the queue pops in (time, sequence) order; the key
+// is unique, so the pop order does not depend on the heap's shape.
 //
 // The queue is the DES's innermost loop, so it never touches the allocator in
 // steady state:
@@ -124,6 +124,19 @@ class EventQueue {
   /// Schedule `fn` (an EventFn or anything one is built from) at `when`.
   template <class F>
   void push(Time when, F&& fn) {
+    push_reserved(when, reserve_seq(), std::forward<F>(fn));
+  }
+
+  /// Take the tie-break sequence number a push() made now would get,
+  /// without pushing anything. The event is pushed later through
+  /// push_reserved() and pops exactly where it would have popped had it been
+  /// pushed now — provided it is pushed before any event that sorts after it
+  /// pops (a delay line arms its next head when the previous head pops).
+  std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Schedule `fn` at `when` under a sequence number from reserve_seq().
+  template <class F>
+  void push_reserved(Time when, std::uint64_t seq, F&& fn) {
     std::uint32_t slot;
     if (!free_.empty()) {
       slot = free_.back();
@@ -135,7 +148,7 @@ class EventQueue {
       slot = static_cast<std::uint32_t>(slab_.size());
       slab_.emplace_back(std::forward<F>(fn));
     }
-    sift_up(Node{when, next_seq_++, slot});
+    sift_up(Node{when, seq, slot});
   }
 
   bool empty() const { return heap_.empty(); }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cassert>
+#include <cstdint>
 #include <utility>
 
 #include "sim/event_queue.hpp"
@@ -15,6 +16,14 @@
 #include "util/rng.hpp"
 
 namespace mflow::sim {
+
+/// A place in the event order taken ahead of the event itself: the
+/// (when, seq) key an after(delay, ...) made at reservation time would have
+/// had. See Simulator::reserve_after().
+struct Ticket {
+  Time when = 0;
+  std::uint64_t seq = 0;
+};
 
 class Simulator {
  public:
@@ -34,6 +43,23 @@ class Simulator {
   template <class F>
   void after(Time delay, F&& fn) {
     at(now_ + delay, std::forward<F>(fn));
+  }
+
+  /// Reserve the place an after(delay, ...) made now would take, and
+  /// schedule the event later with at(ticket, fn). It pops exactly where the
+  /// after() event would have, as long as it is scheduled before any event
+  /// that sorts after it pops. A FIFO delay line keeps one event pending:
+  /// each item takes a ticket on entry and the line schedules the next
+  /// item's ticket when the current one fires.
+  Ticket reserve_after(Time delay) {
+    return {now_ + delay, queue_.reserve_seq()};
+  }
+
+  /// Schedule fn at a reserved place (see reserve_after()).
+  template <class F>
+  void at(const Ticket& ticket, F&& fn) {
+    assert(ticket.when >= now_);
+    queue_.push_reserved(ticket.when, ticket.seq, std::forward<F>(fn));
   }
 
   /// Run until the event queue drains or virtual time reaches `until`.

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <unordered_map>
 
@@ -17,6 +16,7 @@
 #include "sim/core.hpp"
 #include "stack/costs.hpp"
 #include "stack/tcp_rx.hpp"
+#include "util/fifo.hpp"
 #include "util/histogram.hpp"
 
 namespace mflow::stack {
@@ -125,7 +125,7 @@ class Socket {
 
   Machine& machine_;
   SocketConfig config_;
-  std::deque<net::PacketPtr> rx_queue_;  // sk_receive_queue
+  util::Fifo<net::PacketPtr> rx_queue_;  // sk_receive_queue
   MergeBuffer* merge_ = nullptr;
   TcpReceiver tcp_rx_;
   std::vector<std::unique_ptr<Reader>> readers_;  // one per reader core

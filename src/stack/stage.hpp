@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string_view>
@@ -19,6 +18,7 @@
 #include "net/packet.hpp"
 #include "sim/core.hpp"
 #include "stack/costs.hpp"
+#include "util/fifo.hpp"
 
 namespace mflow::stack {
 
@@ -108,7 +108,7 @@ class StageQueue : public sim::Pollable {
   Stage& stage_;
   std::size_t stage_index_;
   int core_id_;
-  std::deque<net::PacketPtr> fifo_;
+  util::Fifo<net::PacketPtr> fifo_;
 };
 
 /// Hook intercepting the transition *into* path stage `next_index`.

@@ -1,0 +1,66 @@
+// Grow-only FIFO ring for the DES's packet and work queues.
+//
+// std::deque allocates and frees a fixed-size block (512 bytes in libstdc++)
+// each time its front and back cross one, so a queue that cycles packets in
+// steady state keeps touching the allocator. Fifo keeps one power-of-two
+// array that doubles when full and never shrinks: once a queue has reached
+// its peak depth, push_back and pop_front are index arithmetic only.
+#pragma once
+
+#include <cassert>
+#include <cstddef>
+#include <utility>
+#include <vector>
+
+namespace mflow::util {
+
+/// T must be default-constructible and move-assignable; pop_front resets
+/// the vacated slot to T{}, so an owning T (a PacketPtr) is released there.
+template <class T>
+class Fifo {
+ public:
+  void push_back(T v) {
+    if (size_ == slots_.size()) grow();
+    slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(v);
+    ++size_;
+  }
+
+  /// Precondition: !empty().
+  T& front() {
+    assert(size_ > 0);
+    return slots_[head_];
+  }
+  const T& front() const {
+    assert(size_ > 0);
+    return slots_[head_];
+  }
+
+  /// Precondition: !empty().
+  void pop_front() {
+    assert(size_ > 0);
+    slots_[head_] = T{};
+    head_ = (head_ + 1) & (slots_.size() - 1);
+    --size_;
+  }
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+ private:
+  static constexpr std::size_t kMinCapacity = 16;
+
+  /// Double the array, unwrapping the ring to start at index 0.
+  void grow() {
+    std::vector<T> bigger(slots_.empty() ? kMinCapacity : 2 * slots_.size());
+    for (std::size_t i = 0; i < size_; ++i)
+      bigger[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+    slots_ = std::move(bigger);
+    head_ = 0;
+  }
+
+  std::vector<T> slots_;  // size is zero or a power of two
+  std::size_t head_ = 0;  // index of front()
+  std::size_t size_ = 0;
+};
+
+}  // namespace mflow::util

@@ -22,14 +22,7 @@ bool StreamInjector::poll(sim::Core& core, int budget) {
                                        ? costs.client_tcp_per_seg_overlay
                                        : costs.client_tcp_per_seg_native);
 
-    auto pkt = net::make_tcp_segment(params_.flow, next_off_, len);
-    pkt->flow_id = params_.flow_id;
-    pkt->message_id = msg.id;
-    pkt->message_bytes = msg.bytes;
-    if (params_.overlay)
-      net::vxlan_encap(*pkt, params_.outer_src, params_.outer_dst,
-                       params_.vni);
-    wire_.transmit(std::move(pkt));
+    wire_.transmit(images_.stamp(len, next_off_, msg.id, msg.bytes));
     next_off_ += len;
     bytes_sent_ += len;
     msg.sent += len;

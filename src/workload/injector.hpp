@@ -10,8 +10,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
+#include "util/fifo.hpp"
 #include "workload/sender.hpp"
 
 namespace mflow::workload {
@@ -20,7 +20,11 @@ class StreamInjector : public sim::Pollable {
  public:
   StreamInjector(ClientHost& host, int core_id, SenderParams params,
                  WireLink& wire)
-      : host_(host), core_id_(core_id), params_(params), wire_(wire) {}
+      : host_(host),
+        core_id_(core_id),
+        params_(params),
+        wire_(wire),
+        images_(params) {}
 
   /// Queue one `bytes`-long message tagged `msg_id` (must be unique per
   /// flow); segments are emitted in order as the client core gets to them.
@@ -43,7 +47,8 @@ class StreamInjector : public sim::Pollable {
   int core_id_;
   SenderParams params_;
   WireLink& wire_;
-  std::deque<Pending> queue_;
+  HeaderImages images_;
+  util::Fifo<Pending> queue_;
   std::uint64_t next_off_ = 0;  // TCP stream offset
   std::uint64_t bytes_sent_ = 0;
 };

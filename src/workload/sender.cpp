@@ -5,13 +5,21 @@
 namespace mflow::workload {
 
 void WireLink::transmit(net::PacketPtr pkt) {
-  in_flight_.push_back(std::move(pkt));
+  const bool idle = in_flight_.empty();
+  in_flight_.push_back(InFlight{std::move(pkt), sim_.reserve_after(latency_)});
   ++packets_;
-  sim_.after(latency_, [this] {
-    net::PacketPtr p = std::move(in_flight_.front());
-    in_flight_.pop_front();
-    deliver(std::move(p));
-  });
+  if (idle) arm_head();
+}
+
+void WireLink::arm_head() {
+  sim_.at(in_flight_.front().due, [this] { arrive(); });
+}
+
+void WireLink::arrive() {
+  net::PacketPtr pkt = std::move(in_flight_.front().pkt);
+  in_flight_.pop_front();
+  if (!in_flight_.empty()) arm_head();
+  deliver(std::move(pkt));
 }
 
 void WireLink::deliver(net::PacketPtr pkt) {
@@ -48,11 +56,59 @@ ClientHost::ClientHost(sim::Simulator& sim, int num_cores,
     cores_.push_back(std::make_unique<sim::Core>(sim_, i));
 }
 
+// --- header images ------------------------------------------------------------
+
+const HeaderImages::Image& HeaderImages::image(std::uint32_t len) {
+  Image& img = len == params_.mss ? full_ : other_;
+  if (img.pkt && img.len == len) return img;
+  // (Re)build with the ordinary constructors, reusing the image's buffer.
+  net::PacketPtr pkt =
+      params_.flow.protocol == net::Ipv4Header::kProtoTcp
+          ? net::make_tcp_segment(std::move(img.pkt), params_.flow, 0, len)
+          : net::make_udp_datagram(std::move(img.pkt), params_.flow, len);
+  pkt->flow_id = params_.flow_id;
+  if (params_.overlay)
+    net::vxlan_encap(*pkt, params_.outer_src, params_.outer_dst, params_.vni);
+  // A TCP header is the last in the buffer; its sequence field is its
+  // bytes 4-7.
+  img.seq_at = pkt->buf.size() - (net::TcpHeader::kSize - 4);
+  img.pkt = std::move(pkt);
+  img.len = len;
+  return img;
+}
+
+net::PacketPtr HeaderImages::stamp(std::uint32_t len, std::uint64_t tcp_seq,
+                                   std::uint64_t message_id,
+                                   std::uint32_t message_bytes) {
+  const Image& img = image(len);
+  net::PacketPtr pkt = params_.pool ? params_.pool->acquire() : nullptr;
+  if (pkt)
+    *pkt = *img.pkt;  // the slab's reserved buffer absorbs the copy
+  else
+    pkt = net::clone_packet(*img.pkt);
+  pkt->message_id = message_id;
+  pkt->message_bytes = message_bytes;
+  if (params_.flow.protocol == net::Ipv4Header::kProtoTcp) {
+    pkt->tcp_seq = tcp_seq;
+    const auto wire_seq = static_cast<std::uint32_t>(tcp_seq);
+    std::uint8_t* at = pkt->buf.data().data() + img.seq_at;
+    at[0] = static_cast<std::uint8_t>(wire_seq >> 24);
+    at[1] = static_cast<std::uint8_t>(wire_seq >> 16);
+    at[2] = static_cast<std::uint8_t>(wire_seq >> 8);
+    at[3] = static_cast<std::uint8_t>(wire_seq);
+  }
+  return pkt;
+}
+
 // --- TCP ----------------------------------------------------------------------
 
 TcpSender::TcpSender(ClientHost& host, int core_id, SenderParams params,
                      WireLink& wire)
-    : host_(host), core_id_(core_id), params_(params), wire_(wire) {}
+    : host_(host),
+      core_id_(core_id),
+      params_(params),
+      wire_(wire),
+      images_(params) {}
 
 void TcpSender::start() { host_.core(core_id_).raise(*this); }
 
@@ -111,18 +167,9 @@ bool TcpSender::poll(sim::Core& core, int budget) {
                                        ? costs.client_tcp_per_seg_overlay
                                        : costs.client_tcp_per_seg_native);
 
-    // Build into a recycled slab when a pool is attached (acquire() may
-    // return null on exhaustion — make_tcp_segment then heap-allocates).
-    auto pkt = net::make_tcp_segment(
-        params_.pool ? params_.pool->acquire() : net::PacketPtr{},
-        params_.flow, next_off_, len);
-    pkt->flow_id = params_.flow_id;
-    pkt->message_id = next_off_ / params_.message_size;
-    pkt->message_bytes = params_.message_size;
-    if (params_.overlay)
-      net::vxlan_encap(*pkt, params_.outer_src, params_.outer_dst,
-                       params_.vni);
-    wire_.transmit(std::move(pkt));
+    wire_.transmit(images_.stamp(len, next_off_,
+                                 next_off_ / params_.message_size,
+                                 params_.message_size));
     next_off_ += len;
     ++segments_;
 
@@ -147,6 +194,7 @@ UdpSender::UdpSender(ClientHost& host, int core_id, SenderParams params,
       core_id_(core_id),
       params_(params),
       wire_(wire),
+      images_(params),
       next_message_id_(params.message_id_start) {}
 
 void UdpSender::start() { host_.core(core_id_).raise(*this); }
@@ -168,15 +216,8 @@ void UdpSender::send_fragment(sim::Core& core) {
               costs.client_udp_per_pkt +
                   (params_.overlay ? costs.client_overlay_tx_per_pkt : 0));
 
-  auto pkt = net::make_udp_datagram(
-      params_.pool ? params_.pool->acquire() : net::PacketPtr{},
-      params_.flow, len);
-  pkt->flow_id = params_.flow_id;
-  pkt->message_id = next_message_id_;
-  pkt->message_bytes = params_.message_size;
-  if (params_.overlay)
-    net::vxlan_encap(*pkt, params_.outer_src, params_.outer_dst, params_.vni);
-  wire_.transmit(std::move(pkt));
+  wire_.transmit(
+      images_.stamp(len, 0, next_message_id_, params_.message_size));
   ++packets_;
   bytes_ += len;
 

@@ -7,8 +7,8 @@
 // receive capacity is not saturated).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -17,16 +17,27 @@
 #include "sim/core.hpp"
 #include "sim/simulator.hpp"
 #include "stack/machine.hpp"
+#include "util/fifo.hpp"
 
 namespace mflow::workload {
 
 /// Fixed-latency FIFO wire between a client and the server NIC. FIFO order
 /// plus constant latency preserves transmit order on arrival (single cable,
 /// no reordering — as in the paper's back-to-back 100GbE link).
+///
+/// The wire is a delay line: however many packets are in flight, only the
+/// oldest has an event in the simulator's queue. Each packet takes a
+/// sim::Ticket at transmit, the place its own after(latency) event would
+/// have had; when the head arrives, the next packet's ticket is scheduled.
+/// Deliveries therefore interleave with every other event exactly as one
+/// event per packet would, at a heap depth of one per link.
 class WireLink {
  public:
   WireLink(sim::Simulator& sim, stack::Machine& dst, sim::Time latency)
       : sim_(sim), dst_(dst), latency_(latency) {}
+
+  WireLink(const WireLink&) = delete;  // pending events hold `this`
+  WireLink& operator=(const WireLink&) = delete;
 
   void transmit(net::PacketPtr pkt);
 
@@ -37,13 +48,21 @@ class WireLink {
   std::uint64_t packets() const { return packets_; }
 
  private:
+  struct InFlight {
+    net::PacketPtr pkt;
+    sim::Ticket due;
+  };
+
+  /// Schedule the arrival of the packet at the head of the line.
+  void arm_head();
+  void arrive();
   void deliver(net::PacketPtr pkt);
 
   sim::Simulator& sim_;
   stack::Machine& dst_;
   sim::Time latency_;
   net::FaultInjector* faults_ = nullptr;
-  std::deque<net::PacketPtr> in_flight_;
+  util::Fifo<InFlight> in_flight_;
   std::uint64_t packets_ = 0;
 };
 
@@ -85,11 +104,45 @@ struct SenderParams {
   /// (the paper's 3-client UDP setup) must not collide on message ids.
   std::uint64_t message_id_start = 0;
   std::uint64_t message_id_stride = 1;
-  /// Optional slab pool (non-owning): segments/datagrams are built into
+  /// Optional slab pool (non-owning): segments/datagrams are stamped into
   /// recycled slabs instead of fresh heap packets, so steady-state traffic
   /// generation stops touching the allocator. Exhaustion falls back to the
   /// heap — the pool is an optimization, never a correctness constraint.
   rt::PacketPool* pool = nullptr;
+};
+
+/// Per-sender header images. A flow's encapsulated headers do not change
+/// from packet to packet (the observation ONCache makes about real
+/// overlays): with the TCP checksum offloaded and the IPv4 id always 0, a
+/// segment's bytes depend only on its flow, its payload length and, for
+/// TCP, the low 32 bits of its sequence number. So each length is built
+/// once, with make_tcp_segment / make_udp_datagram and vxlan_encap, and
+/// every packet is a copy of its image with the four sequence bytes and the
+/// message fields patched in. Two images are kept: full MSS, and the most
+/// recent other length (a message tail), rebuilt in place when it changes.
+class HeaderImages {
+ public:
+  explicit HeaderImages(const SenderParams& params) : params_(params) {}
+
+  /// A packet of `len` payload bytes for message `message_id` of
+  /// `message_bytes` bytes, at stream offset `tcp_seq` (TCP; ignored for
+  /// UDP). It lands in a slab of params.pool when one is free and on the
+  /// heap otherwise, and equals a fresh build in every byte and field.
+  net::PacketPtr stamp(std::uint32_t len, std::uint64_t tcp_seq,
+                       std::uint64_t message_id, std::uint32_t message_bytes);
+
+ private:
+  struct Image {
+    net::PacketPtr pkt;  // null until first built
+    std::uint32_t len = 0;
+    std::size_t seq_at = 0;  // TCP sequence field's offset in buf.data()
+  };
+
+  const Image& image(std::uint32_t len);
+
+  SenderParams params_;
+  Image full_;  // len == params.mss
+  Image other_;
 };
 
 /// Windowed TCP sender: keeps `window_bytes` in flight, continues on ACKs.
@@ -127,6 +180,7 @@ class TcpSender : public sim::Pollable {
   int core_id_;
   SenderParams params_;
   WireLink& wire_;
+  HeaderImages images_;
   std::uint64_t next_off_ = 0;
   std::uint64_t acked_ = 0;
   std::uint64_t segments_ = 0;
@@ -160,6 +214,7 @@ class UdpSender : public sim::Pollable {
   int core_id_;
   SenderParams params_;
   WireLink& wire_;
+  HeaderImages images_;
   std::uint64_t next_message_id_ = 0;
   std::uint32_t frag_off_ = 0;  // bytes of the current message already sent
   std::uint64_t bytes_ = 0;

@@ -2,6 +2,9 @@
 // (Fig 13) — wiring sanity, metric consistency, and mode ordering.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "experiment/datacaching.hpp"
 #include "experiment/webserving.hpp"
 
@@ -105,4 +108,59 @@ TEST(DataCaching, MoreClientsMoreStressForVanilla) {
   const auto one = quick_cache(exp::Mode::kVanilla, 1);
   const auto ten = quick_cache(exp::Mode::kVanilla, 10);
   EXPECT_GT(ten.p99_latency_us, one.p99_latency_us * 0.9);
+}
+
+// ---- pinned results ------------------------------------------------------------
+//
+// The tests above compare runs of the same build. These pin exact result bits
+// of fixed configs, so a change to the request/response TX path (the
+// StreamInjector and its two WireLinks) or to event order cannot pass
+// unnoticed. A change that moves them changes the model, and must say so and
+// re-record them.
+
+namespace {
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+}  // namespace
+
+TEST(Webserving, PinnedResults) {
+  struct Pin {
+    exp::Mode mode;
+    std::uint64_t ops_per_sec, success_fraction, avg_response_us,
+        backend_goodput_gbps;
+  };
+  for (const Pin& pin :
+       {Pin{exp::Mode::kVanilla, 0x40f685a000000000, 0x3febb4cf2e1d7b33,
+            0x40895073430ad49f, 0x404068986fcdee35},
+        Pin{exp::Mode::kMflow, 0x40f834e000000000, 0x3feb7da2f44e9dbb,
+            0x40873f3f3b183514, 0x40422d8a7cc6243c}}) {
+    const auto res = quick_web(pin.mode);
+    EXPECT_EQ(bits(res.ops_per_sec), pin.ops_per_sec)
+        << res.mode << ": " << res.ops_per_sec;
+    EXPECT_EQ(bits(res.success_fraction), pin.success_fraction)
+        << res.mode << ": " << res.success_fraction;
+    EXPECT_EQ(bits(res.avg_response_us), pin.avg_response_us)
+        << res.mode << ": " << res.avg_response_us;
+    EXPECT_EQ(bits(res.backend_goodput_gbps), pin.backend_goodput_gbps)
+        << res.mode << ": " << res.backend_goodput_gbps;
+  }
+}
+
+TEST(DataCaching, PinnedResults) {
+  struct Pin {
+    exp::Mode mode;
+    std::uint64_t achieved_rps, p50_latency_us, p99_latency_us;
+  };
+  for (const Pin& pin :
+       {Pin{exp::Mode::kVanilla, 0x41324ad000000000, 0x4034000000000000,
+            0x405c5810624dd2f2},
+        Pin{exp::Mode::kMflow, 0x41324f8000000000, 0x403420c49ba5e354,
+            0x403ca3d70a3d70a4}}) {
+    const auto res = quick_cache(pin.mode, 10);
+    EXPECT_EQ(bits(res.achieved_rps), pin.achieved_rps)
+        << res.mode << ": " << res.achieved_rps;
+    EXPECT_EQ(bits(res.p50_latency_us), pin.p50_latency_us)
+        << res.mode << ": " << res.p50_latency_us;
+    EXPECT_EQ(bits(res.p99_latency_us), pin.p99_latency_us)
+        << res.mode << ": " << res.p99_latency_us;
+  }
 }

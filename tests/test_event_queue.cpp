@@ -11,10 +11,13 @@
 #include <new>
 #include <vector>
 
+#include "net/packet.hpp"
 #include "rt/pool.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+#include "stack/machine.hpp"
 #include "util/rng.hpp"
+#include "workload/sender.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_new_calls{0};
@@ -114,6 +117,140 @@ TEST(Simulator, EventsScheduledDuringRunExecute) {
   sim.at(0, recurse);
   sim.run();
   EXPECT_EQ(depth, 100);
+}
+
+// A reserved sequence number holds the event's place in the FIFO tie-break:
+// pushed late, it still pops before a same-time event pushed in between.
+TEST(EventQueue, ReservedSeqPopsBeforeLaterSameTimePush) {
+  EventQueue q;
+  std::vector<int> order;
+  const std::uint64_t seq = q.reserve_seq();
+  q.push(5, [&] { order.push_back(2); });
+  q.push(4, [&] { order.push_back(0); });
+  q.push_reserved(5, seq, [&] { order.push_back(1); });
+  q.push(5, [&] { order.push_back(3); });
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(Simulator, TicketKeepsItsPlaceAcrossTime) {
+  Simulator sim;
+  std::vector<int> order;
+  // Reserve at t=0 for t=100; an after() made at t=50 for the same instant
+  // must still run second, although the ticket is only scheduled at t=60.
+  const Ticket ticket = sim.reserve_after(100);
+  sim.at(50, [&] { sim.at(100, [&] { order.push_back(2); }); });
+  sim.at(60, [&] { sim.at(ticket, [&] { order.push_back(1); }); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+namespace {
+
+/// One step of a wire script: at `at`, put a packet on the wire, or push a
+/// foreign event for `foreign_when`.
+struct WireAction {
+  Time at;
+  bool transmit;
+  Time foreign_when;
+};
+
+/// The wire a WireLink replaces: one simulator event per packet.
+class PerPacketWire {
+ public:
+  PerPacketWire(Simulator& sim, mflow::stack::Machine& dst, Time latency)
+      : sim_(sim), dst_(dst), latency_(latency) {}
+  void transmit(PacketPtr pkt) {
+    sim_.after(latency_, [this, p = std::move(pkt)]() mutable {
+      dst_.nic().deliver(std::move(p), sim_.now());
+    });
+  }
+
+ private:
+  Simulator& sim_;
+  mflow::stack::Machine& dst_;
+  Time latency_;
+};
+
+/// What each foreign event saw: the instant it ran at and how many packets
+/// had reached the NIC by then.
+using WireLog = std::vector<std::pair<Time, std::uint64_t>>;
+
+/// Replay `script` over a `Wire` into an idle receiver (never started, so
+/// delivered packets just sit in its NIC ring).
+template <class Wire>
+WireLog replay_wire(const std::vector<WireAction>& script, Time latency) {
+  struct Rig {
+    explicit Rig(Time latency) : wire(sim, rx, latency) {}
+    Simulator sim;
+    mflow::stack::Machine rx{sim, mflow::stack::MachineParams{}};
+    Wire wire;
+    WireLog log;
+    std::uint64_t received() {
+      return rx.nic().total_delivered() + rx.nic().total_drops();
+    }
+  };
+  Rig rig(latency);
+  Rig* r = &rig;
+  for (const WireAction& a : script) {
+    rig.sim.at(a.at, [r, &a] {
+      if (a.transmit) {
+        r->wire.transmit(mflow::net::make_udp_datagram(
+            mflow::net::FlowKey{mflow::net::Ipv4Addr(10, 0, 1, 2),
+                                mflow::net::Ipv4Addr(10, 0, 1, 3), 40000,
+                                5000, mflow::net::Ipv4Header::kProtoUdp},
+            64));
+      } else {
+        r->sim.at(a.foreign_when, [r] {
+          r->log.emplace_back(r->sim.now(), r->received());
+        });
+      }
+    });
+  }
+  rig.sim.run();
+  return rig.log;
+}
+
+}  // namespace
+
+// The delay-line wire keeps one event pending, scheduled when the previous
+// head arrives, yet every delivery keeps the place in the event order that
+// a per-packet event pushed at transmit time would have had. A foreign
+// event pushed between a packet's transmit and its predecessor's arrival,
+// for the packet's own arrival instant, must still see the packet first.
+TEST(WireLink, InterleavesLikePerPacketEvents) {
+  using mflow::workload::WireLink;
+  // The minimal case: P2 is sent at t=10 (due 110), F is pushed at t=20 for
+  // t=110, and the line only schedules P2 when P1 arrives at t=100.
+  const std::vector<WireAction> minimal = {
+      {0, true, 0}, {10, true, 0}, {20, false, 110}};
+  EXPECT_EQ(replay_wire<PerPacketWire>(minimal, 100),
+            (WireLog{{110, 2}}));
+  EXPECT_EQ(replay_wire<WireLink>(minimal, 100), (WireLog{{110, 2}}));
+
+  // A random script: steps 100 ns apart, a latency of 10 steps, and foreign
+  // events aimed at the arrival instants of packets sent up to 10 steps
+  // earlier (or at none), interleaved with transmits at the same steps.
+  constexpr Time kStep = 100;
+  constexpr Time kLatency = 10 * kStep;
+  mflow::util::Rng rng(7);
+  std::vector<WireAction> script;
+  for (Time k = 0; k < 400; ++k) {
+    const std::uint64_t actions = rng.uniform(5);
+    for (std::uint64_t i = 0; i < actions; ++i) {
+      if (rng.uniform(2) == 0) {
+        script.push_back({k * kStep, true, 0});
+      } else {
+        const Time back = static_cast<Time>(rng.uniform(11));
+        const Time when = (k - std::min(k, back)) * kStep + kLatency +
+                          (rng.uniform(4) == 0 ? 1 : 0);
+        script.push_back({k * kStep, false, when});
+      }
+    }
+  }
+  const WireLog want = replay_wire<PerPacketWire>(script, kLatency);
+  ASSERT_GT(want.size(), 100u);
+  EXPECT_EQ(replay_wire<WireLink>(script, kLatency), want);
 }
 
 TEST(Simulator, SeededRngDeterministic) {

@@ -2,11 +2,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "rt/engine.hpp"
+#include "rt/pool.hpp"
+#include "stack/machine.hpp"
+#include "workload/injector.hpp"
+#include "workload/sender.hpp"
 
 using namespace mflow::net;
+using mflow::workload::HeaderImages;
+using mflow::workload::SenderParams;
 
 namespace {
 FlowKey tcp_flow() {
@@ -283,6 +292,207 @@ TEST(Packet, RtPlainChunkStampsMatchPerPacketStamp) {
         EXPECT_EQ(mismatched, 0u) << nf << churn << " batch " << batch;
       }
     }
+  }
+}
+
+// ---- sender header images ----------------------------------------------------
+
+namespace {
+
+SenderParams image_params(std::uint8_t proto, bool overlay) {
+  SenderParams sp;
+  sp.flow = proto == Ipv4Header::kProtoTcp ? tcp_flow() : udp_flow();
+  sp.flow_id = 3;
+  sp.overlay = overlay;
+  sp.outer_src = Ipv4Addr(192, 168, 1, 2);
+  sp.outer_dst = Ipv4Addr(192, 168, 1, 3);
+  sp.vni = 42;
+  return sp;
+}
+
+/// The per-packet build the header images replace.
+PacketPtr fresh_build(const SenderParams& sp, std::uint32_t len,
+                      std::uint64_t tcp_seq, std::uint64_t message_id,
+                      std::uint32_t message_bytes) {
+  PacketPtr pkt = sp.flow.protocol == Ipv4Header::kProtoTcp
+                      ? make_tcp_segment(sp.flow, tcp_seq, len)
+                      : make_udp_datagram(sp.flow, len);
+  pkt->flow_id = sp.flow_id;
+  pkt->message_id = message_id;
+  pkt->message_bytes = message_bytes;
+  if (sp.overlay) vxlan_encap(*pkt, sp.outer_src, sp.outer_dst, sp.vni);
+  return pkt;
+}
+
+}  // namespace
+
+// A stamped packet equals a fresh build in every byte and every field,
+// headroom included: TCP and UDP, overlay on and off, full-MSS, message-tail
+// and 1-byte lengths (in an order that rebuilds the non-MSS image), sequence
+// numbers across the 2^32 wrap, and whether it lands in a pool slab, on the
+// heap, or on the heap because the pool is exhausted.
+TEST(HeaderImages, StampMatchesFreshBuild) {
+  enum class Where { kHeap, kSlab, kExhaustedPool };
+  constexpr std::uint64_t kWrap = 1ull << 32;
+  const std::uint32_t lens[] = {kTcpMss, 65536 % kTcpMss, 1, kTcpMss, 1,
+                                65536 % kTcpMss};
+  const std::uint64_t seqs[] = {0,         kWrap - kTcpMss, kWrap - 1,
+                                kWrap,     kWrap + 7,       5 * kWrap - 100};
+  for (const std::uint8_t proto :
+       {Ipv4Header::kProtoTcp, Ipv4Header::kProtoUdp}) {
+    for (const bool overlay : {true, false}) {
+      for (const Where where :
+           {Where::kHeap, Where::kSlab, Where::kExhaustedPool}) {
+        mflow::rt::PacketPool pool(mflow::rt::PoolConfig{.slabs = 2});
+        std::vector<PacketPtr> hogs;
+        if (where == Where::kExhaustedPool) {
+          hogs.push_back(pool.acquire());
+          hogs.push_back(pool.acquire());
+        }
+        SenderParams sp = image_params(proto, overlay);
+        sp.pool = where == Where::kHeap ? nullptr : &pool;
+        HeaderImages images(sp);
+        std::uint64_t message_id = 0;
+        for (const std::uint32_t len : lens) {
+          for (const std::uint64_t seq : seqs) {
+            const std::uint32_t message_bytes = 60000 + len;
+            const PacketPtr got =
+                images.stamp(len, seq, message_id, message_bytes);
+            const PacketPtr want =
+                fresh_build(sp, len, proto == Ipv4Header::kProtoTcp ? seq : 0,
+                            message_id, message_bytes);
+            const std::string at = std::string(proto == Ipv4Header::kProtoTcp
+                                                   ? "tcp"
+                                                   : "udp") +
+                                   (overlay ? " overlay" : " native") +
+                                   " where " +
+                                   std::to_string(static_cast<int>(where)) +
+                                   " len " + std::to_string(len) + " seq " +
+                                   std::to_string(seq);
+            EXPECT_TRUE(same_packet(*got, *want)) << at;
+            EXPECT_EQ(got.get_deleter().recycler,
+                      where == Where::kSlab ? &pool : nullptr)
+                << at;
+            ++message_id;
+          }
+        }
+      }
+    }
+  }
+}
+
+namespace {
+
+/// A receiver that is never started: the wire's packets stay in its NIC
+/// rings, in arrival order, for the test to inspect.
+struct WireTap {
+  mflow::sim::Simulator sim{1};
+  mflow::stack::Machine rx{sim, mflow::stack::MachineParams{}};
+  mflow::workload::ClientHost clients{sim, 2, rx.costs()};
+  mflow::workload::WireLink wire{sim, rx, rx.costs().wire_latency};
+
+  std::vector<PacketPtr> drain() {
+    std::vector<PacketPtr> out;
+    for (int q = 0; q < rx.nic().num_queues(); ++q)
+      while (PacketPtr p = rx.nic().queue(q).pop()) out.push_back(std::move(p));
+    return out;
+  }
+};
+
+/// Compare what reached the NIC with fresh builds; `next` yields (len,
+/// tcp_seq, message_id, message_bytes) of each expected packet in order.
+template <class Next>
+void expect_fresh_builds(const std::vector<PacketPtr>& got,
+                         const SenderParams& sp, Next next) {
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const auto [len, seq, id, bytes] = next();
+    const PacketPtr want = fresh_build(sp, len, seq, id, bytes);
+    want->wire_seq = i;  // the NIC stamps these two on arrival
+    want->t_wire = got[i]->t_wire;
+    EXPECT_TRUE(same_packet(*got[i], *want)) << "packet " << i;
+  }
+}
+
+}  // namespace
+
+// End to end: what the TCP sender (into pool slabs), the UDP sender and the
+// stream injector put on the wire is exactly the per-packet build.
+TEST(HeaderImages, SendersPutFreshBuildsOnTheWire) {
+  mflow::rt::PacketPool pool(mflow::rt::PoolConfig{.slabs = 4096});
+  {
+    WireTap tap;
+    SenderParams sp = image_params(Ipv4Header::kProtoTcp, true);
+    sp.window_bytes = 200 * kTcpMss;
+    sp.pool = &pool;
+    mflow::workload::TcpSender tcp(tap.clients, 0, sp, tap.wire);
+    tcp.start();
+    tap.sim.run_until(mflow::sim::ms(1));
+    const auto got = tap.drain();
+    ASSERT_GT(got.size(), 100u);
+    EXPECT_EQ(got.front().get_deleter().recycler, &pool);
+    std::uint64_t off = 0;
+    expect_fresh_builds(got, sp, [&] {
+      const std::uint64_t msg_off = off % sp.message_size;
+      const auto len = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(sp.mss, sp.message_size - msg_off));
+      const std::tuple next{len, off, off / sp.message_size,
+                            sp.message_size};
+      off += len;
+      return next;
+    });
+  }
+  {
+    WireTap tap;
+    SenderParams sp = image_params(Ipv4Header::kProtoUdp, true);
+    sp.message_size = 4000;
+    sp.message_id_start = 5;
+    sp.message_id_stride = 3;
+    mflow::workload::UdpSender udp(tap.clients, 0, sp, tap.wire);
+    udp.start();
+    tap.sim.run_until(mflow::sim::us(100));
+    const auto got = tap.drain();
+    ASSERT_GT(got.size(), 10u);
+    std::uint32_t frag = 0;
+    std::uint64_t id = sp.message_id_start;
+    expect_fresh_builds(got, sp, [&] {
+      const std::uint32_t len =
+          std::min<std::uint32_t>(sp.mss, sp.message_size - frag);
+      const std::tuple next{len, std::uint64_t{0}, id, sp.message_size};
+      frag += len;
+      if (frag == sp.message_size) {
+        frag = 0;
+        id += sp.message_id_stride;
+      }
+      return next;
+    });
+  }
+  {
+    WireTap tap;
+    const SenderParams sp = image_params(Ipv4Header::kProtoTcp, true);
+    mflow::workload::StreamInjector inj(tap.clients, 1, sp, tap.wire);
+    const std::vector<std::uint32_t> messages = {3000, 100, 1,   1448,
+                                                 40000, 2897, 100};
+    for (std::size_t m = 0; m < messages.size(); ++m)
+      inj.send_message(m + 10, messages[m]);
+    tap.sim.run();
+    const auto got = tap.drain();
+    std::size_t m = 0;
+    std::uint32_t sent = 0;
+    std::uint64_t off = 0;
+    expect_fresh_builds(got, sp, [&] {
+      const std::uint32_t len =
+          std::min<std::uint32_t>(sp.mss, messages[m] - sent);
+      const std::tuple next{len, off, std::uint64_t{m + 10}, messages[m]};
+      off += len;
+      sent += len;
+      if (sent == messages[m]) {
+        sent = 0;
+        ++m;
+      }
+      return next;
+    });
+    EXPECT_EQ(m, messages.size());
+    EXPECT_EQ(off, inj.bytes_sent());
   }
 }
 

@@ -126,6 +126,21 @@ TEST(PacketPool, SlabReuseDoesNotAllocate) {
   EXPECT_EQ(g_new_calls.load(), before);
 }
 
+// Construction builds each slab's buffer directly at its reserved capacity:
+// one allocation per slab, plus one for the slot array. Nothing is reserved
+// twice and nothing is built only to be thrown away.
+TEST(PacketPool, ConstructionAllocatesOncePerSlab) {
+  for (const std::size_t slabs : {1u, 64u, 16384u}) {
+    const std::uint64_t before = g_new_calls.load();
+    PacketPool pool(PoolConfig{.slabs = slabs});
+    EXPECT_EQ(g_new_calls.load() - before, slabs + 1) << slabs << " slabs";
+    auto p = pool.acquire();
+    ASSERT_NE(p, nullptr);
+    EXPECT_GE(p->buf.capacity(), pool.config().buffer_bytes);
+    EXPECT_EQ(p->buf.headroom(), pool.config().headroom);
+  }
+}
+
 using PacketPoolDeathTest = ::testing::Test;
 
 TEST(PacketPoolDeathTest, DoubleReleaseAborts) {

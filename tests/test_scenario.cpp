@@ -1,11 +1,31 @@
 // End-to-end scenario tests: every mode runs, produces traffic, and the
-// orderings the paper reports hold in the simulation.
+// orderings the paper reports hold in the simulation. The binary runs with a
+// counting global operator new, so the steady-state allocation bound at the
+// end can diff the counter across two runs.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "experiment/scenario.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_new_calls{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 using namespace mflow;
 using exp::Mode;
@@ -212,4 +232,30 @@ TEST(Scenario, PinnedFingerprints) {
   expect_pinned(delayed_config(net::Ipv4Header::kProtoUdp),
                 {17169, 8064, 0, 4616944723994200654ull, 405504, 532480},
                 "delay-faults-udp");
+}
+
+// Steady-state heap allocations per event on the des-mflow-tcp workload,
+// measured as (allocations of a 100 ms run - allocations of a 10 ms run) /
+// (events of the same difference), which cancels set-up and tear-down. The
+// sender stamps packets from header images into pooled slabs, the wire is a
+// delay line and every packet FIFO is a grow-only ring, so what remains is
+// the reassembler's per-batch ledgers.
+TEST(Scenario, SteadyStateAllocationsPerEventBounded) {
+  auto measure = [](sim::Time window) {
+    exp::ScenarioConfig cfg = mflow_tcp_config();
+    cfg.measure = window;
+    const std::uint64_t before = g_new_calls.load();
+    const exp::ScenarioResult r = exp::run_scenario(cfg);
+    return std::pair{g_new_calls.load() - before, r.events};
+  };
+  const auto [short_allocs, short_events] = measure(sim::ms(10));
+  const auto [long_allocs, long_events] = measure(sim::ms(100));
+  ASSERT_GT(long_events, short_events);
+  const double per_event =
+      static_cast<double>(static_cast<std::int64_t>(long_allocs) -
+                          static_cast<std::int64_t>(short_allocs)) /
+      static_cast<double>(long_events - short_events);
+  EXPECT_LE(per_event, 0.02) << (long_allocs - short_allocs)
+                             << " allocations over "
+                             << (long_events - short_events) << " events";
 }
