@@ -10,8 +10,6 @@
 //
 //   engine.cost{0,200}.w<N>      sweep throughput at N workers
 //   engine.cost{0,200}.eff.w<N>  scaling efficiency vs linear from w1
-//   faults.recycle_ring_share    drop-return fan-in: slabs returned via
-//                                per-worker rings / all drop returns
 //   prof.w<N>.pps                throughput with the profiler enabled
 //   prof.attr_gap.w<N>           |1 - attribution coverage| — how much of
 //                                the lost throughput the profiler's named
@@ -60,8 +58,7 @@ EngineConfig base_cfg(std::size_t workers, std::uint32_t cost_ns, bool pin) {
 EngineResult run_checked(const EngineConfig& cfg, std::uint64_t total) {
   Engine engine(cfg);
   EngineResult res = engine.run(total);
-  if (!res.in_order ||
-      (cfg.fault_drop_rate <= 0.0 && res.packets_dropped != 0)) {
+  if (!res.in_order || res.packets_dropped != 0) {
     std::cerr << "ablate_scaling: engine run violated order/conservation\n";
     std::exit(1);
   }
@@ -113,20 +110,6 @@ int main(int argc, char** argv) {
   const std::vector<double> c200 = h.run_sweep(
       "engine.cost200", "pkts/s", true, counts,
       [&](std::size_t n) { return engine_pps(n, 200, pkts_c200, pin); });
-
-  // Drop-return fan-in health: under injected faults, what fraction of
-  // dropped slabs went back through the per-worker SPSC rings instead of
-  // CAS-contending on the pool free list.
-  h.run_case("faults.recycle_ring_share", "ratio", true, [&] {
-    EngineConfig cfg = base_cfg(2, 0, pin);
-    cfg.fault_drop_rate = 0.05;
-    const EngineResult res = run_checked(cfg, pkts_c0 / 2);
-    const double total_returns = static_cast<double>(
-        res.recycle_ring_returns + res.recycle_cas_fallbacks);
-    return total_returns > 0
-               ? static_cast<double>(res.recycle_ring_returns) / total_returns
-               : 1.0;
-  });
 
   // Profiled runs: anchor at 1 worker, then attribute each multi-worker
   // run's lost throughput to the profiler's named contention points. The

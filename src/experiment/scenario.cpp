@@ -133,10 +133,6 @@ void ScenarioConfig::validate() const {
     if (has_lb && nf.chain.lb_backends == 0)
       fail("nf chain includes lb but nf.chain.lb_backends=0 — no backends "
            "to pick");
-    for (int c : nf.affinity_cores)
-      if (c < 0 || c >= server_cores)
-        fail("nf.affinity_cores entry " + str(c) +
-             " outside [0, server_cores=" + str(server_cores) + ")");
   }
 
   if (control.enabled) {
@@ -228,6 +224,10 @@ namespace {
 
 constexpr std::uint16_t kBasePort = 5000;
 constexpr std::uint32_t kVni = 42;
+// Sender-side slab pool size (rt::PacketPool). Recycling is deterministic
+// (LIFO, single-threaded in the DES), and an exhausted pool falls back to
+// the heap, so the size never changes a metric.
+constexpr std::size_t kSenderPoolSlabs = 16384;
 
 const net::Ipv4Addr kHostA{192, 168, 1, 2};   // client (sender) host
 const net::Ipv4Addr kHostB{192, 168, 1, 3};   // server (receiver) host
@@ -263,10 +263,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   // Sender-side slab pool. Declared BEFORE the simulator on purpose: queued
   // events (e.g. delayed-fault redeliveries) can hold PacketPtrs into this
   // pool, so the pool must outlive the simulator's event queue.
-  std::unique_ptr<rt::PacketPool> pool;
-  if (cfg.packet_pool_slabs > 0)
-    pool = std::make_unique<rt::PacketPool>(
-        rt::PoolConfig{.slabs = cfg.packet_pool_slabs});
+  rt::PacketPool pool{{.slabs = kSenderPoolSlabs}};
 
   sim::Simulator sim(cfg.seed);
 
@@ -315,11 +312,9 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
       np.state_capacity = cfg.nf.state_capacity;
       np.state_ttl = cfg.nf.state_ttl;
       np.num_cores = cfg.server_cores;
-      np.affinity_cores = cfg.nf.affinity_cores;
-      if (np.affinity_cores.empty() &&
-          np.strategy == nf::Strategy::kFlowAffinity) {
-        // Default pin: the first kernel core after the IRQ cores, falling
-        // back to the first kernel core when every kernel core owns a queue.
+      if (np.strategy == nf::Strategy::kFlowAffinity) {
+        // Pin: the first kernel core after the IRQ cores, falling back to
+        // the first kernel core when every kernel core owns a queue.
         int pin = cfg.first_kernel_core + cfg.nic_queues;
         if (pin >= cfg.first_kernel_core + cfg.kernel_cores ||
             pin >= cfg.server_cores)
@@ -532,7 +527,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
                                     static_cast<std::uint64_t>(cfg.num_flows))
                           : cfg.window_bytes;
     sp.pace_per_message = cfg.pace_per_message;
-    sp.pool = pool.get();
+    sp.pool = &pool;
     if (is_tcp) {
       tcp_senders.push_back(std::make_unique<workload::TcpSender>(
           clients, p.client_core, sp, wire));
@@ -802,11 +797,9 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     reg.set_counter("reasm.late_deliveries", res.late_deliveries);
     reg.set_gauge("fault.recovery_latency_mean_ns",
                   res.recovery_latency_ns.mean());
-    if (pool) {
-      reg.set_counter("pool.acquired", pool->acquired());
-      reg.set_counter("pool.recycled", pool->recycled());
-      reg.set_counter("pool.exhausted", pool->exhausted());
-    }
+    reg.set_counter("pool.acquired", pool.acquired());
+    reg.set_counter("pool.recycled", pool.recycled());
+    reg.set_counter("pool.exhausted", pool.exhausted());
     res.phases = trace::attribute(*tracer);
     res.stats = reg.snapshot();
     res.tracer = std::move(tracer);

@@ -101,12 +101,6 @@ struct ScenarioConfig {
   };
   FastPath fastpath;
 
-  /// Slab-pool size for sender-side packet construction (rt::PacketPool;
-  /// 0 disables pooling and every packet heap-allocates as before).
-  /// Recycling is deterministic (LIFO, single-threaded in the DES), so
-  /// pooled and unpooled runs produce bit-identical metrics.
-  std::size_t packet_pool_slabs = 16384;
-
   /// Dynamic flow control plane (src/control): monitor -> classifier ->
   /// scaler driving each flow's split degree at runtime. Requires
   /// Mode::kMflow; when enabled, the static elephant threshold is disabled
@@ -151,6 +145,8 @@ struct ScenarioConfig {
   /// byte-identical to pre-NF builds.
   struct Nf {
     bool enabled = false;
+    /// kFlowAffinity pins every flow to the first kernel core after the
+    /// IRQ cores.
     nf::Strategy strategy = nf::Strategy::kScr;
     /// Chain order + NAT/LB knobs (nf::ChainConfig); chain.chain must be
     /// non-empty when enabled.
@@ -161,9 +157,6 @@ struct ScenarioConfig {
     sim::Time state_ttl = 0;
     /// Expiry-sweep cadence; must be > 0 when state_ttl > 0.
     sim::Time sweep_interval = sim::ms(1);
-    /// Pinned-core pool for kFlowAffinity (each flow hashes to one). Empty
-    /// = auto: the first kernel core after the IRQ cores.
-    std::vector<int> affinity_cores;
   };
   Nf nf;
 

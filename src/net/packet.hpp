@@ -14,7 +14,8 @@
 // deleted; pooled packets (rt::PacketPool, docs/PERFORMANCE.md) are handed
 // back to their pool's free list when the pointer dies — drop, GRO merge,
 // and copy-to-user all recycle through the exact same destructor path, so
-// no call site needs to know which kind it holds.
+// no call site needs to know which kind it holds. A pooled packet must die
+// on its pool's owning thread; other threads send it home first.
 #pragma once
 
 #include <cstdint>
@@ -86,8 +87,9 @@ struct Packet;
 /// The indirection keeps src/net free of any dependency on the pool.
 class PacketRecycler {
  public:
-  /// Return `pkt` to the recycler's free list. Must be callable from any
-  /// thread and must not throw — it runs inside unique_ptr destruction.
+  /// Return `pkt` to the recycler's free list. Called on the pool's owning
+  /// thread only (a pooled PacketPtr must die there), and must not throw —
+  /// it runs inside unique_ptr destruction.
   virtual void recycle(Packet* pkt) noexcept = 0;
 
  protected:

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -189,13 +191,22 @@ bool nf_runs(const EngineConfig& cfg, nf::Kind kind) {
          std::find(chain.begin(), chain.end(), kind) != chain.end();
 }
 
+/// Send `n` spent slabs home to the generator, the pool's owner. A return
+/// ring is sized past the pool, so a short push is a broken invariant.
+void send_home(SpscRing<net::PacketPtr>& ring, net::PacketPtr* slabs,
+               std::size_t n) {
+  if (ring.try_push_batch(slabs, n) != n) {
+    std::fprintf(stderr, "rt::Engine: slab return ring full\n");
+    std::abort();
+  }
+}
+
 /// One worker's counters: on its own stack while it runs, stored once at
 /// exit, so no per-packet increment writes a line another worker writes.
 struct WorkerCounts {
   std::uint64_t hits = 0, misses = 0, invals = 0, fails = 0;  // overlay
   std::uint64_t nf_pkts = 0, rewrites = 0, rewrite_fails = 0, locks = 0;
-  // Dropped slabs returned through the drop ring vs. the pool's CAS list.
-  std::uint64_t ring_returns = 0, cas_fallbacks = 0;
+  std::uint64_t ring_returns = 0;  // dropped slabs sent home
 };
 
 /// A worker thread's private state, on that thread's stack.
@@ -243,17 +254,12 @@ struct Pipeline {
   // boundary.
   RtReassembler merger{W, cfg.ring_capacity,
                        std::bit_ceil(pool_cap / cfg.batch_size + 2)};
-  // Consumer -> generator slab return path. Ring-based recycling keeps the
-  // steady state free of pool CAS traffic (the Treiber free list is only
-  // the fallback when this ring is full/empty — e.g. around drops).
-  SpscRing<net::PacketPtr> recycle_ring{std::bit_ceil(pool_cap + 1)};
-  // Worker -> generator drop-return fan-in: one small SPSC ring per worker
-  // so slabs dropped mid-pipeline (injected faults, deposit backpressure)
-  // return without CAS-contending on the pool free list — under fan-in, N
-  // droppers hammering one Treiber head is a real contention point. The
-  // generator drains these on every stash refill; overflow falls back to
-  // the CAS list (the PacketPtr destructor).
-  std::vector<std::unique_ptr<SpscRing<net::PacketPtr>>> drop_rings;
+  // Slab return fan-in: the pool belongs to the generator, so every slab
+  // another thread retires goes home over an SPSC ring — ring 0 from the
+  // consumer (delivered slabs), ring 1 + w from worker w (dropped ones).
+  // Each ring has more slots than the pool has slabs and a ring only ever
+  // holds distinct slabs of this pool, so a return push cannot fail.
+  std::vector<std::unique_ptr<SpscRing<net::PacketPtr>>> return_rings;
 
   // Scalability profiler: one cache-line-aligned counter block per
   // pipeline thread, written only by its owner while running and folded
@@ -309,7 +315,7 @@ struct Pipeline {
   // the consumer's on a cache line of their own, the workers' once, at exit.
   alignas(64) std::uint64_t consumed = 0;
   bool in_order = true;
-  std::uint64_t consumer_ring_returns = 0, consumer_cas_fallbacks = 0;
+  std::uint64_t consumer_ring_returns = 0;
   std::vector<WorkerCounts> worker_counts = std::vector<WorkerCounts>(W);
 
   // The generator's state (the caller thread only), on cache lines of its
@@ -327,10 +333,10 @@ struct Pipeline {
   // Split ring w carried a batch since its last epoch-flush marker.
   std::vector<char> unmarked = std::vector<char>(W, 0);
   std::vector<RtPacket> stage = std::vector<RtPacket>(kChunk);
-  // Slabs popped off the recycle and drop rings, not yet staged.
+  // Slabs popped off the return rings, not yet staged.
   std::vector<net::PacketPtr> stash = std::vector<net::PacketPtr>(kChunk);
   std::size_t stash_n = 0, stash_i = 0;
-  std::uint64_t gen_cas_acquires = 0;  // slabs drawn off the pool CAS list
+  std::uint64_t gen_free_list_draws = 0;  // slabs drawn off the pool itself
   StageCounters* const gen_prof = cfg.profile ? &profile.generator : nullptr;
   StallClock pool_dry, out_full;
   std::uint64_t gen_chunks = 0;
@@ -342,12 +348,12 @@ struct Pipeline {
         capacity(capacity_control),
         total(total_packets),
         on_output(output) {
-    for (std::size_t w = 0; w < W; ++w) {
+    for (std::size_t w = 0; w < W; ++w)
       split_rings.push_back(
           std::make_unique<SpscRing<RtPacket>>(cfg.ring_capacity));
-      drop_rings.push_back(std::make_unique<SpscRing<net::PacketPtr>>(
-          std::bit_ceil(2 * kChunk)));
-    }
+    for (std::size_t r = 0; r <= W; ++r)
+      return_rings.push_back(std::make_unique<SpscRing<net::PacketPtr>>(
+          std::bit_ceil(pool_cap + 1)));
 
     // Topology-aware core assignment: auto-plan from the discovered
     // topology, then apply any explicit per-thread overrides. Every
@@ -427,12 +433,8 @@ struct Pipeline {
     }
     produce_done.store(true, std::memory_order_release);
     gt.flush();
-    if (gen_prof != nullptr) {
-      gen_prof->recycle_cas_fallbacks = gen_cas_acquires;
-      gen_prof->active_ns = ns_since(t0);
-    }
-    // Slabs parked in the stash go back to the pool before the consumer's
-    // recycle pushes are cut off.
+    if (gen_prof != nullptr) gen_prof->active_ns = ns_since(t0);
+    // Slabs left in the stash go back to the pool's free list.
     for (std::size_t k = stash_i; k < stash_n; ++k) stash[k].reset();
     if (pinned) unpin_current_thread();
   }
@@ -545,27 +547,25 @@ struct Pipeline {
     return staged;
   }
 
-  /// One slab: recycle ring first (batched pop into the stash), pool free
-  /// list second, bounded yield-retry third. Null when the pool stays dry.
+  /// One slab: the return rings first (batched pops into the stash), the
+  /// pool's free list second, bounded yield-retry third. Null when the
+  /// pool stays dry.
   net::PacketPtr acquire_slab() {
     YieldRetry retry(cfg.max_push_spins);
     for (;;) {
       if (stash_i == stash_n) {
-        stash_n = recycle_ring.try_pop_batch(stash.data(), kChunk);
+        // Sweep the consumer's ring, then the workers'. One consumer (this
+        // thread) over W + 1 SPSC rings — the merge side's fan-in shape; an
+        // empty ring costs one cached-index check.
+        stash_n = 0;
         stash_i = 0;
-        // Top up from the per-worker drop-return rings on EVERY refill (not
-        // just when the main ring is dry): the drop rings are small, so
-        // sweeping them each refill keeps them from overflowing to the
-        // pool's CAS list. One consumer (this thread) over N SPSC rings —
-        // same fan-in shape as the merge side; an empty ring costs one
-        // cached-index check.
-        for (std::size_t w = 0; stash_n < kChunk && w < W; ++w)
-          stash_n += drop_rings[w]->try_pop_batch(stash.data() + stash_n,
-                                                  kChunk - stash_n);
+        for (std::size_t r = 0; stash_n < kChunk && r <= W; ++r)
+          stash_n += return_rings[r]->try_pop_batch(stash.data() + stash_n,
+                                                    kChunk - stash_n);
       }
       if (stash_i < stash_n) return std::move(stash[stash_i++]);
       if (net::PacketPtr skb = pool.acquire()) {
-        ++gen_cas_acquires;
+        ++gen_free_list_draws;
         return skb;
       }
       if (gen_prof != nullptr) pool_dry.stall();
@@ -656,7 +656,6 @@ struct Pipeline {
     worker_counts[w] = lane.counts;
     if (pc != nullptr) {
       input_dry.resolve(pc->input_dry_episodes, pc->input_dry_ns);
-      pc->recycle_cas_fallbacks = lane.counts.cas_fallbacks;
       pc->active_ns = ns_since(start);
     }
     worker_exited[w].store(true, std::memory_order_release);
@@ -782,19 +781,14 @@ struct Pipeline {
   /// unaccepted tail. A shed marker loses no packet (a lost batch_end was
   /// counted when its marker replaced it). Anything else is counted, so
   /// the consumer's conservation check still terminates, and its slab goes
-  /// back through the worker's drop ring — the CAS list only on overflow
-  /// (try_push moves only on success, so reset() still owns the slab).
+  /// home through the worker's return ring.
   void drop(Lane& lane, RtPacket& pkt) {
     if (pkt.marker) return;
     dropped.fetch_add(1, std::memory_order_release);
     lane.trace.event(trace::EventKind::kDrop, pkt.seq, pkt.batch);
     if (!pkt.skb) return;
-    if (drop_rings[lane.w]->try_push(std::move(pkt.skb))) {
-      ++lane.counts.ring_returns;
-    } else {
-      pkt.skb.reset();
-      ++lane.counts.cas_fallbacks;
-    }
+    send_home(*return_rings[lane.w + 1], &pkt.skb, 1);
+    ++lane.counts.ring_returns;
   }
 
   /// Consumer: batched in-order merge plus order verification. Gap-tolerant:
@@ -849,19 +843,12 @@ struct Pipeline {
         if (on_output) on_output(pkt);
         if (pkt.skb) spent[s++] = std::move(pkt.skb);
       }
-      // Copy-to-user done: hand the slabs back to the generator through the
-      // recycle ring in one batched push. Overflow is fine — the handle's
-      // destructor recycles through the pool free list instead.
-      const std::size_t pushed = recycle_ring.try_push_batch(spent.data(), s);
-      consumer_ring_returns += pushed;
-      for (std::size_t k = pushed; k < s; ++k) {
-        spent[k].reset();
-        ++consumer_cas_fallbacks;
-      }
+      // Copy-to-user done: send the slabs home in one batched push.
+      send_home(*return_rings[0], spent.data(), s);
+      consumer_ring_returns += s;
     }
     if (cc != nullptr) {
       merge_dry.resolve(cc->input_dry_episodes, cc->input_dry_ns);
-      cc->recycle_cas_fallbacks = consumer_cas_fallbacks;
       cc->active_ns = ns_since(start);
     }
   }
@@ -878,10 +865,8 @@ struct Pipeline {
     res.pool_exhausted = pool.exhausted();
     res.rescales_applied = rescales_applied;
     res.active_workers_final = static_cast<std::uint32_t>(w_active);
-    // Recycle-fabric split: ring-path returns vs CAS-list fallbacks, summed
-    // over every thread that touched a slab return path.
     res.recycle_ring_returns = consumer_ring_returns;
-    res.recycle_cas_fallbacks = consumer_cas_fallbacks + gen_cas_acquires;
+    res.recycle_cas_fallbacks = gen_free_list_draws;
     for (const WorkerCounts& c : worker_counts) {
       res.cache_hits += c.hits;
       res.cache_misses += c.misses;
@@ -892,7 +877,6 @@ struct Pipeline {
       res.nf_nat_rewrite_failures += c.rewrite_fails;
       res.nf_lock_acquires += c.locks;
       res.recycle_ring_returns += c.ring_returns;
-      res.recycle_cas_fallbacks += c.cas_fallbacks;
     }
     if (ftable != nullptr) {
       res.flow_table.peak = ftable->peak_size();

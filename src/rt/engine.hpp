@@ -28,12 +28,13 @@
 // the config: flow-table touch, overlay decap, cost spin, injected fault,
 // NF chain, each step a no-op when its feature is off.
 //
-// Slab return is itself a fan-in fabric: delivered slabs go back to the
-// generator through a consumer→generator SPSC recycle ring, and slabs
-// dropped mid-pipeline (injected faults, shed on backpressure) through one
-// drop-return SPSC ring per worker — the pool's CAS free list is only the
-// overflow fallback on every path (EngineResult::recycle_* count the
-// split).
+// Slab return is itself a fan-in fabric. The pool belongs to the generator
+// thread alone, so every slab another thread retires goes home over an
+// SPSC return ring: delivered slabs over the consumer's, slabs dropped
+// mid-pipeline (injected faults, shed on backpressure) over their worker's.
+// Each ring is sized past the pool, so a return never fails
+// (EngineResult::recycle_* count the two ways a slab reaches the
+// generator).
 //
 // Steady-state processing performs ZERO heap allocations: every packet
 // lives in a pre-sized rt::PacketPool slab, ring handoffs move the RAII
@@ -176,12 +177,11 @@ struct EngineConfig {
   };
   NfConfig nf;
   /// Scalability profiler (rt/profiler.hpp): every pipeline thread records
-  /// per-stage stall episodes (ring empty/full, pool dry), recycle-path
-  /// pressure, and sampled ring occupancy into its own cache-line-aligned
-  /// counter block, folded into EngineResult::profile after join. Timing
-  /// is episode-based (clock reads only when a stage is already blocked),
-  /// so the happy path is untouched; off (the default) the counters are
-  /// never written at all.
+  /// per-stage stall episodes (ring empty/full, pool dry) and sampled ring
+  /// occupancy into its own cache-line-aligned counter block, folded into
+  /// EngineResult::profile after join. Timing is episode-based (clock
+  /// reads only when a stage is already blocked), so the happy path is
+  /// untouched; off (the default) the counters are never written at all.
   bool profile = false;
   /// Cache/NUMA-topology-aware core assignment (rt/topology.hpp). With
   /// `pin_threads`, the engine discovers the host topology and pins
@@ -247,11 +247,12 @@ struct EngineResult {
   std::uint64_t nf_flows = 0;
   std::uint64_t nf_state_digest = 0;
   std::vector<std::pair<net::FlowId, nf::FlowState>> nf_state;
-  /// Recycle-fabric accounting (always on — plain per-thread counters):
-  /// slabs a worker returned to the generator through its per-worker
-  /// drop-return SPSC ring vs. slabs that fell back to the pool's CAS
-  /// free list (worker drop-ring overflow + consumer recycle-ring
-  /// overflow + generator draws from the pool itself).
+  /// Recycle-fabric accounting (always on — plain per-thread counters).
+  /// `recycle_ring_returns`: slabs the consumer (delivered) and the
+  /// workers (dropped) sent home to the generator over the return rings.
+  /// `recycle_cas_fallbacks`: the generator's free-list draws, slabs it
+  /// took from the pool itself instead — the cold start, plus re-draws of
+  /// slabs the generator shed itself.
   std::uint64_t recycle_ring_returns = 0;
   std::uint64_t recycle_cas_fallbacks = 0;
   /// Threads actually pinned under EngineConfig::topology (0 when pinning

@@ -11,11 +11,10 @@ PacketPool::PacketPool(PoolConfig cfg) : cfg_(cfg), slots_(cfg.slabs) {
   // touch the allocator.
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     slots_[i].pkt.buf = net::PacketBuffer(cfg_.headroom, cfg_.buffer_bytes);
-    slots_[i].next.store(
-        i + 1 < slots_.size() ? static_cast<std::uint32_t>(i + 1) : kNil,
-        std::memory_order_relaxed);
+    slots_[i].next =
+        i + 1 < slots_.size() ? static_cast<std::uint32_t>(i + 1) : kNil;
   }
-  head_.store(pack(slots_.empty() ? kNil : 0, 0), std::memory_order_relaxed);
+  if (!slots_.empty()) head_ = 0;
 }
 
 PacketPool::~PacketPool() {
@@ -29,28 +28,31 @@ PacketPool::~PacketPool() {
   }
 }
 
-net::PacketPtr PacketPool::acquire() {
-  std::uint64_t head = head_.load(std::memory_order_acquire);
-  for (;;) {
-    const std::uint32_t idx = index_of(head);
-    if (idx == kNil) {
-      exhausted_.fetch_add(1, std::memory_order_relaxed);
-      return nullptr;
-    }
-    Slot& slot = slots_[idx];
-    const std::uint32_t next = slot.next.load(std::memory_order_relaxed);
-    if (head_.compare_exchange_weak(head, pack(next, tag_of(head) + 1),
-                                    std::memory_order_acq_rel,
-                                    std::memory_order_acquire)) {
-      slot.live.store(true, std::memory_order_relaxed);
-      acquired_.fetch_add(1, std::memory_order_relaxed);
-      slot.pkt.reset();
-      return net::PacketPtr(&slot.pkt, net::PacketDeleter{this});
-    }
+void PacketPool::check_owner(const char* op) const noexcept {
+  if (std::this_thread::get_id() != owner_) {
+    std::fprintf(stderr,
+                 "PacketPool: %s from a thread that does not own the pool\n",
+                 op);
+    std::abort();
   }
 }
 
+net::PacketPtr PacketPool::acquire() {
+  check_owner("acquire");
+  if (head_ == kNil) {
+    ++exhausted_;
+    return nullptr;
+  }
+  Slot& slot = slots_[head_];
+  head_ = slot.next;
+  slot.live = true;
+  ++acquired_;
+  slot.pkt.reset();
+  return net::PacketPtr(&slot.pkt, net::PacketDeleter{this});
+}
+
 void PacketPool::recycle(net::Packet* pkt) noexcept {
+  check_owner("recycle");
   // Recover the slot index from the packet's address; the slots live in one
   // contiguous vector, so anything that doesn't land exactly on a slot's
   // pkt member is foreign.
@@ -64,25 +66,14 @@ void PacketPool::recycle(net::Packet* pkt) noexcept {
     std::abort();
   }
   Slot& slot = slots_[idx];
-  if (!slot.live.exchange(false, std::memory_order_relaxed)) {
+  if (!slot.live) {
     std::fprintf(stderr, "PacketPool: double release of slab %zu\n", idx);
     std::abort();
   }
-
-  std::uint64_t head = head_.load(std::memory_order_relaxed);
-  for (;;) {
-    slot.next.store(index_of(head), std::memory_order_relaxed);
-    if (head_.compare_exchange_weak(
-            head, pack(static_cast<std::uint32_t>(idx), tag_of(head) + 1),
-            std::memory_order_release, std::memory_order_relaxed)) {
-      break;
-    }
-  }
-  recycled_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::size_t PacketPool::in_use() const {
-  return static_cast<std::size_t>(acquired() - recycled());
+  slot.live = false;
+  slot.next = head_;
+  head_ = static_cast<std::uint32_t>(idx);
+  ++recycled_;
 }
 
 }  // namespace mflow::rt

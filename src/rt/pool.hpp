@@ -7,27 +7,29 @@
 // pool does the same for both engines in this repo:
 //
 //  - the rt engine (rt/engine.hpp) acquires a slab per generated packet and
-//    recycles it at copy-to-user (the consumer) or at any drop point, so
-//    steady-state processing performs ZERO heap allocations — enforced by
-//    the allocation-counting guard in tests/test_pool.cpp;
+//    sends it home to the generator over an SPSC return ring at
+//    copy-to-user (the consumer) or at any drop point, so steady-state
+//    processing performs ZERO heap allocations — enforced by the
+//    allocation-counting guard in tests/test_pool.cpp;
 //  - the DES workload senders (workload/sender.hpp) rebuild TCP segments /
 //    UDP datagrams into recycled slabs, closing the sender → stack →
 //    copy-to-user → sender loop without touching the allocator.
 //
 // Ownership is RAII: acquire() returns an ordinary net::PacketPtr whose
 // deleter points back at this pool, so a pooled packet recycles itself no
-// matter where it dies. Misuse fails loudly: releasing a slab twice aborts
-// (in every build type), and a leaked slab is a visible leak under ASan at
-// pool destruction via in_use().
+// matter where it dies. Misuse fails loudly in every build type: releasing
+// a slab twice, releasing a packet the pool does not own, destroying the
+// pool with slabs still out, and calling acquire() or recycle() from any
+// thread but the owner each abort.
 //
-// Thread safety: acquire() and recycle() are lock-free (a tagged Treiber
-// stack over pre-allocated nodes — no ABA, nothing is ever freed) and may
-// be called from any thread concurrently; the rt engine releases from its
-// consumer and worker threads while the generator acquires.
+// Thread model: single owner. The pool belongs to the thread that
+// constructed it (the generator in the rt engine, the run_scenario caller
+// in the DES); its free list is a plain LIFO stack of slot indices with no
+// atomics. Other threads hand slabs back to the owner, never to the pool.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -66,51 +68,38 @@ class PacketPool final : public net::PacketRecycler {
 
   const PoolConfig& config() const { return cfg_; }
   std::size_t capacity() const { return slots_.size(); }
-  /// Slabs currently handed out (acquired - recycled). Exact only when no
-  /// other thread is mid-acquire/recycle.
-  std::size_t in_use() const;
+  /// Slabs currently handed out (acquired - recycled).
+  std::size_t in_use() const {
+    return static_cast<std::size_t>(acquired_ - recycled_);
+  }
 
-  // Monotonic counters (relaxed; for stats surfaces and benches).
-  std::uint64_t acquired() const {
-    return acquired_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t recycled() const {
-    return recycled_.load(std::memory_order_relaxed);
-  }
+  // Monotonic counters, for stats surfaces and benches.
+  std::uint64_t acquired() const { return acquired_; }
+  std::uint64_t recycled() const { return recycled_; }
   /// acquire() calls that found the free list empty.
-  std::uint64_t exhausted() const {
-    return exhausted_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t exhausted() const { return exhausted_; }
 
  private:
-  // Free list: Treiber stack of slot indices. `head_` packs a 32-bit slot
-  // index with a 32-bit version tag so a concurrent pop/push/pop of the
-  // same slot cannot ABA the list.
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-  static std::uint64_t pack(std::uint32_t index, std::uint32_t tag) {
-    return (static_cast<std::uint64_t>(tag) << 32) | index;
-  }
-  static std::uint32_t index_of(std::uint64_t packed) {
-    return static_cast<std::uint32_t>(packed);
-  }
-  static std::uint32_t tag_of(std::uint64_t packed) {
-    return static_cast<std::uint32_t>(packed >> 32);
-  }
 
   struct Slot {
     // Empty until the constructor gives it its buffer: a zero-headroom
     // buffer allocates nothing.
     net::Packet pkt{.buf = net::PacketBuffer(0)};
-    std::atomic<std::uint32_t> next{kNil};  // free-list link (slot index)
-    std::atomic<bool> live{false};          // handed out right now?
+    std::uint32_t next = kNil;  // free-list link (slot index)
+    bool live = false;          // handed out right now?
   };
+
+  /// Abort unless the calling thread constructed the pool.
+  void check_owner(const char* op) const noexcept;
 
   PoolConfig cfg_;
   std::vector<Slot> slots_;
-  alignas(64) std::atomic<std::uint64_t> head_;
-  alignas(64) std::atomic<std::uint64_t> acquired_{0};
-  std::atomic<std::uint64_t> recycled_{0};
-  std::atomic<std::uint64_t> exhausted_{0};
+  std::thread::id owner_ = std::this_thread::get_id();
+  std::uint32_t head_ = kNil;  // top of the free list
+  std::uint64_t acquired_ = 0;
+  std::uint64_t recycled_ = 0;
+  std::uint64_t exhausted_ = 0;
 };
 
 }  // namespace mflow::rt

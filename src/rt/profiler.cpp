@@ -35,7 +35,6 @@ StageCounters ProfileReport::workers_total() const {
     t.output_full_ns += w.output_full_ns;
     t.pool_dry_episodes += w.pool_dry_episodes;
     t.pool_dry_ns += w.pool_dry_ns;
-    t.recycle_cas_fallbacks += w.recycle_cas_fallbacks;
     t.occupancy_sum += w.occupancy_sum;
     t.occupancy_samples += w.occupancy_samples;
     t.active_ns += w.active_ns;
@@ -109,8 +108,6 @@ void export_profile(const ProfileReport& report, trace::Registry& registry) {
     registry.set_counter(p + "output_full_ns", c.output_full_ns);
     registry.set_counter(p + "pool_dry_episodes", c.pool_dry_episodes);
     registry.set_counter(p + "pool_dry_ns", c.pool_dry_ns);
-    registry.set_counter(p + "recycle_cas_fallbacks",
-                         c.recycle_cas_fallbacks);
     registry.set_gauge(p + "stall_frac", frac(c.stall_ns(), c.active_ns));
     registry.set_gauge(p + "occupancy", c.mean_occupancy());
   };
@@ -131,18 +128,17 @@ std::string format_profile(const ProfileReport& report,
   os << "per-stage contention profile (" << report.workers << " workers, "
      << report.wall_seconds << " s wall):\n";
   os << "  stage       items        busy%  in-dry%  out-full%  pool-dry%  "
-        "cas-fb  occ\n";
+        "occ\n";
   const auto row = [&](const std::string& name, const StageCounters& c) {
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "  %-10s %-12llu %5.1f    %5.1f      %5.1f      %5.1f  "
-                  "%6llu  %5.1f\n",
+                  "%5.1f\n",
                   name.c_str(), static_cast<unsigned long long>(c.items),
                   100.0 * frac(busy_ns(c), c.active_ns),
                   100.0 * frac(c.input_dry_ns, c.active_ns),
                   100.0 * frac(c.output_full_ns, c.active_ns),
                   100.0 * frac(c.pool_dry_ns, c.active_ns),
-                  static_cast<unsigned long long>(c.recycle_cas_fallbacks),
                   c.mean_occupancy());
     os << buf;
   };

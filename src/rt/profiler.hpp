@@ -12,8 +12,8 @@
 //   - ring-FULL stalls: time spent spinning on a full downstream ring
 //     (a worker blocked on its buffer ring = the merge/consumer side is
 //     the bottleneck);
-//   - pool-dry stalls and recycle-path pressure (stash misses that fell
-//     back to the pool's CAS free list): the slab return path as a
+//   - pool-dry stalls (the generator found its stash, the return rings
+//     and the pool's free list all empty): the slab return path as a
 //     contention point of its own;
 //   - sampled downstream-ring occupancy, the queue-pressure signal.
 //
@@ -57,7 +57,6 @@ struct alignas(64) StageCounters {
   std::uint64_t output_full_ns = 0;
   std::uint64_t pool_dry_episodes = 0;  // generator: stash+recycle+pool dry
   std::uint64_t pool_dry_ns = 0;
-  std::uint64_t recycle_cas_fallbacks = 0;  // slab ops that hit the CAS list
   std::uint64_t occupancy_sum = 0;      // sampled downstream-ring occupancy
   std::uint64_t occupancy_samples = 0;
   std::uint64_t active_ns = 0;          // thread wall time inside the run

@@ -1,16 +1,15 @@
 // sim::EventQueue / Simulator: ordering, FIFO ties, ownership of pending
 // callables, and the event loop's headline invariant — a steady-state run
-// performs ZERO heap allocations. The whole binary runs with a counting
-// global operator new so that test can diff the counter across a window.
+// performs ZERO heap allocations. The binary links the counting global
+// operator new (alloc_counter.hpp) so that test can diff the counter
+// across a window.
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "net/packet.hpp"
 #include "rt/pool.hpp"
 #include "sim/event_queue.hpp"
@@ -18,22 +17,6 @@
 #include "stack/machine.hpp"
 #include "util/rng.hpp"
 #include "workload/sender.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_new_calls{0};
-}  // namespace
-
-// Counting allocator: every operator-new flavor funnels through here.
-void* operator new(std::size_t n) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 using namespace mflow::sim;
 using mflow::net::PacketPtr;
@@ -350,10 +333,10 @@ TEST(Simulator, SteadyStateEventLoopIsAllocationFree) {
     });
   }
   sim.run_until(1'000);  // warm-up: slab, heap and free list reach depth
-  const std::uint64_t before = g_new_calls.load();
+  const std::uint64_t before = alloc_counter::calls();
   const std::uint64_t fired_before = fired;
   sim.run_until(100'000);
-  const std::uint64_t allocs = g_new_calls.load() - before;
+  const std::uint64_t allocs = alloc_counter::calls() - before;
   EXPECT_GT(fired - fired_before, 100'000u);
   EXPECT_EQ(allocs, 0u) << "steady-state event loop touched the allocator";
   EXPECT_EQ(pool.in_use(), 32u);

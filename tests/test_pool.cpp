@@ -1,34 +1,16 @@
 // rt::PacketPool: RAII slab recycling, exhaustion backpressure, loud
 // failure on ownership bugs, and the PR's headline invariant — the rt
-// engine's steady state performs ZERO heap allocations. The whole binary
-// runs with a counting global operator new so the guard test can diff the
-// allocation counter across a steady-state window.
+// engine's steady state performs ZERO heap allocations. The binary links
+// the counting global operator new (alloc_counter.hpp) so the guard test
+// can diff the allocation counter across a steady-state window.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <new>
+#include <thread>
 
+#include "alloc_counter.hpp"
 #include "rt/engine.hpp"
 #include "rt/pool.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_new_calls{0};
-}  // namespace
-
-// Counting allocator: every operator-new flavor funnels through here.
-// delete is deliberately not counted — the invariant is "no allocations",
-// and frees of pre-steady-state memory are harmless.
-void* operator new(std::size_t n) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 using namespace mflow;
 using rt::PacketPool;
@@ -45,10 +27,10 @@ TEST(PacketPool, ExhaustionReturnsNullNotAllocation) {
   EXPECT_EQ(pool.in_use(), 4u);
   // Pool dry: the handle is null and the miss is counted — the caller
   // backpressures, the pool NEVER falls back to the heap.
-  const std::uint64_t allocs_before = g_new_calls.load();
+  const std::uint64_t allocs_before = alloc_counter::calls();
   EXPECT_EQ(pool.acquire(), nullptr);
   EXPECT_EQ(pool.acquire(), nullptr);
-  EXPECT_EQ(g_new_calls.load(), allocs_before);
+  EXPECT_EQ(alloc_counter::calls(), allocs_before);
   EXPECT_EQ(pool.exhausted(), 2u);
   // Releasing one slab makes the next acquire succeed again.
   held.pop_back();
@@ -118,12 +100,12 @@ TEST(PacketPool, SlabReuseDoesNotAllocate) {
                           net::Ipv4Header::kProtoTcp};
   // Warm once (the first build may grow the slab buffer to its watermark).
   { auto p = net::make_tcp_segment(pool.acquire(), flow, 0, 1448); }
-  const std::uint64_t before = g_new_calls.load();
+  const std::uint64_t before = alloc_counter::calls();
   for (std::uint64_t i = 0; i < 1000; ++i) {
     auto p = net::make_tcp_segment(pool.acquire(), flow, i * 1448, 1448);
     ASSERT_NE(p, nullptr);
   }
-  EXPECT_EQ(g_new_calls.load(), before);
+  EXPECT_EQ(alloc_counter::calls(), before);
 }
 
 // Construction builds each slab's buffer directly at its reserved capacity:
@@ -131,9 +113,9 @@ TEST(PacketPool, SlabReuseDoesNotAllocate) {
 // twice and nothing is built only to be thrown away.
 TEST(PacketPool, ConstructionAllocatesOncePerSlab) {
   for (const std::size_t slabs : {1u, 64u, 16384u}) {
-    const std::uint64_t before = g_new_calls.load();
+    const std::uint64_t before = alloc_counter::calls();
     PacketPool pool(PoolConfig{.slabs = slabs});
-    EXPECT_EQ(g_new_calls.load() - before, slabs + 1) << slabs << " slabs";
+    EXPECT_EQ(alloc_counter::calls() - before, slabs + 1) << slabs << " slabs";
     auto p = pool.acquire();
     ASSERT_NE(p, nullptr);
     EXPECT_GE(p->buf.capacity(), pool.config().buffer_bytes);
@@ -163,6 +145,25 @@ TEST(PacketPoolDeathTest, ForeignPacketAborts) {
         pool.recycle(&stack_pkt);
       },
       "foreign packet");
+}
+
+// The pool has one owner, the thread that built it. Recycling a slab on, or
+// acquiring one from, any other thread aborts instead of racing the free
+// list.
+TEST(PacketPoolDeathTest, ForeignThreadAborts) {
+  EXPECT_DEATH(
+      {
+        PacketPool pool(PoolConfig{.slabs = 2});
+        auto handle = pool.acquire();
+        std::thread([&handle] { handle.reset(); }).join();
+      },
+      "recycle from a thread that does not own the pool");
+  EXPECT_DEATH(
+      {
+        PacketPool pool(PoolConfig{.slabs = 2});
+        std::thread([&pool] { (void)pool.acquire(); }).join();
+      },
+      "acquire from a thread that does not own the pool");
 }
 
 TEST(PacketPoolDeathTest, LeakedSlabAbortsAtPoolDestruction) {
@@ -197,9 +198,9 @@ TEST(PacketPool, EngineSteadyStateIsAllocationFree) {
   const auto res = rt::Engine(cfg).run(kTotal, [&](const rt::RtPacket& pkt) {
     if (!pkt.skb) missing_skb.fetch_add(1, std::memory_order_relaxed);
     if (pkt.seq == 2000)
-      at_start.store(g_new_calls.load(), std::memory_order_relaxed);
+      at_start.store(alloc_counter::calls(), std::memory_order_relaxed);
     else if (pkt.seq == 18000)
-      at_end.store(g_new_calls.load(), std::memory_order_relaxed);
+      at_end.store(alloc_counter::calls(), std::memory_order_relaxed);
   });
   ASSERT_TRUE(res.in_order);
   ASSERT_EQ(res.packets, kTotal);
@@ -245,9 +246,9 @@ TEST(PacketPool, OverlayCachedSteadyStateIsAllocationFree) {
   const auto res = rt::Engine(cfg).run(kTotal, [&](const rt::RtPacket& pkt) {
     if (!pkt.skb) missing_skb.fetch_add(1, std::memory_order_relaxed);
     if (pkt.seq == 2000)
-      at_start.store(g_new_calls.load(), std::memory_order_relaxed);
+      at_start.store(alloc_counter::calls(), std::memory_order_relaxed);
     else if (pkt.seq == 18000)
-      at_end.store(g_new_calls.load(), std::memory_order_relaxed);
+      at_end.store(alloc_counter::calls(), std::memory_order_relaxed);
   });
   ASSERT_TRUE(res.in_order);
   ASSERT_EQ(res.packets, kTotal);

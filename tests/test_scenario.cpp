@@ -1,31 +1,14 @@
 // End-to-end scenario tests: every mode runs, produces traffic, and the
-// orderings the paper reports hold in the simulation. The binary runs with a
-// counting global operator new, so the steady-state allocation bound at the
-// end can diff the counter across two runs.
+// orderings the paper reports hold in the simulation. The binary links the
+// counting global operator new (alloc_counter.hpp), so the steady-state
+// allocation bound at the end can diff the counter across two runs.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 
+#include "alloc_counter.hpp"
 #include "experiment/scenario.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_new_calls{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 using namespace mflow;
 using exp::Mode;
@@ -244,9 +227,9 @@ TEST(Scenario, SteadyStateAllocationsPerEventBounded) {
   auto measure = [](sim::Time window) {
     exp::ScenarioConfig cfg = mflow_tcp_config();
     cfg.measure = window;
-    const std::uint64_t before = g_new_calls.load();
+    const std::uint64_t before = alloc_counter::calls();
     const exp::ScenarioResult r = exp::run_scenario(cfg);
-    return std::pair{g_new_calls.load() - before, r.events};
+    return std::pair{alloc_counter::calls() - before, r.events};
   };
   const auto [short_allocs, short_events] = measure(sim::ms(10));
   const auto [long_allocs, long_events] = measure(sim::ms(100));
