@@ -16,7 +16,8 @@
 // occupancy is bounded by construction, never by caller discipline.
 //
 // Recency is explicit and *monotone*: upsert() stamps new entries and
-// touch() refreshes existing ones, but a touch with a timestamp older than
+// touch() refreshes existing ones (or upsert_apply() does both in one probe
+// when its callback returns true), but a touch with a timestamp older than
 // the entry's is a no-op. That keeps the chain sorted by last-seen even
 // when touches arrive out of order (rt workers processing old batches
 // behind the generator), which is what makes expire_idle() deterministic:
@@ -37,6 +38,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -174,16 +177,19 @@ class FlowTable {
   /// Find-or-insert and mutate in one critical section: `fn(V&)` runs
   /// under the shard lock, so it cannot race with another thread growing
   /// or reclaiming the shard (vector growth relocates values, which makes
-  /// writing through upsert()'s reference unsafe across threads). Capacity
-  /// eviction still routes through the reclaim callback after unlock;
-  /// returns true when the insert evicted the shard's LRU entry.
+  /// writing through upsert()'s reference unsafe across threads). When fn
+  /// returns bool, `true` also refreshes the entry's recency at `now`
+  /// (touch() semantics) under the same lock — one probe for what would
+  /// otherwise be an upsert and a touch. A resident key builds no V; only
+  /// an insert (and the eviction it forces) does. Capacity eviction still
+  /// routes through the reclaim callback after unlock; returns true when
+  /// the insert evicted the shard's LRU entry.
   template <typename Fn>
   bool upsert_apply(net::FlowId key, sim::Time now, Fn&& fn,
                     bool* inserted_out = nullptr) {
     Shard& sh = shard_for(key);
     net::FlowId evicted_key{};
-    V evicted{};
-    bool evicted_any = false;
+    std::optional<V> evicted;
     bool inserted = false;
     {
       std::lock_guard lock(sh.mu);
@@ -191,24 +197,28 @@ class FlowTable {
       if (slot == detail::ShardIndex::kNil) {
         const std::int32_t victim = sh.idx.oldest();
         evicted_key = sh.idx.key_at(victim);
-        evicted = std::move(sh.values[victim]);
+        evicted.emplace(std::move(sh.values[victim]));
         sh.values[victim] = V();
         sh.idx.erase(evicted_key);
         size_.fetch_sub(1, std::memory_order_relaxed);
-        evicted_any = true;
         slot = sh.idx.acquire(key, now, inserted);
       }
       if (static_cast<std::size_t>(slot) >= sh.values.size())
         sh.values.resize(static_cast<std::size_t>(slot) + 1);
       if (inserted) note_insert();
-      fn(sh.values[static_cast<std::size_t>(slot)]);
+      V& value = sh.values[static_cast<std::size_t>(slot)];
+      if constexpr (std::is_same_v<std::invoke_result_t<Fn&, V&>, bool>) {
+        if (fn(value)) sh.idx.touch(slot, now);
+      } else {
+        fn(value);
+      }
     }
-    if (evicted_any) {
+    if (evicted) {
       evictions_.fetch_add(1, std::memory_order_relaxed);
-      if (reclaim_) reclaim_(evicted_key, std::move(evicted));
+      if (reclaim_) reclaim_(evicted_key, std::move(*evicted));
     }
     if (inserted_out != nullptr) *inserted_out = inserted;
-    return evicted_any;
+    return evicted.has_value();
   }
 
   /// Monotone recency refresh; false if the key is absent (a touch never

@@ -19,8 +19,9 @@
 // When a trace::Registry is attached, every sample also publishes
 // `flow.<id>.rate_pps` / `flow.<id>.rate_bps` gauges, so the classifier's
 // inputs land in the same uniform stat surface the benches and exporters
-// already read (names are built once per flow and cached — no per-sample
-// formatting).
+// already read (names are built once per flow, on its first sample with a
+// registry attached, and cached — no per-sample formatting, and none at
+// all without a registry).
 #pragma once
 
 #include <cstdint>
@@ -61,9 +62,11 @@ class FlowMonitor {
 
   /// Feed one cumulative observation for `flow` at time `now`. Totals are
   /// monotonic (lifetime segments/bytes as counted at the split point);
-  /// the monitor differentiates internally.
-  void record(net::FlowId flow, std::uint64_t total_segs,
-              std::uint64_t total_bytes, sim::Time now);
+  /// the monitor differentiates internally. Returns the flow's window rate
+  /// after this sample (what rate_pps() would answer), so the control tick
+  /// needs no second lookup.
+  double record(net::FlowId flow, std::uint64_t total_segs,
+                std::uint64_t total_bytes, sim::Time now);
 
   /// Average rate over the sliding window ending at the last sample.
   /// 0 until a flow has two samples.
@@ -109,8 +112,8 @@ class FlowMonitor {
   };
   struct PerFlow {
     std::deque<Sample> samples;
-    std::string pps_name;  // cached gauge names ("flow.<id>.rate_pps")
-    std::string bps_name;
+    std::string pps_name;  // cached gauge names ("flow.<id>.rate_pps"),
+    std::string bps_name;  // empty until a registry sees the flow
     std::uint64_t seq = 0;  // first-seen order for flows()
   };
 

@@ -39,8 +39,7 @@ Controller::Controller(ControllerParams params, Source source,
 void Controller::tick(sim::Time now) {
   const std::uint32_t max_degree = target_->max_degree();
   for (const FlowTotals& t : source_()) {
-    monitor_.record(t.flow, t.segs, t.bytes, now);
-    const double pps = monitor_.rate_pps(t.flow);
+    const double pps = monitor_.record(t.flow, t.segs, t.bytes, now);
     const FlowClass cls = classifier_.update(t.flow, pps, now);
     const std::uint32_t* cur = degrees_.find(t.flow);
     const std::uint32_t current = cur != nullptr ? *cur : 0;

@@ -1,12 +1,16 @@
 // Dynamic flow control plane: monitor -> classifier -> scaler units, the
 // rescale-drain protocol at BOTH engines' reassemblers, and live
-// elephant<->mouse rescales end to end in the DES scenario.
+// elephant<->mouse rescales end to end in the DES scenario. The binary links
+// the counting global operator new (alloc_counter.hpp), so the control tick's
+// steady-state allocation bound can diff the counter across ticks.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "control/classifier.hpp"
+#include "control/flowtable.hpp"
 #include "control/monitor.hpp"
 #include "control/policy.hpp"
 #include "core/reassembler.hpp"
@@ -608,6 +612,115 @@ TEST(FlowMonitor, EraseRetractsRegistryGauges) {
   EXPECT_EQ(mon.tracked_flows(), 0u);
 }
 
+// export_to() after a flow's first sample: names are built lazily, so the
+// flow's gauges must appear on its next record(), and erase() / clear()
+// must still retract them.
+TEST(FlowMonitor, RegistryAttachedMidRunPublishesAndRetracts) {
+  trace::Registry reg;
+  control::FlowMonitor mon;
+  mon.record(1, 100, 1000, 0);
+  mon.record(2, 100, 1000, 0);
+  mon.record(1, 200, 2000, sim::us(100));
+  EXPECT_EQ(reg.num_gauges(), 0u);
+
+  mon.export_to(&reg);
+  mon.record(1, 300, 3000, sim::us(200));
+  EXPECT_EQ(reg.num_gauges(), 2u);  // flow 1 only: flow 2 has no new sample
+  EXPECT_DOUBLE_EQ(reg.gauge("flow.1.rate_pps"), mon.rate_pps(1));
+  EXPECT_DOUBLE_EQ(reg.gauge("flow.1.rate_pps"), 1e6);
+  mon.record(2, 150, 1500, sim::us(200));
+  mon.record(3, 10, 100, sim::us(200));  // first seen with a registry
+  EXPECT_EQ(reg.num_gauges(), 6u);
+
+  EXPECT_TRUE(mon.erase(1));
+  EXPECT_EQ(reg.num_gauges(), 4u);
+  EXPECT_DOUBLE_EQ(reg.gauge("flow.1.rate_pps"), 0.0);
+  EXPECT_FALSE(mon.erase(4));
+  mon.clear();
+  EXPECT_EQ(reg.num_gauges(), 0u);
+  EXPECT_EQ(mon.tracked_flows(), 0u);
+}
+
+// --- FlowTable value construction --------------------------------------------
+
+namespace {
+
+/// Counts its default constructions; `id` lets the reclaim callback check
+/// which value it was handed.
+struct Counted {
+  static inline int built = 0;
+  int id = 0;
+  Counted() { ++built; }
+};
+
+}  // namespace
+
+// upsert_apply on a resident key must not build a throwaway V (for the
+// monitor's per-flow state that is a std::deque, two heap allocations per
+// call); an insert builds the new entry and an eviction only re-initialises
+// the slot the new entry takes over.
+TEST(FlowTable, UpsertBuildsNoValueUnlessInsertingOrEvicting) {
+  control::FlowTableParams p;
+  p.shards = 1;
+  p.capacity = 2;
+  control::FlowTable<Counted> table(p);
+  std::vector<int> reclaimed;
+  table.set_reclaim(
+      [&reclaimed](net::FlowId, Counted&& v) { reclaimed.push_back(v.id); });
+  auto set_id = [](int id) { return [id](Counted& v) { v.id = id; }; };
+
+  Counted::built = 0;
+  table.upsert_apply(1, 1, set_id(1));
+  EXPECT_EQ(Counted::built, 1);  // the new entry
+  table.upsert_apply(2, 2, set_id(2));
+  EXPECT_EQ(Counted::built, 2);
+
+  Counted::built = 0;
+  for (int i = 0; i < 10; ++i) {
+    table.upsert_apply(1, 3, [](Counted& v) {
+      EXPECT_EQ(v.id, 1);
+      return true;
+    });
+    table.upsert_apply(2, 3, [](Counted& v) { EXPECT_EQ(v.id, 2); });
+  }
+  EXPECT_EQ(Counted::built, 0);  // resident keys build nothing
+
+  // Full shard: key 3 evicts the LRU entry (key 2, still stamped 2; key 1's
+  // `true` returns refreshed it to 3) and takes over its slot.
+  Counted::built = 0;
+  EXPECT_TRUE(table.upsert_apply(3, 4, [](Counted& v) {
+    EXPECT_EQ(v.id, 0);  // value-initialised, not the victim's state
+    v.id = 3;
+  }));
+  EXPECT_EQ(Counted::built, 1);
+  EXPECT_EQ(reclaimed, (std::vector<int>{2}));
+  EXPECT_FALSE(table.contains(2));
+  EXPECT_EQ(table.size(), 2u);
+}
+
+// A callback returning true refreshes recency in the same probe; false (or
+// void) leaves it alone, exactly like a skipped touch().
+TEST(FlowTable, UpsertApplyTrueRefreshesRecency) {
+  control::FlowTableParams p;
+  p.shards = 1;
+  p.ttl = 10;
+  control::FlowTable<int> table(p);
+  table.upsert(1, 0);
+  table.upsert(2, 0);
+  table.upsert_apply(1, 8, [](int&) { return true; });
+  table.upsert_apply(2, 8, [](int&) { return false; });
+  table.upsert_apply(2, 9, [](int& v) { ++v; });
+  std::vector<net::FlowId> idle;
+  table.collect_idle(10, idle);
+  EXPECT_EQ(idle, (std::vector<net::FlowId>{2}));
+  // Monotone like touch(): an older stamp does not move the entry back, so
+  // key 1 (stamped 8) is still live at a deadline of 5.
+  table.upsert_apply(1, 5, [](int&) { return true; });
+  idle.clear();
+  table.collect_idle(15, idle);
+  EXPECT_EQ(idle, (std::vector<net::FlowId>{2}));
+}
+
 namespace {
 
 control::ControllerParams churn_controller_params() {
@@ -663,6 +776,41 @@ TEST(Controller, ChurnStormKeepsStateAndGaugesBounded) {
   // must shrink with expiry, not accumulate one pair per cumulative flow.
   EXPECT_LE(reg.num_gauges(), 2 * 300 + 8);
   EXPECT_EQ(ctl.release_retries(), 0u);
+}
+
+// 400 steady mice whose totals advance every tick: after warm-up a tick
+// must not allocate per flow. The deque sample history still allocates a
+// node every ~21 samples per flow, which this bound leaves room for.
+TEST(Controller, SteadyStateTickAllocationsPerFlowBounded) {
+  FakeTarget target;
+  constexpr int kFlows = 400;
+  std::uint64_t segs = 0;
+  auto source = [&] {
+    std::vector<control::Controller::FlowTotals> v;
+    v.reserve(kFlows);
+    for (int f = 1; f <= kFlows; ++f)
+      v.push_back({static_cast<net::FlowId>(f), segs, segs * 1500});
+    return v;
+  };
+  control::Controller ctl(churn_controller_params(), source, &target);
+  int tick = 0;
+  auto run = [&](int ticks) {
+    for (int i = 0; i < ticks; ++i) {
+      segs += 5;  // 50k pps: mice, no rescales
+      ctl.tick(sim::us(100) * ++tick);
+    }
+  };
+  run(200);
+  constexpr int kTicks = 1000;
+  const std::uint64_t before = alloc_counter::calls();
+  run(kTicks);
+  const std::uint64_t allocs = alloc_counter::calls() - before;
+  EXPECT_EQ(ctl.tracked_flows(), static_cast<std::size_t>(kFlows));
+  EXPECT_EQ(ctl.rescales(), 0u);
+  const double per_flow_tick =
+      static_cast<double>(allocs) / (static_cast<double>(kFlows) * kTicks);
+  EXPECT_LE(per_flow_tick, 0.1) << allocs << " allocations over " << kTicks
+                                << " ticks of " << kFlows << " flows";
 }
 
 namespace {

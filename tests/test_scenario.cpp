@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "alloc_counter.hpp"
 #include "experiment/scenario.hpp"
@@ -215,6 +216,98 @@ TEST(Scenario, PinnedFingerprints) {
   expect_pinned(delayed_config(net::Ipv4Header::kProtoUdp),
                 {17169, 8064, 0, 4616944723994200654ull, 405504, 532480},
                 "delay-faults-udp");
+}
+
+// ---- pinned control plane ----------------------------------------------------
+//
+// PinnedFingerprints pins data-path outputs only. The control plane's own
+// decisions (which flows split, when they rescale, when their state expires)
+// can shift without moving any of them, e.g. when a flow's recency refresh
+// moves relative to its sample. These pin the controller's results exactly.
+
+namespace {
+
+struct ControlPrint {
+  std::uint64_t rescales, elephants, tracked, peak, expired, history_digest;
+};
+
+/// FNV-1a over every committed rescale, in commit order.
+std::uint64_t history_digest(const std::vector<control::RescaleEvent>& h) {
+  std::uint64_t d = 14695981039346656037ull;
+  auto mix = [&d](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      d ^= (v >> (8 * i)) & 0xff;
+      d *= 1099511628211ull;
+    }
+  };
+  for (const control::RescaleEvent& e : h) {
+    mix(static_cast<std::uint64_t>(e.at));
+    mix(e.flow);
+    mix(e.old_degree);
+    mix(e.new_degree);
+  }
+  return d;
+}
+
+void expect_control_pinned(const exp::ScenarioConfig& cfg,
+                           const ControlPrint& want, const char* name) {
+  const exp::ScenarioResult r = exp::run_scenario(cfg);
+  const auto& c = r.control;
+  EXPECT_EQ(c.rescales, want.rescales) << name;
+  EXPECT_EQ(c.elephants, want.elephants) << name;
+  EXPECT_EQ(c.tracked, want.tracked) << name;
+  EXPECT_EQ(c.peak, want.peak) << name;
+  EXPECT_EQ(c.expired, want.expired) << name;
+  EXPECT_EQ(history_digest(c.history), want.history_digest)
+      << name << ": " << c.history.size() << " rescale events";
+}
+
+/// Elastic DES scenario: 3 TCP flows on the 8-core receiver, 4 splitting
+/// cores, cold start at 1 worker. Flow 0 saturates as an elephant until
+/// 6 ms, then throttles to mouse pace, so the controller promotes, splits,
+/// re-clamps under the autoscaler's budget and demotes.
+exp::ScenarioConfig elastic_config() {
+  exp::ScenarioConfig c;
+  c.mode = Mode::kMflow;
+  c.num_flows = 3;
+  c.server_cores = 8;
+  c.app_cores = 1;
+  c.first_kernel_core = 1;
+  c.kernel_cores = 7;
+  c.warmup = sim::ms(2);
+  c.measure = sim::ms(10);
+  core::MflowConfig m = core::udp_device_scaling_config();
+  m.tcp_in_reader = true;
+  m.splitting_cores = {2, 3, 4, 5};
+  c.mflow = m;
+  c.control.enabled = true;
+  c.control.interval = sim::us(100);
+  auto& cp = c.control.params;
+  cp.monitor.window = sim::ms(1);
+  cp.classifier.promote_pps = 200'000.0;
+  cp.classifier.demote_pps = 100'000.0;
+  cp.classifier.dwell = sim::us(300);
+  auto& e = c.elastic;
+  e.enabled = true;
+  e.interval = sim::us(100);
+  e.params.per_worker_pps = 150'000.0;
+  e.params.headroom = 1.2;
+  e.params.cooldown = sim::us(200);
+  e.params.down_dwell = sim::us(400);
+  c.rate_changes = {
+      {1, 0, sim::ms(2)}, {2, 0, sim::ms(2)}, {0, sim::ms(6), sim::ms(2)}};
+  return c;
+}
+
+}  // namespace
+
+TEST(Scenario, PinnedControlPlane) {
+  // Recorded before the control tick fused its per-flow probes.
+  expect_control_pinned(control_churn_config(),
+                        {2, 2, 1164, 1206, 20400, 3946306901090915834ull},
+                        "des-control-churn");
+  expect_control_pinned(elastic_config(),
+                        {3, 0, 3, 3, 0, 6507491489114481024ull}, "elastic");
 }
 
 // Steady-state heap allocations per event on the des-mflow-tcp workload,
