@@ -83,10 +83,10 @@ std::int32_t ShardIndex::acquire(net::FlowId key, std::int64_t now,
 bool ShardIndex::touch(std::int32_t slot, std::int64_t now) {
   auto& stamp = last_seen_[static_cast<std::size_t>(slot)];
   if (now < stamp) return false;  // stale touch: keep the chain sorted
-  // Equal stamps are no-ops, not reorders: a concurrent reader replaying
-  // the entry's current time (rt workers touching at the flow's latest
-  // batch) must not shuffle the chain past entries with newer stamps, or
-  // expiry would become schedule-dependent.
+  // Equal stamps are no-ops, not reorders: a touch that replays the
+  // entry's own time (the rt generator touches right after its upsert)
+  // must not move it past entries with newer stamps, or the chain would
+  // stop being sorted and expiry order would depend on the replay.
   if (now == stamp) return true;
   stamp = now;
   if (slot != tail_) {

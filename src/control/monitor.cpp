@@ -39,7 +39,8 @@ double FlowMonitor::record(net::FlowId flow, std::uint64_t total_segs,
         pf.bps_name = "flow." + std::to_string(flow) + ".rate_bps";
       }
       registry_->set_gauge(pf.pps_name, pps);
-      registry_->set_gauge(pf.bps_name, window_rate(pf, /*bytes=*/true));
+      registry_->set_gauge(pf.bps_name,
+                           window_rate(pf, /*bytes=*/true) * 8.0);  // bits
     }
     return active;
   });

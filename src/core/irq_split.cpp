@@ -58,6 +58,7 @@ class IrqSplitter::FirstHalf final : public sim::Pollable {
     stack::Machine& m = o.machine_;
     const stack::CostModel& costs = m.costs();
     trace::Tracer* tr = trace::active();
+    m.pull_arrivals(m.simulator().running());
     int n = 0;
     while (n < budget) {
       net::PacketPtr pkt = o.driver_ring_.pop();
@@ -171,7 +172,9 @@ class IrqSplitter::FirstHalf final : public sim::Pollable {
         if (ra != nullptr) ra->note_drop(flow, batch, 1);
       }
     }
-    return !o.driver_ring_.empty();
+    if (!o.driver_ring_.empty()) return true;
+    m.wake_rx_sources();
+    return false;
   }
 
   std::string_view poll_name() const override { return "irq-split-1st"; }
@@ -190,6 +193,12 @@ IrqSplitter::IrqSplitter(stack::Machine& machine, const MflowConfig& config,
       assigner_(config),
       lookup_(std::move(lookup)) {
   for (int core_id : config_.splitting_cores) {
+    // A core listed twice keeps its first slot.
+    const auto c = static_cast<std::size_t>(core_id);
+    if (core_id >= 0 && slot_of_core_.size() <= c)
+      slot_of_core_.resize(c + 1, -1);
+    if (core_id >= 0 && slot_of_core_[c] < 0)
+      slot_of_core_[c] = static_cast<int>(request_rings_.size());
     request_rings_.push_back(std::make_unique<net::RxRing>(8192));
     second_halves_.push_back(std::make_unique<SecondHalf>(
         *this, *request_rings_.back(), core_id));
@@ -200,9 +209,10 @@ IrqSplitter::IrqSplitter(stack::Machine& machine, const MflowConfig& config,
 IrqSplitter::~IrqSplitter() = default;
 
 std::size_t IrqSplitter::core_slot(int core_id) const {
-  for (std::size_t i = 0; i < config_.splitting_cores.size(); ++i)
-    if (config_.splitting_cores[i] == core_id) return i;
-  throw std::out_of_range("not a splitting core");
+  const auto c = static_cast<std::size_t>(core_id);
+  if (core_id < 0 || c >= slot_of_core_.size() || slot_of_core_[c] < 0)
+    throw std::out_of_range("not a splitting core");
+  return static_cast<std::size_t>(slot_of_core_[c]);
 }
 
 void IrqSplitter::install(int queue) {

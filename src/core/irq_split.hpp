@@ -56,6 +56,7 @@ class IrqSplitter {
   // attached where the splitting core's softirq can reach them — the
   // paper hangs them off softnet_data).
   std::vector<std::unique_ptr<net::RxRing>> request_rings_;
+  std::vector<int> slot_of_core_;  // core id -> slot, -1 if not splitting
   std::unique_ptr<FirstHalf> first_half_;
   std::vector<std::unique_ptr<SecondHalf>> second_halves_;
   std::uint64_t dispatched_ = 0;

@@ -232,6 +232,7 @@ struct ScenarioResult {
   std::vector<CoreUsage> cores_before;
   std::vector<CoreUsage> cores_after;
   std::uint64_t nic_drops = 0;
+  std::uint64_t nic_delivered = 0;  // wire packets the NIC rings took
   std::uint64_t ooo_arrivals = 0;   // MFLOW merge-point reordering events
   std::uint64_t batches_merged = 0;
   std::uint64_t events = 0;         // simulator events (diagnostics)

@@ -1,8 +1,5 @@
 #include "net/gro.hpp"
 
-#include <algorithm>
-#include <utility>
-
 namespace mflow::net {
 
 bool GroEngine::can_merge(const Packet& held, const Packet& pkt) const {
@@ -18,42 +15,6 @@ bool GroEngine::can_merge(const Packet& held, const Packet& pkt) const {
   if (held.gro_segs + pkt.gro_segs > params_.max_segs) return false;
   if (held.payload_len + pkt.payload_len > params_.max_bytes) return false;
   return true;
-}
-
-void GroEngine::add(PacketPtr pkt, const Sink& sink) {
-  if (!params_.enabled || pkt->flow.protocol != Ipv4Header::kProtoTcp) {
-    ++emitted_;
-    sink(std::move(pkt));
-    return;
-  }
-  const FlowId id = pkt->flow_id;
-  auto it = std::lower_bound(
-      held_.begin(), held_.end(), id,
-      [](const auto& entry, FlowId key) { return entry.first < key; });
-  if (it == held_.end() || it->first != id) {
-    held_.emplace(it, id, std::move(pkt));
-    return;
-  }
-  Packet& held = *it->second;
-  if (can_merge(held, *pkt)) {
-    held.payload_len += pkt->payload_len;
-    held.gro_segs += pkt->gro_segs;
-    ++merged_;
-    return;  // segment absorbed; its buffer is released
-  }
-  // Not mergeable: the new segment takes the held one's place, and the held
-  // super-skb is emitted first to keep flow order.
-  PacketPtr out = std::exchange(it->second, std::move(pkt));
-  ++emitted_;
-  sink(std::move(out));
-}
-
-void GroEngine::flush(const Sink& sink) {
-  for (auto& [_, pkt] : held_) {
-    ++emitted_;
-    sink(std::move(pkt));
-  }
-  held_.clear();
 }
 
 }  // namespace mflow::net

@@ -11,8 +11,8 @@
 // limits it), which we expose as a per-path cap.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -28,17 +28,18 @@ struct GroParams {
 
 class GroEngine {
  public:
-  using Sink = std::function<void(PacketPtr)>;
-
   explicit GroEngine(GroParams params) : params_(params) {}
 
   /// Offer a packet. Mergeable TCP segments are held; anything else (UDP,
-  /// out-of-order, full super-skb) is emitted — possibly after flushing the
-  /// held skb to preserve per-flow ordering.
-  void add(PacketPtr pkt, const Sink& sink);
+  /// out-of-order, full super-skb) goes to `sink(PacketPtr)` — possibly
+  /// after the held skb, to preserve per-flow ordering. The sink is a
+  /// template parameter so the per-packet call inlines.
+  template <class Sink>
+  void add(PacketPtr pkt, Sink&& sink);
 
   /// End-of-batch flush (NAPI calls napi_gro_flush when the poll ends).
-  void flush(const Sink& sink);
+  template <class Sink>
+  void flush(Sink&& sink);
 
   std::uint64_t merged_segments() const { return merged_; }
   std::uint64_t emitted_skbs() const { return emitted_; }
@@ -54,5 +55,43 @@ class GroEngine {
   std::uint64_t merged_ = 0;
   std::uint64_t emitted_ = 0;
 };
+
+template <class Sink>
+void GroEngine::add(PacketPtr pkt, Sink&& sink) {
+  if (!params_.enabled || pkt->flow.protocol != Ipv4Header::kProtoTcp) {
+    ++emitted_;
+    sink(std::move(pkt));
+    return;
+  }
+  const FlowId id = pkt->flow_id;
+  auto it = std::lower_bound(
+      held_.begin(), held_.end(), id,
+      [](const auto& entry, FlowId key) { return entry.first < key; });
+  if (it == held_.end() || it->first != id) {
+    held_.emplace(it, id, std::move(pkt));
+    return;
+  }
+  Packet& held = *it->second;
+  if (can_merge(held, *pkt)) {
+    held.payload_len += pkt->payload_len;
+    held.gro_segs += pkt->gro_segs;
+    ++merged_;
+    return;  // segment absorbed; its buffer is released
+  }
+  // Not mergeable: the new segment takes the held one's place, and the held
+  // super-skb is emitted first to keep flow order.
+  PacketPtr out = std::exchange(it->second, std::move(pkt));
+  ++emitted_;
+  sink(std::move(out));
+}
+
+template <class Sink>
+void GroEngine::flush(Sink&& sink) {
+  for (auto& [_, pkt] : held_) {
+    ++emitted_;
+    sink(std::move(pkt));
+  }
+  held_.clear();
+}
 
 }  // namespace mflow::net

@@ -19,7 +19,11 @@ int Nic::rss_queue(const FlowKey& flow) const {
 
 void Nic::deliver(PacketPtr pkt, sim::Time now) {
   pkt->t_wire = now;
-  pkt->wire_seq = flow_seq_[pkt->flow_id]++;
+  if (last_seq_ == nullptr || pkt->flow_id != last_flow_) {
+    last_flow_ = pkt->flow_id;
+    last_seq_ = &flow_seq_[last_flow_];
+  }
+  pkt->wire_seq = (*last_seq_)++;
   const int q = rss_queue(pkt->flow);
   trace::Tracer* tr = trace::active();
   if (tr != nullptr) {

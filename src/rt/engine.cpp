@@ -216,7 +216,6 @@ struct Lane {
   util::Rng faults;
   ThreadTrace trace;
   WorkerCounts counts{};
-  std::uint64_t last_touched = 0;  // flow ids are >= 1 when tracked
   // Replica-table NF state of the current run of equal (flow, batch),
   // resolved once per run. Only this worker mutates its table while threads
   // run, so the entry stays put until this worker's next upsert.
@@ -384,8 +383,8 @@ struct Pipeline {
       ov_tmpl.pkt->buf.reserve(pool.config().buffer_bytes);
     }
 
-    // Flow-state plane (churn mode): one shared FlowTable. The generator
-    // inserts/sweeps; workers only touch() — which never allocates.
+    // Flow-state plane (churn mode): one FlowTable that only the generator
+    // touches — it inserts, stamps and sweeps; workers never see it.
     if (cfg.flow_table.enabled) {
       ftable = std::make_unique<control::FlowTable<std::uint64_t>>(
           control::FlowTableParams{
@@ -465,9 +464,8 @@ struct Pipeline {
     target = static_cast<std::size_t>((batch - epoch_first) % w_active);
     unmarked[target] = 1;
     if (ftable == nullptr) return;
-    // Register the batch's flow before any of its packets are pushed, so
-    // worker touches can never race an unregistered flow into being
-    // missed. The clock is the batch index.
+    // Register the batch's flow before any of its packets are pushed. The
+    // clock is the batch index.
     const auto now = static_cast<sim::Time>(batch);
     const net::FlowId fid = flow_of(batch);
     ++ftable->upsert(fid, now);
@@ -635,7 +633,6 @@ struct Pipeline {
       // Process in place; compact survivors to the front of the chunk so
       // one deposit_batch publishes them all.
       std::size_t m = 0;
-      lane.last_touched = 0;
       for (std::size_t i = 0; i < n; ++i) {
         RtPacket& pkt = chunk[i];
         saw_last = saw_last || pkt.last;
@@ -666,7 +663,6 @@ struct Pipeline {
   bool process(Lane& lane, RtPacket& pkt) {
     lane.trace.event(trace::EventKind::kRingDequeue, pkt.seq, pkt.batch);
     const bool carries = !pkt.marker && pkt.skb;
-    if (ftable != nullptr && carries) touch_flow(lane, pkt);
     if (overlay_on && carries) decap(lane, pkt);
     if (pkt.cost_ns > 0) spin_ns(pkt.cost_ns);
     lane.trace.event(trace::EventKind::kStageExit, pkt.seq, pkt.batch,
@@ -676,16 +672,6 @@ struct Pipeline {
       return fault_drop(lane, pkt);
     if (nf_on && carries) apply_nf(lane, pkt);
     return true;
-  }
-
-  /// Keep the packet's flow live in the churn flow table, once per run of
-  /// one flow in a chunk. Replaying the flow's own batch index is monotone
-  /// against the generator's stamp: it never perturbs the expiry order.
-  void touch_flow(Lane& lane, const RtPacket& pkt) {
-    const net::FlowId fid = pkt.skb->flow_id;
-    if (fid == lane.last_touched) return;
-    ftable->touch(fid, static_cast<sim::Time>(pkt.batch));
-    lane.last_touched = fid;
   }
 
   /// Strip the VXLAN outer stack off the packet's real bytes: splice it off

@@ -128,13 +128,11 @@ struct EngineConfig {
   };
   OverlayConfig overlay;
   /// Flow-state plane (churn mode): the generator registers each batch's
-  /// flow in a shared control::FlowTable, workers touch entries while
-  /// processing, and the generator sweeps out idle flows — the rt twin of
-  /// the control plane's expiring flow table. The table's clock is the
-  /// BATCH INDEX, not wall time: worker touches replay a flow's own batch
-  /// number, which the monotone-touch rule turns into no-ops against the
-  /// generator's newer stamps, so peak/expired/live counts are
-  /// deterministic despite real threads.
+  /// flow in a control::FlowTable and sweeps out idle flows — the rt twin
+  /// of the control plane's expiring flow table. The table's clock is the
+  /// BATCH INDEX, not wall time. Only the generator thread reads or writes
+  /// the table, so peak/expired/live counts are deterministic despite real
+  /// threads, and workers take none of its locks.
   struct FlowTableConfig {
     bool enabled = false;
     std::size_t shards = 8;

@@ -41,8 +41,9 @@ void EventQueue::sift_down(Node node) {
   h[hole] = node;
 }
 
-std::pair<Time, EventFn> EventQueue::pop() {
+std::pair<Time, EventFn> EventQueue::pop(std::uint64_t& seq) {
   const Node top = heap_.front();
+  seq = top.seq;
   const Node last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(last);

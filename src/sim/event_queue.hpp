@@ -157,8 +157,13 @@ class EventQueue {
 
   /// Pop and return the earliest event (by time, then insertion order). The
   /// callable is moved out of its slot, so running it may push freely.
-  /// Precondition: !empty().
-  std::pair<Time, EventFn> pop();
+  /// `seq` receives the event's sequence number, which with its time is the
+  /// event's unique place in the order. Precondition: !empty().
+  std::pair<Time, EventFn> pop(std::uint64_t& seq);
+  std::pair<Time, EventFn> pop() {
+    std::uint64_t seq;
+    return pop(seq);
+  }
 
   /// Drop every pending event, destroying its callable (and so releasing
   /// whatever it owns).

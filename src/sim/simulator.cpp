@@ -5,7 +5,7 @@ namespace mflow::sim {
 std::uint64_t Simulator::run_until(Time until) {
   std::uint64_t fired = 0;
   while (!queue_.empty() && queue_.next_time() < until) {
-    auto [when, fn] = queue_.pop();
+    auto [when, fn] = queue_.pop(seq_);
     now_ = when;
     fn();
     ++fired;
@@ -17,7 +17,7 @@ std::uint64_t Simulator::run_until(Time until) {
 std::uint64_t Simulator::run() {
   std::uint64_t fired = 0;
   while (!queue_.empty()) {
-    auto [when, fn] = queue_.pop();
+    auto [when, fn] = queue_.pop(seq_);
     now_ = when;
     fn();
     ++fired;

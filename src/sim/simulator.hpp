@@ -23,6 +23,11 @@ namespace mflow::sim {
 struct Ticket {
   Time when = 0;
   std::uint64_t seq = 0;
+
+  /// Event order: by time, then by sequence number.
+  friend bool operator<(const Ticket& a, const Ticket& b) {
+    return a.when < b.when || (a.when == b.when && a.seq < b.seq);
+  }
 };
 
 class Simulator {
@@ -30,6 +35,11 @@ class Simulator {
   explicit Simulator(std::uint64_t seed = 1) : rng_(seed) {}
 
   Time now() const { return now_; }
+
+  /// Called from inside an event: that event's place in the event order.
+  /// Every pending event sorts after it, so a Ticket that sorts before it
+  /// belongs to an event that would already have run.
+  Ticket running() const { return {now_, seq_}; }
 
   /// Schedule fn (an EventFn or anything one is built from) at absolute
   /// virtual time `when` (>= now()).
@@ -76,6 +86,7 @@ class Simulator {
 
  private:
   Time now_ = 0;
+  std::uint64_t seq_ = 0;  // of the running event
   EventQueue queue_;
   util::Rng rng_;
 };

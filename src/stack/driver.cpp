@@ -8,6 +8,7 @@ namespace mflow::stack {
 bool DriverPollable::poll(sim::Core& core, int budget) {
   const CostModel& costs = machine_.costs();
   trace::Tracer* tr = trace::active();
+  machine_.pull_arrivals(machine_.simulator().running());
   int n = 0;
   while (n < budget) {
     net::PacketPtr pkt = ring_.pop();
@@ -25,7 +26,9 @@ bool DriverPollable::poll(sim::Core& core, int budget) {
     machine_.inject_into_path(0, core_id_, std::move(pkt));
     ++n;
   }
-  return !ring_.empty();
+  if (!ring_.empty()) return true;
+  machine_.wake_rx_sources();
+  return false;
 }
 
 }  // namespace mflow::stack

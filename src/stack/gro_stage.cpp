@@ -3,10 +3,9 @@
 namespace mflow::stack {
 
 net::GroEngine& GroStage::engine(int core_id) {
-  auto it = engines_.find(core_id);
-  if (it == engines_.end())
-    it = engines_.emplace(core_id, net::GroEngine(params_)).first;
-  return it->second;
+  const auto c = static_cast<std::size_t>(core_id);
+  while (engines_.size() <= c) engines_.emplace_back(params_);
+  return engines_[c];
 }
 
 void GroStage::process(net::PacketPtr pkt, StageContext& ctx) {
@@ -24,7 +23,7 @@ void GroStage::end_batch(StageContext& ctx) {
 
 std::uint64_t GroStage::merged_segments() const {
   std::uint64_t total = 0;
-  for (const auto& [_, e] : engines_) total += e.merged_segments();
+  for (const net::GroEngine& e : engines_) total += e.merged_segments();
   return total;
 }
 

@@ -8,7 +8,7 @@
 // exactly like per-CPU napi_gro state in the kernel.
 #pragma once
 
-#include <unordered_map>
+#include <vector>
 
 #include "net/gro.hpp"
 #include "stack/stage.hpp"
@@ -39,7 +39,7 @@ class GroStage : public Stage {
 
   const CostModel& costs_;
   net::GroParams params_;
-  std::unordered_map<int, net::GroEngine> engines_;
+  std::vector<net::GroEngine> engines_;  // indexed by core id
 };
 
 }  // namespace mflow::stack

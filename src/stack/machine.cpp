@@ -24,7 +24,7 @@ void Machine::set_path(std::vector<std::unique_ptr<Stage>> stages) {
   path_ = std::move(stages);
   hooks_.assign(path_.size() + 1, nullptr);
   queues_.clear();
-  queues_.resize(path_.size());
+  queues_.resize(path_.size() * cores_.size());
 }
 
 std::size_t Machine::stage_index(StageId id) const {
@@ -93,15 +93,38 @@ void Machine::override_driver(int queue, sim::Pollable* driver, int core_id) {
 }
 
 StageQueue& Machine::queue(std::size_t index, int core_id) {
-  auto& per_core = queues_.at(index);
-  auto it = per_core.find(core_id);
-  if (it == per_core.end()) {
-    it = per_core
-             .emplace(core_id, std::make_unique<StageQueue>(
-                                   *this, *path_[index], index, core_id))
-             .first;
+  std::unique_ptr<StageQueue>& q =
+      queues_.at(index * cores_.size() + static_cast<std::size_t>(core_id));
+  if (!q) q = std::make_unique<StageQueue>(*this, *path_[index], index, core_id);
+  return *q;
+}
+
+void Machine::remove_rx_source(RxSource* src) {
+  std::erase(rx_sources_, src);
+}
+
+void Machine::pull_arrivals(sim::Ticket limit) {
+  // Merge by ticket: deliver the earliest source's packets up to the next
+  // source's head (or the limit), then look again. One source takes one
+  // round.
+  for (;;) {
+    RxSource* first = nullptr;
+    sim::Ticket first_due;
+    sim::Ticket bound = limit;
+    for (RxSource* src : rx_sources_) {
+      sim::Ticket due;
+      if (!src->lazy_head(due) || !(due < bound)) continue;
+      if (first == nullptr || due < first_due) {
+        if (first != nullptr) bound = first_due;
+        first = src;
+        first_due = due;
+      } else {
+        bound = due;
+      }
+    }
+    if (first == nullptr) return;
+    first->pull(bound);
   }
-  return *it->second;
 }
 
 void Machine::inject_into_path(std::size_t index, int from_core,

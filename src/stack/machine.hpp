@@ -112,6 +112,53 @@ class Machine {
   using Terminal = std::function<void(net::PacketPtr, int from_core)>;
   void set_terminal(Terminal fn) { terminal_ = std::move(fn); }
 
+  // --- lazy wire arrivals ------------------------------------------------------
+  /// A wire feeding this machine's NIC (workload::WireLink; stack/ does not
+  /// see workload/). While every RX-queue consumer is scheduled, an arrival
+  /// only fills a ring that the consumer's next poll reads, so the source
+  /// holds such packets without events and the machine pulls them: when a
+  /// consumer's poll starts, when any arrival event runs, and at measurement
+  /// boundaries. When a consumer goes idle, the machine wakes its sources,
+  /// and each schedules its oldest packet's arrival again.
+  class RxSource {
+   public:
+    /// Ticket of the oldest packet held without an event; false if none.
+    virtual bool lazy_head(sim::Ticket& due) const = 0;
+    /// Deliver, in order, the held packets whose tickets sort before
+    /// `limit`, each stamped with its own arrival time.
+    virtual void pull(sim::Ticket limit) = 0;
+    /// Give the oldest held packet its arrival event back.
+    virtual void wake() = 0;
+
+   protected:
+    ~RxSource() = default;
+  };
+  /// Register a source (non-owning; it unregisters before it dies).
+  void add_rx_source(RxSource* src) { rx_sources_.push_back(src); }
+  void remove_rx_source(RxSource* src);
+
+  /// True while every RX-queue consumer (driver or IRQ-split first half) is
+  /// scheduled: an arrival then needs no event of its own.
+  bool rx_polling() const {
+    if (drivers_.empty()) return false;  // not started: nothing polls
+    for (const DriverEntry& d : drivers_)
+      if (!d.pollable->scheduled()) return false;
+    return true;
+  }
+
+  /// Deliver every held arrival whose ticket sorts before `limit`, merged
+  /// across sources in ticket order. An RX consumer calls it with
+  /// sim::Simulator::running() when its poll starts; so does every arrival
+  /// event before its own packet, and a caller that reads the NIC between
+  /// runs passes {now, 0}.
+  void pull_arrivals(sim::Ticket limit);
+
+  /// An RX consumer went idle (its poll returned false, its ring empty):
+  /// the next arrival must be an event again, to raise the IRQ.
+  void wake_rx_sources() {
+    for (RxSource* src : rx_sources_) src->wake();
+  }
+
   // --- fault injection ---------------------------------------------------------
   /// Perturb packets crossing the inter-core steering handoff (non-owning;
   /// the same injector is usually also installed on the wire and splitter).
@@ -151,12 +198,13 @@ class Machine {
   std::unique_ptr<SteeringPolicy> steering_;
   std::vector<TransitionHook*> hooks_;  // indexed by target stage index
 
-  // queues_[stage index][core id]
-  std::vector<std::unordered_map<int, std::unique_ptr<StageQueue>>> queues_;
+  // queues_[stage index * num_cores + core id], made on first use
+  std::vector<std::unique_ptr<StageQueue>> queues_;
 
   std::vector<std::unique_ptr<sim::Pollable>> owned_drivers_;
   std::vector<DriverEntry> drivers_;  // per NIC queue
 
+  std::vector<RxSource*> rx_sources_;
   std::unordered_map<std::uint16_t, std::unique_ptr<Socket>> sockets_;
   Terminal terminal_;
   net::FaultInjector* faults_ = nullptr;

@@ -4,25 +4,58 @@
 
 namespace mflow::workload {
 
+WireLink::WireLink(sim::Simulator& sim, stack::Machine& dst,
+                   sim::Time latency)
+    : sim_(sim), dst_(dst), latency_(latency) {
+  dst_.add_rx_source(this);
+}
+
+WireLink::~WireLink() { dst_.remove_rx_source(this); }
+
 void WireLink::transmit(net::PacketPtr pkt) {
   const bool idle = in_flight_.empty();
   in_flight_.push_back(InFlight{std::move(pkt), sim_.reserve_after(latency_)});
   ++packets_;
-  if (idle) arm_head();
+  if (idle && eager()) arm_head();
 }
 
 void WireLink::arm_head() {
+  armed_ = true;
   sim_.at(in_flight_.front().due, [this] { arrive(); });
 }
 
 void WireLink::arrive() {
+  // Packets other wires hold that arrive before this one go first.
+  dst_.pull_arrivals(sim_.running());
+  armed_ = false;
   net::PacketPtr pkt = std::move(in_flight_.front().pkt);
   in_flight_.pop_front();
-  if (!in_flight_.empty()) arm_head();
-  deliver(std::move(pkt));
+  deliver(std::move(pkt), sim_.now());
+  // Decided after the delivery, which may have woken a consumer.
+  if (!in_flight_.empty() && eager()) arm_head();
 }
 
-void WireLink::deliver(net::PacketPtr pkt) {
+bool WireLink::lazy_head(sim::Ticket& due) const {
+  if (armed_ || in_flight_.empty()) return false;
+  due = in_flight_.front().due;
+  return true;
+}
+
+void WireLink::pull(sim::Ticket limit) {
+  while (!armed_ && !in_flight_.empty() && in_flight_.front().due < limit) {
+    InFlight& head = in_flight_.front();
+    const sim::Time at = head.due.when;
+    net::PacketPtr pkt = std::move(head.pkt);
+    in_flight_.pop_front();
+    deliver(std::move(pkt), at);
+  }
+}
+
+void WireLink::wake() {
+  if (!armed_ && !in_flight_.empty()) arm_head();
+}
+
+void WireLink::deliver(net::PacketPtr pkt, sim::Time at) {
   if (faults_ != nullptr) {
     switch (faults_->decide(net::FaultPoint::kNicRing)) {
       case net::FaultAction::kDrop:
@@ -33,11 +66,12 @@ void WireLink::deliver(net::PacketPtr pkt) {
         faults_->corrupt(*pkt);
         break;
       case net::FaultAction::kDuplicate:
-        dst_.nic().deliver(net::clone_packet(*pkt), sim_.now());
+        dst_.nic().deliver(net::clone_packet(*pkt), at);
         break;
       case net::FaultAction::kDelay: {
         sim_.after(faults_->delay_ns(net::FaultPoint::kNicRing),
                    [this, held = std::move(pkt)]() mutable {
+                     dst_.pull_arrivals(sim_.running());
                      dst_.nic().deliver(std::move(held), sim_.now());
                    });
         return;
@@ -46,7 +80,7 @@ void WireLink::deliver(net::PacketPtr pkt) {
         break;
     }
   }
-  dst_.nic().deliver(std::move(pkt), sim_.now());
+  dst_.nic().deliver(std::move(pkt), at);
 }
 
 ClientHost::ClientHost(sim::Simulator& sim, int num_cores,

@@ -25,16 +25,27 @@ namespace mflow::workload {
 /// plus constant latency preserves transmit order on arrival (single cable,
 /// no reordering — as in the paper's back-to-back 100GbE link).
 ///
-/// The wire is a delay line: however many packets are in flight, only the
-/// oldest has an event in the simulator's queue. Each packet takes a
-/// sim::Ticket at transmit, the place its own after(latency) event would
-/// have had; when the head arrives, the next packet's ticket is scheduled.
-/// Deliveries therefore interleave with every other event exactly as one
-/// event per packet would, at a heap depth of one per link.
-class WireLink {
+/// Each packet takes a sim::Ticket at transmit: the place its own
+/// after(latency) event would have had. The wire is a delay line: at most
+/// its oldest packet has an event (it is "armed"), and when that event runs
+/// the next packet's ticket is scheduled. The wire is also lazy: while every
+/// RX-queue consumer of the destination NIC is scheduled, an arrival only
+/// fills a ring that the consumer's next poll reads, so the wire stops
+/// arming and holds its packets without events. The machine pulls them in
+/// ticket order (stack::Machine::RxSource) when a consumer's poll starts,
+/// before any other arrival, and at measurement boundaries; each is stamped
+/// with its own arrival time. When a consumer goes idle it wakes the wire,
+/// which arms its oldest packet again, so the arrival that raises the IRQ is
+/// still an event at its own place in the order. Ring contents, drops and
+/// IRQs are therefore exactly those of one event per packet.
+///
+/// A wire with a fault injector keeps one event per packet: its kNicRing
+/// verdicts share one RNG with the other fault points, so each must be
+/// drawn at its arrival instant.
+class WireLink final : private stack::Machine::RxSource {
  public:
-  WireLink(sim::Simulator& sim, stack::Machine& dst, sim::Time latency)
-      : sim_(sim), dst_(dst), latency_(latency) {}
+  WireLink(sim::Simulator& sim, stack::Machine& dst, sim::Time latency);
+  ~WireLink();
 
   WireLink(const WireLink&) = delete;  // pending events hold `this`
   WireLink& operator=(const WireLink&) = delete;
@@ -42,7 +53,8 @@ class WireLink {
   void transmit(net::PacketPtr pkt);
 
   /// Perturb packets at the wire->NIC-ring boundary (kNicRing faults:
-  /// overruns, bit errors, PFC pauses). Non-owning.
+  /// overruns, bit errors, PFC pauses). Non-owning; set before the first
+  /// transmit.
   void set_fault_injector(net::FaultInjector* inj) { faults_ = inj; }
 
   std::uint64_t packets() const { return packets_; }
@@ -53,16 +65,24 @@ class WireLink {
     sim::Ticket due;
   };
 
+  /// Does the next arrival need an event of its own?
+  bool eager() const { return faults_ != nullptr || !dst_.rx_polling(); }
   /// Schedule the arrival of the packet at the head of the line.
   void arm_head();
   void arrive();
-  void deliver(net::PacketPtr pkt);
+  void deliver(net::PacketPtr pkt, sim::Time at);
+
+  // RxSource
+  bool lazy_head(sim::Ticket& due) const override;
+  void pull(sim::Ticket limit) override;
+  void wake() override;
 
   sim::Simulator& sim_;
   stack::Machine& dst_;
   sim::Time latency_;
   net::FaultInjector* faults_ = nullptr;
   util::Fifo<InFlight> in_flight_;
+  bool armed_ = false;  // the head has an event
   std::uint64_t packets_ = 0;
 };
 

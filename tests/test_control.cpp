@@ -34,6 +34,18 @@ TEST(FlowMonitor, RateZeroUntilTwoSamples) {
   EXPECT_DOUBLE_EQ(mon.rate_bps(1), 1.5e6 * 8.0 * 1000.0);
 }
 
+// The exported rate_bps gauge is in bits per second, like rate_bps().
+TEST(FlowMonitor, RateBpsGaugeMatchesRateBps) {
+  trace::Registry reg;
+  control::FlowMonitor mon;
+  mon.export_to(&reg);
+  mon.record(1, 1000, 1'500'000, 0);
+  mon.record(1, 2000, 3'000'000, sim::ms(1));
+  EXPECT_DOUBLE_EQ(reg.gauge("flow.1.rate_bps"), mon.rate_bps(1));
+  EXPECT_DOUBLE_EQ(reg.gauge("flow.1.rate_bps"), 1.2e10);
+  EXPECT_DOUBLE_EQ(reg.gauge("flow.1.rate_pps"), mon.rate_pps(1));
+}
+
 TEST(FlowMonitor, SlidingWindowForgetsOldRate) {
   control::FlowMonitor mon(control::MonitorParams{sim::ms(1), 32});
   // 100 segs per 250us for 2ms, then the flow goes silent.

@@ -7,9 +7,12 @@
 
 #include <array>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "alloc_counter.hpp"
+#include "net/fault.hpp"
 #include "net/packet.hpp"
 #include "rt/pool.hpp"
 #include "sim/event_queue.hpp"
@@ -234,6 +237,192 @@ TEST(WireLink, InterleavesLikePerPacketEvents) {
   const WireLog want = replay_wire<PerPacketWire>(script, kLatency);
   ASSERT_GT(want.size(), 100u);
   EXPECT_EQ(replay_wire<WireLink>(script, kLatency), want);
+}
+
+// ---- lazy wire arrivals ---------------------------------------------------------
+//
+// While the receiver's driver is scheduled, a WireLink gives its packets no
+// events; the driver's next poll pulls them. These replay one script over
+// WireLinks and over one-event-per-packet wires into a started receiver
+// whose driver hands each packet straight to a terminal, and compare what
+// the terminal saw and what the driver core was charged.
+
+namespace {
+
+/// One packet as the receiver's terminal saw it.
+struct Seen {
+  Time polled;  // the driver slice that popped it
+  Time t_wire;  // the arrival time the NIC stamped
+  std::uint64_t id;
+  std::uint64_t wire_seq;
+  bool operator==(const Seen&) const = default;
+};
+
+/// A started receiver (empty path: the driver delivers to the terminal)
+/// fed by two wires of different latencies carrying one flow.
+template <class Wire>
+struct RxRig {
+  static mflow::stack::MachineParams params() {
+    mflow::stack::MachineParams mp;
+    mp.num_cores = 2;  // the driver runs on core 1
+    return mp;
+  }
+  Simulator sim;
+  mflow::stack::Machine rx{sim, params()};
+  Wire a{sim, rx, 1000};
+  Wire b{sim, rx, 1500};
+  std::vector<Seen> seen;
+  std::uint64_t next_id = 0;
+
+  RxRig() {
+    rx.set_path({});
+    rx.set_terminal([this](PacketPtr p, int) {
+      seen.push_back({sim.now(), p->t_wire, p->message_id, p->wire_seq});
+    });
+    rx.start();
+  }
+  Core& driver_core() { return rx.core(1); }
+  void send(Wire& w) {
+    PacketPtr p = mflow::net::make_udp_datagram(
+        mflow::net::FlowKey{mflow::net::Ipv4Addr(10, 0, 1, 2),
+                            mflow::net::Ipv4Addr(10, 0, 1, 3), 40000, 5000,
+                            mflow::net::Ipv4Header::kProtoUdp},
+        64);
+    p->flow_id = 1;
+    p->message_id = next_id++;
+    w.transmit(std::move(p));
+  }
+};
+
+/// What a replay produced: the terminal's log, the driver core's IRQ and
+/// driver busy time, and the events the simulator ran.
+struct RxReplay {
+  std::vector<Seen> seen;
+  Time irq_ns, driver_ns;
+  std::uint64_t events;
+};
+
+/// A random script every 100 ns: transmit on either wire, or keep the
+/// driver core busy for up to 4 us (which holds the driver scheduled while
+/// packets arrive), or nothing.
+template <class Wire>
+RxReplay replay_rx(std::uint64_t seed) {
+  RxRig<Wire> rig;
+  RxRig<Wire>* r = &rig;
+  mflow::util::Rng rng(seed);
+  for (Time k = 0; k < 2000; ++k) {
+    const std::uint64_t what = rng.uniform(8);
+    const Time busy = static_cast<Time>(rng.uniform(4000));
+    rig.sim.at(k * 100, [r, what, busy] {
+      if (what < 2) r->send(r->a);
+      if (what == 2 || what == 3) r->send(r->b);
+      if (what == 4) r->driver_core().inject(Tag::kOther, busy);
+    });
+  }
+  const std::uint64_t events = rig.sim.run();
+  return {std::move(rig.seen), rig.driver_core().busy_ns(Tag::kIrq),
+          rig.driver_core().busy_ns(Tag::kDriver), events};
+}
+
+}  // namespace
+
+// While the driver is scheduled, transmits add no events, and the next
+// poll sees every packet in transmit order with its own arrival time.
+TEST(WireLink, HoldsArrivalsWhileTheDriverIsScheduled) {
+  RxRig<mflow::workload::WireLink> rig;
+  auto* r = &rig;
+  // Core 1 is busy until t = 50 us, so the IRQ raised by the first arrival
+  // (t = 1 us) schedules a driver poll that cannot start before then.
+  rig.driver_core().inject(Tag::kOther, us(50));
+  rig.sim.at(0, [r] { r->send(r->a); });
+  constexpr int kN = 20;
+  std::vector<std::size_t> pending;
+  for (int i = 0; i < kN; ++i) {
+    rig.sim.at(us(2) + i * 500, [r, &pending] {
+      const std::size_t before = r->sim.pending_events();
+      r->send(r->a);
+      pending.push_back(r->sim.pending_events() - before);
+    });
+  }
+  rig.sim.run();
+  EXPECT_EQ(pending, std::vector<std::size_t>(kN, 0));
+  ASSERT_EQ(rig.seen.size(), static_cast<std::size_t>(kN + 1));
+  for (int i = 0; i <= kN; ++i) {
+    const Seen& s = rig.seen[static_cast<std::size_t>(i)];
+    EXPECT_EQ(s.id, static_cast<std::uint64_t>(i));
+    EXPECT_EQ(s.t_wire, i == 0 ? 1000 : us(2) + (i - 1) * 500 + 1000);
+    EXPECT_EQ(s.polled, rig.seen.front().polled);  // all in one poll
+  }
+  EXPECT_GE(rig.seen.front().polled, us(50));
+  EXPECT_EQ(rig.driver_core().busy_ns(Tag::kIrq), rig.rx.costs().irq);
+}
+
+// A driver that goes idle wakes the wire: the next arrival is an event
+// again and raises the IRQ at its own time, as a per-packet wire's does.
+TEST(WireLink, IdleDriverRearmsTheWire) {
+  const Time irq = mflow::stack::default_costs().irq;
+  auto run = [](auto tag) {
+    using Wire = typename decltype(tag)::type;
+    RxRig<Wire> rig;
+    auto* r = &rig;
+    // The first arrival (1 us) raises the IRQ; core 1 is busy until 10 us,
+    // so the poll runs at 10 us + irq and drains the ring. The packet sent
+    // at 11.5 us is still on the wire then, held without an event, when
+    // the driver goes idle; its arrival must raise the second IRQ.
+    rig.driver_core().inject(Tag::kOther, us(10));
+    for (Time t : {Time{0}, Time{100}, Time{200}, Time{11500}, us(30)})
+      rig.sim.at(t, [r] { r->send(r->a); });
+    rig.sim.run();
+    return std::pair{rig.seen, rig.driver_core().busy_ns(Tag::kIrq)};
+  };
+  const auto lazy = run(std::type_identity<mflow::workload::WireLink>{});
+  const auto eager = run(std::type_identity<PerPacketWire>{});
+  EXPECT_EQ(lazy, eager);
+  ASSERT_EQ(lazy.first.size(), 5u);
+  EXPECT_EQ(lazy.first[2].polled, us(10) + irq);
+  EXPECT_EQ(lazy.first[3].t_wire, 12500);
+  EXPECT_GE(lazy.first[3].polled, 12500 + irq);
+  // Three IRQs: at 1 us, 12.5 us and 31 us.
+  EXPECT_EQ(lazy.second, 3 * irq);
+}
+
+// Two wires into one receiver (the webserving layout): the merged arrival
+// order, the per-flow wire sequence, every poll's contents, and the IRQ and
+// driver time equal one event per packet — with far fewer events.
+TEST(WireLink, TwoWiresInterleaveLikePerPacketEvents) {
+  for (std::uint64_t seed : {1, 2, 3}) {
+    const RxReplay lazy = replay_rx<mflow::workload::WireLink>(seed);
+    const RxReplay eager = replay_rx<PerPacketWire>(seed);
+    ASSERT_GT(eager.seen.size(), 500u);
+    EXPECT_EQ(lazy.seen, eager.seen) << "seed " << seed;
+    EXPECT_EQ(lazy.irq_ns, eager.irq_ns) << "seed " << seed;
+    EXPECT_EQ(lazy.driver_ns, eager.driver_ns) << "seed " << seed;
+    EXPECT_LT(lazy.events, eager.events) << "seed " << seed;
+  }
+}
+
+// A wire with a fault injector keeps one event per packet: its verdicts
+// must be drawn at each arrival instant.
+TEST(WireLink, FaultedWireKeepsOneEventPerPacket) {
+  auto run = [](bool faulted) {
+    RxRig<mflow::workload::WireLink> rig;
+    mflow::net::FaultInjector faults(mflow::net::FaultPlan{});
+    if (faulted) {
+      rig.a.set_fault_injector(&faults);
+      rig.b.set_fault_injector(&faults);
+    }
+    auto* r = &rig;
+    rig.driver_core().inject(Tag::kOther, us(50));
+    for (int i = 0; i < 40; ++i)
+      rig.sim.at(i * 250, [r, i] { r->send(i % 2 == 0 ? r->a : r->b); });
+    return std::pair{rig.sim.run(), rig.seen};
+  };
+  const auto [lazy_events, lazy_seen] = run(false);
+  const auto [faulted_events, faulted_seen] = run(true);
+  EXPECT_EQ(faulted_seen, lazy_seen);
+  // Unfaulted, only each wire's first packet (sent while the driver was
+  // idle) arrives as an event; faulted, all 40 do.
+  EXPECT_EQ(faulted_events - lazy_events, 38u);
 }
 
 TEST(Simulator, SeededRngDeterministic) {

@@ -32,7 +32,7 @@ PacketPtr udp_pkt(FlowId flow) {
 
 struct Collector {
   std::vector<PacketPtr> out;
-  GroEngine::Sink sink() {
+  auto sink() {
     return [this](PacketPtr p) { out.push_back(std::move(p)); };
   }
 };

@@ -99,6 +99,9 @@ struct Fingerprint {
   std::uint64_t events, messages, nic_drops, goodput_bits, p50, p99;
 };
 
+/// An `events` value that expect_pinned() does not compare.
+constexpr std::uint64_t kUnpinned = ~std::uint64_t{0};
+
 Fingerprint fingerprint(const exp::ScenarioResult& r) {
   std::uint64_t bits = 0;
   static_assert(sizeof bits == sizeof r.goodput_gbps);
@@ -114,7 +117,9 @@ void expect_pinned(const exp::ScenarioConfig& cfg, const Fingerprint& want,
   if (cfg.faults.any()) {
     EXPECT_GT(r.injected_delays, 0u) << name;
   }
-  EXPECT_EQ(got.events, want.events) << name;
+  if (want.events != kUnpinned) {
+    EXPECT_EQ(got.events, want.events) << name;
+  }
   EXPECT_EQ(got.messages, want.messages) << name;
   EXPECT_EQ(got.nic_drops, want.nic_drops) << name;
   EXPECT_EQ(got.goodput_bits, want.goodput_bits)
@@ -199,16 +204,37 @@ exp::ScenarioConfig delayed_config(std::uint8_t proto) {
   return c;
 }
 
+/// A small NIC ring under two TCP flows: the ring overruns more than a
+/// thousand times, so these pin the ring-overrun decisions themselves (the configs
+/// above never drop at the NIC). Native uses one queue; MFLOW spreads the
+/// flows over two queues, each with its own IRQ-split consumer.
+exp::ScenarioConfig ring_overrun_config(Mode mode, int nic_queues) {
+  exp::ScenarioConfig c;
+  c.seed = 3;
+  c.mode = mode;
+  c.protocol = net::Ipv4Header::kProtoTcp;
+  c.message_size = 65536;
+  c.num_flows = 2;
+  c.nic_queues = nic_queues;
+  c.nic_ring_capacity = 64;
+  c.warmup = sim::ms(2);
+  c.measure = sim::ms(10);
+  return c;
+}
+
 }  // namespace
 
 TEST(Scenario, PinnedFingerprints) {
   // Recorded at the commit before the allocation-free event queue; the
-  // queue rewrite kept every one of them.
+  // queue rewrite kept every one of them. Lazy wire arrivals kept all but
+  // the first two event counts (349,168 and 156,512 before): arrivals into
+  // a ring whose consumer is already scheduled stopped being events. The
+  // kDelay configs keep theirs, because a wire with faults stays eager.
   expect_pinned(mflow_tcp_config(),
-                {349168, 4924, 0, 4627959364592317205ull, 80896, 107520},
+                {109201, 4924, 0, 4627959364592317205ull, 80896, 107520},
                 "des-mflow-tcp");
   expect_pinned(control_churn_config(),
-                {156512, 2291, 0, 4627455647962778906ull, 1490944, 1622016},
+                {43234, 2291, 0, 4627455647962778906ull, 1490944, 1622016},
                 "des-control-churn");
   expect_pinned(delayed_config(net::Ipv4Header::kProtoTcp),
                 {71067, 991, 0, 4628007972753743348ull, 95232, 137216},
@@ -216,6 +242,17 @@ TEST(Scenario, PinnedFingerprints) {
   expect_pinned(delayed_config(net::Ipv4Header::kProtoUdp),
                 {17169, 8064, 0, 4616944723994200654ull, 405504, 532480},
                 "delay-faults-udp");
+  // Recorded before wire arrivals became lazy. Their event counts (35,142
+  // and 44,244 then) are left unpinned: they measure the simulator's work,
+  // and the pins exist to hold the drop decisions.
+  expect_pinned(ring_overrun_config(Mode::kNative, 1),
+                {kUnpinned, 51, 18688, 4613142943715481365ull, 5308416,
+                 11927552},
+                "ring-overrun-native");
+  expect_pinned(ring_overrun_config(Mode::kMflow, 2),
+                {kUnpinned, 515, 1088, 4628278227011982410ull, 397312,
+                 4915200},
+                "ring-overrun-mflow-2q");
 }
 
 // ---- pinned control plane ----------------------------------------------------
@@ -310,28 +347,31 @@ TEST(Scenario, PinnedControlPlane) {
                         {3, 0, 3, 3, 0, 6507491489114481024ull}, "elastic");
 }
 
-// Steady-state heap allocations per event on the des-mflow-tcp workload,
-// measured as (allocations of a 100 ms run - allocations of a 10 ms run) /
-// (events of the same difference), which cancels set-up and tear-down. The
-// sender stamps packets from header images into pooled slabs, the wire is a
-// delay line and every packet FIFO is a grow-only ring, so what remains is
-// the reassembler's per-batch ledgers.
-TEST(Scenario, SteadyStateAllocationsPerEventBounded) {
+// Steady-state heap allocations per delivered wire segment on the
+// des-mflow-tcp workload, measured as (allocations of a 100 ms run -
+// allocations of a 10 ms run) / (NIC deliveries of the same difference),
+// which cancels set-up and tear-down. The sender stamps packets from header
+// images into pooled slabs, the wire is a delay line and every packet FIFO
+// is a grow-only ring, so what remains is the reassembler's per-batch
+// ledgers. The bound is per segment, not per event: events are the
+// simulator's own cost, and lazy wire arrivals cut them by two thirds
+// without changing the work done per packet.
+TEST(Scenario, SteadyStateAllocationsPerSegmentBounded) {
   auto measure = [](sim::Time window) {
     exp::ScenarioConfig cfg = mflow_tcp_config();
     cfg.measure = window;
     const std::uint64_t before = alloc_counter::calls();
     const exp::ScenarioResult r = exp::run_scenario(cfg);
-    return std::pair{alloc_counter::calls() - before, r.events};
+    return std::pair{alloc_counter::calls() - before, r.nic_delivered};
   };
-  const auto [short_allocs, short_events] = measure(sim::ms(10));
-  const auto [long_allocs, long_events] = measure(sim::ms(100));
-  ASSERT_GT(long_events, short_events);
-  const double per_event =
+  const auto [short_allocs, short_segs] = measure(sim::ms(10));
+  const auto [long_allocs, long_segs] = measure(sim::ms(100));
+  ASSERT_GT(long_segs, short_segs);
+  const double per_segment =
       static_cast<double>(static_cast<std::int64_t>(long_allocs) -
                           static_cast<std::int64_t>(short_allocs)) /
-      static_cast<double>(long_events - short_events);
-  EXPECT_LE(per_event, 0.02) << (long_allocs - short_allocs)
-                             << " allocations over "
-                             << (long_events - short_events) << " events";
+      static_cast<double>(long_segs - short_segs);
+  EXPECT_LE(per_segment, 0.025) << (long_allocs - short_allocs)
+                                << " allocations over "
+                                << (long_segs - short_segs) << " segments";
 }
