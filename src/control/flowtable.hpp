@@ -154,6 +154,16 @@ class FlowTable {
   }
   bool contains(net::FlowId key) const { return find(key) != nullptr; }
 
+  /// Recency stamp of `key` (its last insert or effective touch), or
+  /// nullopt if absent.
+  std::optional<sim::Time> last_seen(net::FlowId key) const {
+    const Shard& sh = shard_for(key);
+    std::lock_guard lock(sh.mu);
+    const std::int32_t slot = sh.idx.find(key);
+    if (slot == detail::ShardIndex::kNil) return std::nullopt;
+    return sh.idx.last_seen(slot);
+  }
+
   /// Find-or-insert. New entries are value-initialized and stamped at
   /// `now`; existing entries keep their recency (touch() refreshes it).
   /// When the key's shard is full its least-recently-touched entry is

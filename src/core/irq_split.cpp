@@ -1,5 +1,7 @@
 #include "core/irq_split.hpp"
 
+#include <algorithm>
+
 #include "trace/trace.hpp"
 
 namespace mflow::core {
@@ -48,7 +50,11 @@ class IrqSplitter::SecondHalf final : public sim::Pollable {
   int since_release_ = 0;
 };
 
-/// First half: request location + dispatch on the IRQ core.
+/// First half: request location + dispatch on the IRQ core. It works run by
+/// run: a run is the packets of one flow at the head of the driver ring, and
+/// the flow's split state and reassembler are visited once per run; only
+/// the pop, the charges, the trace records, the fault verdict and the
+/// request-ring push stay per packet.
 class IrqSplitter::FirstHalf final : public sim::Pollable {
  public:
   explicit FirstHalf(IrqSplitter& owner) : owner_(owner) {}
@@ -58,121 +64,59 @@ class IrqSplitter::FirstHalf final : public sim::Pollable {
     stack::Machine& m = o.machine_;
     const stack::CostModel& costs = m.costs();
     trace::Tracer* tr = trace::active();
+    net::RxRing& rx = o.driver_ring_;
     m.pull_arrivals(m.simulator().running());
     int n = 0;
-    while (n < budget) {
-      net::PacketPtr pkt = o.driver_ring_.pop();
-      if (!pkt) break;
-      ++n;
-      if (tr != nullptr)
-        tr->packet(trace::EventKind::kRingDequeue, core.vnow(), core.id(),
-                   pkt->flow_id, pkt->wire_seq, pkt->microflow_id);
-      core.charge(sim::Tag::kDriver, costs.driver_poll_per_pkt);
-      const auto a = o.assigner_.assign(pkt->flow_id, 1, pkt->payload_len);
-      if (a.microflow_id == 0) {
-        // Mouse flow: do the whole stage 1 here, as the stock driver would.
-        if (a.unsplit) {
-          // Demotion boundary: park this flow's default-path packets at the
-          // merge point until its in-flight batches drain.
-          if (Reassembler* ra = o.lookup_(*pkt))
-            ra->note_flow_unsplit(pkt->flow_id);
-        }
-        if (tr != nullptr)
-          tr->packet(trace::EventKind::kSplitDecision, core.vnow(), core.id(),
-                     pkt->flow_id, pkt->wire_seq, 0);
-        core.charge(sim::Tag::kSkbAlloc, costs.skb_alloc);
-        pkt->skb_allocated = true;
-        if (tr != nullptr)
-          tr->packet(trace::EventKind::kSkbAlloc, core.vnow(), core.id(),
-                     pkt->flow_id, pkt->wire_seq, 0, 0,
-                     costs.driver_poll_per_pkt + costs.skb_alloc);
-        m.inject_into_path(0, o.irq_core_, std::move(pkt));
-        continue;
-      }
-      pkt->microflow_id = a.microflow_id;
-      Reassembler* ra = o.lookup_(*pkt);
-      if (a.first_split && ra != nullptr)
-        ra->note_flow_split(pkt->flow_id, a.prior_segs, a.microflow_id);
-      if (a.new_batch) {
-        core.charge(sim::Tag::kSteer, costs.mflow_dispatch_per_batch);
-        if (ra != nullptr) ra->note_batch_open(pkt->flow_id, a.microflow_id);
-      }
-      if (ra != nullptr) ra->note_dispatch(pkt->flow_id, a.microflow_id, 1);
-      core.charge(sim::Tag::kSteer, costs.mflow_split_per_pkt);
-      if (tr != nullptr) {
-        tr->registry().add("split.dispatched");
-        tr->packet(trace::EventKind::kSplitDecision, core.vnow(), core.id(),
-                   pkt->flow_id, pkt->wire_seq, a.microflow_id,
-                   a.microflow_id);
-        tr->packet(trace::EventKind::kSplitDeposit, core.vnow(), core.id(),
-                   pkt->flow_id, pkt->wire_seq, a.microflow_id,
-                   static_cast<std::uint64_t>(a.target_core));
+    while (n < budget && !rx.empty()) {
+      // The run shares the flow id (the assigner's key) and the destination
+      // port (the reassembler lookup's key): a reused FlowId may carry
+      // another tuple.
+      const net::Packet& head = rx.peek(0);
+      const net::FlowId flow = head.flow_id;
+      const std::uint16_t port = head.flow.dst_port;
+      const std::size_t limit =
+          std::min(rx.size(), static_cast<std::size_t>(budget - n));
+      std::uint32_t len = 1;
+      while (len < limit && rx.peek(len).flow_id == flow &&
+             rx.peek(len).flow.dst_port == port)
+        ++len;
+      const BatchAssigner::Run run =
+          o.assigner_.assign_run(flow, len, 1, [&rx](std::uint32_t i) {
+            return rx.peek(i).payload_len;
+          });
+      const BatchAssigner::Assignment& a = run.first;
+      const bool split = a.microflow_id != 0;
+
+      // The run's reassembler bookkeeping, ahead of its pushes.
+      Reassembler* ra = split || a.unsplit ? o.lookup_(head) : nullptr;
+      const std::size_t slot = split ? o.core_slot(a.target_core) : 0;
+      if (ra != nullptr) {
+        // A demotion parks this flow's default-path packets at the merge
+        // point until its in-flight batches drain.
+        if (a.unsplit) ra->note_flow_unsplit(flow);
+        if (a.first_split)
+          ra->note_flow_split(flow, a.prior_segs, a.microflow_id);
+        if (a.new_batch) ra->note_batch_open(flow, a.microflow_id);
+        if (split) ra->note_dispatch(flow, a.microflow_id, run.taken);
       }
 
-      const std::size_t slot = o.core_slot(a.target_core);
-      net::RxRing& ring = *o.request_rings_[slot];
-      const std::uint64_t flow = pkt->flow_id;
-      const std::uint64_t batch = a.microflow_id;
-
-      if (net::FaultInjector* faults = m.fault_injector()) {
-        const auto action = faults->decide(net::FaultPoint::kSplitQueue);
-        if (tr != nullptr && action != net::FaultAction::kNone) {
-          tr->registry().add("fault.split_queue_verdicts");
-          tr->packet(trace::EventKind::kFaultVerdict, core.vnow(), core.id(),
-                     flow, pkt->wire_seq, batch,
-                     static_cast<std::uint64_t>(action));
-        }
-        if (action == net::FaultAction::kDrop) {
-          // Request lost on the per-core ring: retract the dispatch.
-          faults->note_dropped_segs(1);
-          if (tr != nullptr)
-            tr->packet(trace::EventKind::kDrop, core.vnow(), core.id(), flow,
-                       pkt->wire_seq, batch);
-          if (ra != nullptr) ra->note_drop(flow, batch, 1);
+      for (std::uint32_t i = 0; i < run.taken; ++i) {
+        net::PacketPtr pkt = rx.pop();
+        if (tr != nullptr)
+          tr->packet(trace::EventKind::kRingDequeue, core.vnow(), core.id(),
+                     pkt->flow_id, pkt->wire_seq, pkt->microflow_id);
+        core.charge(sim::Tag::kDriver, costs.driver_poll_per_pkt);
+        if (!split) {
+          stage_one_here(core, std::move(pkt));
           continue;
         }
-        if (action == net::FaultAction::kCorrupt) {
-          faults->corrupt(*pkt);
-        } else if (action == net::FaultAction::kDuplicate) {
-          auto dup = net::clone_packet(*pkt);
-          if (ring.push(std::move(dup)))
-            m.core(a.target_core).raise(*o.second_halves_[slot],
-                                        /*remote=*/true);
-        } else if (action == net::FaultAction::kDelay) {
-          IrqSplitter* op = &o;
-          const int target = a.target_core;
-          m.simulator().after(
-              faults->delay_ns(net::FaultPoint::kSplitQueue),
-              [op, slot, target, late = std::move(pkt), flow,
-               batch]() mutable {
-                core::Reassembler* lra = op->lookup_(*late);
-                if (op->request_rings_[slot]->push(std::move(late))) {
-                  op->machine_.core(target).raise(*op->second_halves_[slot],
-                                                  /*remote=*/true);
-                } else if (lra != nullptr) {
-                  lra->note_drop(flow, batch, 1);
-                }
-              });
-          continue;
-        }
+        if (i == 0 && a.new_batch)
+          core.charge(sim::Tag::kSteer, costs.mflow_dispatch_per_batch);
+        dispatch(core, std::move(pkt), a, slot, ra, run.taken - 1 - i);
       }
-
-      const std::uint64_t wseq = pkt->wire_seq;
-      if (ring.push(std::move(pkt))) {
-        ++o.dispatched_;
-        m.core(a.target_core).raise(*o.second_halves_[slot], /*remote=*/true);
-      } else {
-        // Request-ring overrun: retract the dispatch so merging never waits
-        // for a packet that will not arrive.
-        if (tr != nullptr) {
-          tr->registry().add("split.request_ring_drops");
-          tr->packet(trace::EventKind::kDrop, core.vnow(), core.id(), flow,
-                     wseq, batch);
-        }
-        if (ra != nullptr) ra->note_drop(flow, batch, 1);
-      }
+      n += static_cast<int>(run.taken);
     }
-    if (!o.driver_ring_.empty()) return true;
+    if (!rx.empty()) return true;
     m.wake_rx_sources();
     return false;
   }
@@ -180,6 +124,107 @@ class IrqSplitter::FirstHalf final : public sim::Pollable {
   std::string_view poll_name() const override { return "irq-split-1st"; }
 
  private:
+  /// Mouse flow: do the whole stage 1 here, as the stock driver would.
+  void stage_one_here(sim::Core& core, net::PacketPtr pkt) {
+    IrqSplitter& o = owner_;
+    const stack::CostModel& costs = o.machine_.costs();
+    trace::Tracer* tr = trace::active();
+    if (tr != nullptr)
+      tr->packet(trace::EventKind::kSplitDecision, core.vnow(), core.id(),
+                 pkt->flow_id, pkt->wire_seq, 0);
+    core.charge(sim::Tag::kSkbAlloc, costs.skb_alloc);
+    pkt->skb_allocated = true;
+    if (tr != nullptr)
+      tr->packet(trace::EventKind::kSkbAlloc, core.vnow(), core.id(),
+                 pkt->flow_id, pkt->wire_seq, 0, 0,
+                 costs.driver_poll_per_pkt + costs.skb_alloc);
+    o.machine_.inject_into_path(0, o.irq_core_, std::move(pkt));
+  }
+
+  /// Deposit one request of micro-flow `a` on the request ring `slot` of
+  /// its splitting core. Its dispatch is already noted, along with `ahead`
+  /// segments of the packets behind it in the run; a lost request retracts
+  /// only itself.
+  void dispatch(sim::Core& core, net::PacketPtr pkt,
+                const BatchAssigner::Assignment& a, std::size_t slot,
+                Reassembler* ra, std::uint32_t ahead) {
+    IrqSplitter& o = owner_;
+    stack::Machine& m = o.machine_;
+    trace::Tracer* tr = trace::active();
+    pkt->microflow_id = a.microflow_id;
+    core.charge(sim::Tag::kSteer, m.costs().mflow_split_per_pkt);
+    if (tr != nullptr) {
+      tr->registry().add("split.dispatched");
+      tr->packet(trace::EventKind::kSplitDecision, core.vnow(), core.id(),
+                 pkt->flow_id, pkt->wire_seq, a.microflow_id, a.microflow_id);
+      tr->packet(trace::EventKind::kSplitDeposit, core.vnow(), core.id(),
+                 pkt->flow_id, pkt->wire_seq, a.microflow_id,
+                 static_cast<std::uint64_t>(a.target_core));
+    }
+
+    net::RxRing& ring = *o.request_rings_[slot];
+    const std::uint64_t flow = pkt->flow_id;
+    const std::uint64_t batch = a.microflow_id;
+
+    if (net::FaultInjector* faults = m.fault_injector()) {
+      const auto action = faults->decide(net::FaultPoint::kSplitQueue);
+      if (tr != nullptr && action != net::FaultAction::kNone) {
+        tr->registry().add("fault.split_queue_verdicts");
+        tr->packet(trace::EventKind::kFaultVerdict, core.vnow(), core.id(),
+                   flow, pkt->wire_seq, batch,
+                   static_cast<std::uint64_t>(action));
+      }
+      if (action == net::FaultAction::kDrop) {
+        // Request lost on the per-core ring: retract the dispatch.
+        faults->note_dropped_segs(1);
+        if (tr != nullptr)
+          tr->packet(trace::EventKind::kDrop, core.vnow(), core.id(), flow,
+                     pkt->wire_seq, batch);
+        if (ra != nullptr) ra->note_drop(flow, batch, 1, ahead);
+        return;
+      }
+      if (action == net::FaultAction::kCorrupt) {
+        faults->corrupt(*pkt);
+      } else if (action == net::FaultAction::kDuplicate) {
+        auto dup = net::clone_packet(*pkt);
+        if (ring.push(std::move(dup)))
+          m.core(a.target_core).raise(*o.second_halves_[slot],
+                                      /*remote=*/true);
+      } else if (action == net::FaultAction::kDelay) {
+        IrqSplitter* op = &o;
+        const int target = a.target_core;
+        m.simulator().after(
+            faults->delay_ns(net::FaultPoint::kSplitQueue),
+            [op, slot, target, late = std::move(pkt), flow,
+             batch]() mutable {
+              core::Reassembler* lra = op->lookup_(*late);
+              if (op->request_rings_[slot]->push(std::move(late))) {
+                op->machine_.core(target).raise(*op->second_halves_[slot],
+                                                /*remote=*/true);
+              } else if (lra != nullptr) {
+                lra->note_drop(flow, batch, 1);
+              }
+            });
+        return;
+      }
+    }
+
+    const std::uint64_t wseq = pkt->wire_seq;
+    if (ring.push(std::move(pkt))) {
+      ++o.dispatched_;
+      m.core(a.target_core).raise(*o.second_halves_[slot], /*remote=*/true);
+    } else {
+      // Request-ring overrun: retract the dispatch so merging never waits
+      // for a packet that will not arrive.
+      if (tr != nullptr) {
+        tr->registry().add("split.request_ring_drops");
+        tr->packet(trace::EventKind::kDrop, core.vnow(), core.id(), flow,
+                   wseq, batch);
+      }
+      if (ra != nullptr) ra->note_drop(flow, batch, 1, ahead);
+    }
+  }
+
   IrqSplitter& owner_;
 };
 

@@ -109,14 +109,14 @@ void Reassembler::flush_hold(FlowMerge& fm, bool force) {
 }
 
 void Reassembler::note_drop(net::FlowId flow, std::uint64_t batch_id,
-                            std::uint32_t segs) {
+                            std::uint32_t segs, std::uint32_t ahead) {
   auto it = flows_.find(flow);
   if (it == flows_.end()) return;
   FlowMerge& fm = it->second;
   // Segments of a batch the merge counter already passed were written off
   // at eviction time; recovering them again would double-count.
   if (batch_id < fm.merge_counter) return;
-  const std::uint32_t disp = lookup(fm.dispatched, batch_id);
+  const std::uint32_t disp = lookup(fm.dispatched, batch_id) - ahead;
   const std::uint32_t cons = lookup(fm.consumed, batch_id);
   const std::uint32_t drop = lookup(fm.dropped, batch_id);
   if (cons + drop >= disp) return;  // batch already complete

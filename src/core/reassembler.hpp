@@ -76,9 +76,12 @@ class Reassembler final : public stack::MergeBuffer {
   /// A dispatched packet was lost before reaching the merge point (e.g.
   /// request-ring overrun, injected fault): retract it so merging does not
   /// stall. Idempotent against eviction: segments of batches the merge
-  /// counter already passed are not recovered twice.
+  /// counter already passed are not recovered twice. `ahead` counts the
+  /// segments a run-granular note_dispatch registered for packets still
+  /// behind this one: the retraction treats them as not yet dispatched,
+  /// as a per-packet dispatch would have left them.
   void note_drop(net::FlowId flow, std::uint64_t batch_id,
-                 std::uint32_t segs);
+                 std::uint32_t segs, std::uint32_t ahead = 0);
 
   /// The flow just started (or resumed) splitting: `prior_segs` default-path
   /// segments were forwarded before micro-flow `first_batch` was opened.

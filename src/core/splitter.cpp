@@ -6,21 +6,21 @@
 
 namespace mflow::core {
 
-BatchAssigner::Assignment BatchAssigner::assign(net::FlowId flow,
-                                                std::uint32_t segs,
-                                                std::uint32_t bytes) {
-  bool inserted = false;
-  PerFlow& st = flows_.upsert(flow, static_cast<sim::Time>(++ops_), &inserted);
-  flows_.touch(flow, static_cast<sim::Time>(ops_));
+void BatchAssigner::init_entry(PerFlow& st, net::FlowId flow) {
+  if (st.known) return;
+  st.known = true;
   // Stagger the starting splitting core per flow so concurrent elephants
   // spread their first micro-flows instead of piling onto the same core.
-  if (inserted) {
-    st.rr = static_cast<std::size_t>(flow * 7919u) %
-            std::max<std::size_t>(1, config_.splitting_cores.size());
-    st.seq = next_seq_++;
-  }
+  st.rr = static_cast<std::size_t>(flow * 7919u) %
+          std::max<std::size_t>(1, config_.splitting_cores.size());
+  st.seq = next_seq_++;
+}
+
+BatchAssigner::Run BatchAssigner::place(PerFlow& st, net::FlowId flow,
+                                        std::uint32_t pkts,
+                                        std::uint32_t segs) {
+  init_entry(st, flow);
   st.seen_segs += segs;
-  st.seen_bytes += bytes;
 
   // Split decision: a control-plane override wins; otherwise the static
   // elephant threshold decides (the paper's setup-time policy).
@@ -33,48 +33,64 @@ BatchAssigner::Assignment BatchAssigner::assign(net::FlowId flow,
     split = st.seen_segs > config_.elephant_threshold_pkts;
   }
 
-  Assignment out;
-  if (!split || degree == 0 || config_.splitting_cores.empty()) {
+  // Packets after the first repeat its decision with every flag clear, so
+  // the run only has to find where that stops: the override and degree
+  // hold for the whole run, and seen_segs only grows.
+  Run run;
+  Assignment& out = run.first;
+  std::uint64_t more = pkts - 1;  // packets that may follow the first
+  if (!split || degree == 0) {
     // Default path. If a splitting period just ended, flag it so the
     // reassembler can hold this flow's default-path packets behind the
     // period's in-flight batches (rescale-drain protocol).
-    st.default_segs += segs;
     out.unsplit = st.split_active;
     st.split_active = false;
-    return out;
+    // Without an override, packet i stays a mouse while the threshold
+    // still covers its count.
+    if (more > 0 && degree != 0 && !st.has_override && segs > 0)
+      more = std::min<std::uint64_t>(
+          more, (config_.elephant_threshold_pkts - st.seen_segs) / segs);
+    st.default_segs += (more + 1) * segs;
+  } else {
+    if (!st.split_active) {
+      out.first_split = true;
+      out.prior_segs = st.default_segs;
+      st.split_active = true;
+    }
+    if (out.first_split || st.in_batch >= config_.batch_size) {
+      // Open the next micro-flow and pick its splitting core round-robin —
+      // equal-size batches spread evenly give similar per-core load
+      // (§III-A). Degree changes bite here, never mid-batch.
+      ++st.batch;
+      st.in_batch = 0;
+      st.target = config_.splitting_cores[st.rr % degree];
+      ++st.rr;
+      out.new_batch = true;
+    }
+    st.in_batch += segs;
+    // Packet i joins while the batch is not yet full before it.
+    if (st.in_batch >= config_.batch_size) {
+      more = 0;
+    } else if (more > 0 && segs > 0) {
+      more = std::min<std::uint64_t>(
+          more, (config_.batch_size - st.in_batch + segs - 1) / segs);
+    }
+    st.in_batch += static_cast<std::uint32_t>(more * segs);
+    out.microflow_id = st.batch;
+    out.target_core = st.target;
   }
-
-  if (!st.split_active) {
-    out.first_split = true;
-    out.prior_segs = st.default_segs;
-    st.split_active = true;
-  }
-  if (out.first_split || st.in_batch >= config_.batch_size) {
-    // Open the next micro-flow and pick its splitting core round-robin —
-    // equal-size batches spread evenly give similar per-core load (§III-A).
-    // Degree changes bite here, never mid-batch.
-    ++st.batch;
-    st.in_batch = 0;
-    st.target = config_.splitting_cores[st.rr % degree];
-    ++st.rr;
-    out.new_batch = true;
-  }
-  st.in_batch += segs;
-  out.microflow_id = st.batch;
-  out.target_core = st.target;
-  return out;
+  st.seen_segs += more * segs;
+  run.taken = static_cast<std::uint32_t>(more + 1);
+  return run;
 }
 
 void BatchAssigner::set_flow_degree(net::FlowId flow, std::uint32_t degree) {
-  bool inserted = false;
-  PerFlow& st = flows_.upsert(flow, static_cast<sim::Time>(++ops_), &inserted);
-  if (inserted) {
-    st.rr = static_cast<std::size_t>(flow * 7919u) %
-            std::max<std::size_t>(1, config_.splitting_cores.size());
-    st.seq = next_seq_++;
-  }
-  st.has_override = true;
-  st.override_degree = degree;
+  flows_.upsert_apply(flow, static_cast<sim::Time>(++ops_),
+                      [&](PerFlow& st) {
+                        init_entry(st, flow);
+                        st.has_override = true;
+                        st.override_degree = degree;
+                      });
 }
 
 std::uint32_t BatchAssigner::flow_degree(net::FlowId flow) const {

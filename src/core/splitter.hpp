@@ -44,11 +44,48 @@ class BatchAssigner {
     std::uint64_t prior_segs = 0;
   };
 
+  /// The leading packets of a same-flow run that share one assignment.
+  struct Run {
+    /// What assign() returns for the run's first packet. Its flags belong
+    /// to that packet alone: the rest continue its micro-flow (or the
+    /// default path) with every flag clear.
+    Assignment first;
+    std::uint32_t taken = 0;  // packets placed, >= 1
+  };
+
   /// Classify + assign one packet of `flow`. `segs` counts the wire
   /// segments the skb carries (1 before GRO); `bytes` its payload size
   /// (rate-monitoring input, 0 when unknown).
   Assignment assign(net::FlowId flow, std::uint32_t segs,
-                    std::uint32_t bytes = 0);
+                    std::uint32_t bytes = 0) {
+    return assign_run(flow, 1, segs,
+                      [bytes](std::uint32_t) { return bytes; })
+        .first;
+  }
+
+  /// Classify + assign the leading packets of a run of `pkts` (>= 1)
+  /// consecutive packets of `flow`, each carrying `segs` wire segments;
+  /// `bytes_at(i)` is packet i's payload size. Places packets while they
+  /// would get the first one's micro-flow and core: the run stops at a
+  /// batch boundary, where the flow crosses the elephant threshold or
+  /// flips between split and unsplit. The state afterwards, recency
+  /// included, is what `taken` assign() calls leave, for one flow-table
+  /// probe (plus one touch restamping the run at its last op).
+  template <typename BytesAt>
+  Run assign_run(net::FlowId flow, std::uint32_t pkts, std::uint32_t segs,
+                 BytesAt&& bytes_at) {
+    Run run;
+    flows_.upsert_apply(flow, static_cast<sim::Time>(ops_ + 1),
+                        [&](PerFlow& st) {
+                          run = place(st, flow, pkts, segs);
+                          for (std::uint32_t i = 0; i < run.taken; ++i)
+                            st.seen_bytes += bytes_at(i);
+                          return true;
+                        });
+    ops_ += run.taken;
+    if (run.taken > 1) flows_.touch(flow, static_cast<sim::Time>(ops_));
+    return run;
+  }
 
   /// Runtime degree override from the control plane: 0 forces the default
   /// (unsplit) path, k splits round-robin over the first k splitting cores.
@@ -60,6 +97,13 @@ class BatchAssigner {
 
   /// Packets observed for a flow so far (elephant classification input).
   std::uint64_t observed(net::FlowId flow) const;
+
+  /// The op (the table's clock: one tick per packet or degree change) that
+  /// last refreshed the flow's recency; 0 if untracked. Expiry and capacity
+  /// eviction reclaim flows in this order.
+  std::uint64_t last_op(net::FlowId flow) const {
+    return static_cast<std::uint64_t>(flows_.last_seen(flow).value_or(0));
+  }
 
   /// Cumulative per-flow totals in first-seen order — the pull source the
   /// control plane's FlowMonitor differentiates into rates.
@@ -89,7 +133,16 @@ class BatchAssigner {
     std::uint32_t override_degree = 0;
     bool has_override = false;
     std::uint64_t seq = 0;  // first-seen order for append_totals
+    bool known = false;     // rr and seq set (a fresh entry is all zero)
   };
+
+  /// The split and batch decision for a run of `pkts` packets of `segs`
+  /// segments each (everything but the byte count), on the flow's entry.
+  Run place(PerFlow& st, net::FlowId flow, std::uint32_t pkts,
+            std::uint32_t segs);
+  /// Staggers a new entry's first splitting core and gives it its
+  /// first-seen rank; a no-op on a known one.
+  void init_entry(PerFlow& st, net::FlowId flow);
 
   const MflowConfig& config_;
   control::FlowTable<PerFlow> flows_;

@@ -19,12 +19,15 @@ int Nic::rss_queue(const FlowKey& flow) const {
 
 void Nic::deliver(PacketPtr pkt, sim::Time now) {
   pkt->t_wire = now;
-  if (last_seq_ == nullptr || pkt->flow_id != last_flow_) {
+  if (last_seq_ == nullptr || pkt->flow_id != last_flow_ ||
+      pkt->flow != last_key_) {
     last_flow_ = pkt->flow_id;
+    last_key_ = pkt->flow;
     last_seq_ = &flow_seq_[last_flow_];
+    last_queue_ = rss_queue(last_key_);
   }
   pkt->wire_seq = (*last_seq_)++;
-  const int q = rss_queue(pkt->flow);
+  const int q = last_queue_;
   trace::Tracer* tr = trace::active();
   if (tr != nullptr) {
     tr->registry().add("nic.wire_packets");

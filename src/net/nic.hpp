@@ -52,10 +52,14 @@ class Nic {
   std::vector<RxRing> rings_;
   IrqHandler irq_;
   std::unordered_map<FlowId, std::uint64_t> flow_seq_;
-  // The last flow delivered and its counter in flow_seq_ (map nodes do not
-  // move): a train of one flow's packets costs no hash lookup.
+  // The last flow delivered, its counter in flow_seq_ (map nodes do not
+  // move) and its RSS queue: a train of one flow's packets costs no hash
+  // lookup and no flow hash. Keyed on the tuple as well as the id, since a
+  // reused FlowId may carry another tuple.
   FlowId last_flow_ = 0;
+  FlowKey last_key_{};
   std::uint64_t* last_seq_ = nullptr;
+  int last_queue_ = 0;
   std::uint64_t delivered_ = 0;
 };
 

@@ -10,7 +10,7 @@ bool RxRing::push(PacketPtr pkt) {
     return false;  // pkt destroyed: tail drop, like a DMA ring overrun
   }
   slots_[tail_] = std::move(pkt);
-  tail_ = (tail_ + 1) % slots_.size();
+  if (++tail_ == slots_.size()) tail_ = 0;
   ++count_;
   ++enqueued_;
   return true;
@@ -19,7 +19,7 @@ bool RxRing::push(PacketPtr pkt) {
 PacketPtr RxRing::pop() {
   if (empty()) return nullptr;
   PacketPtr pkt = std::move(slots_[head_]);
-  head_ = (head_ + 1) % slots_.size();
+  if (++head_ == slots_.size()) head_ = 0;
   --count_;
   return pkt;
 }

@@ -25,6 +25,14 @@ class RxRing {
   /// Dequeue; returns nullptr when empty.
   PacketPtr pop();
 
+  /// The packet `i` places behind the head (0 = the next pop), left in
+  /// place; requires i < size().
+  const Packet& peek(std::size_t i) const {
+    std::size_t at = head_ + i;
+    if (at >= slots_.size()) at -= slots_.size();
+    return *slots_[at];
+  }
+
   std::size_t size() const { return count_; }
   std::size_t capacity() const { return slots_.size(); }
   bool empty() const { return count_ == 0; }

@@ -3,6 +3,7 @@
 // stream equals the original flow order with no loss and no duplication.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "core/reassembler.hpp"
@@ -111,6 +112,39 @@ TEST(Reassembler, NoteDropUnblocksMerging) {
   auto p = ra.pop_ready();
   ASSERT_TRUE(p);
   EXPECT_EQ(p->microflow_id, 2u);
+}
+
+// A run-granular dispatch notes a whole run before its first packet is
+// pushed. A drop inside the run passes the segments still behind it as
+// `ahead`, and must retract exactly what it would after per-packet notes,
+// even when a duplicate has pushed the batch's consumed count past what
+// was dispatched.
+TEST(Reassembler, DropInsideNotedRunRetractsLikePerPacket) {
+  stack::CostModel costs;
+  auto with_duplicate_consumed = [&costs] {
+    auto ra = std::make_unique<core::Reassembler>(costs);
+    ra->note_batch_open(1, 1);
+    ra->note_dispatch(1, 1, 2);
+    ra->deposit(mk(1, 0, 1), 2);
+    ra->deposit(mk(1, 0, 1), 2);  // the duplicate
+    ra->deposit(mk(1, 1, 1), 2);
+    while (ra->pop_ready() != nullptr) {
+    }
+    return ra;
+  };
+  // Per packet: dispatch, drop (the batch already reads complete, so
+  // nothing is retracted), dispatch.
+  auto per_packet = with_duplicate_consumed();
+  per_packet->note_dispatch(1, 1, 1);
+  per_packet->note_drop(1, 1, 1);
+  per_packet->note_dispatch(1, 1, 1);
+  // Run of two: both noted first; the drop has one packet behind it.
+  auto run = with_duplicate_consumed();
+  run->note_dispatch(1, 1, 2);
+  run->note_drop(1, 1, 1, /*ahead=*/1);
+  EXPECT_EQ(per_packet->drops_recovered(), 0u);
+  EXPECT_EQ(run->drops_recovered(), per_packet->drops_recovered());
+  EXPECT_EQ(run->segs_dispatched(), per_packet->segs_dispatched());
 }
 
 TEST(Reassembler, ChargesPerSkbAndPerBatch) {

@@ -46,6 +46,21 @@ TEST(RxRing, WrapAround) {
   EXPECT_EQ(ring.drops(), 0u);
 }
 
+TEST(RxRing, PeekSeesPopOrderAcrossTheWrap) {
+  RxRing ring(4);
+  std::uint16_t next_push = 0;
+  std::uint16_t next_pop = 0;
+  for (int round = 0; round < 9; ++round) {
+    while (!ring.full()) ASSERT_TRUE(ring.push(pkt(next_push++)));
+    for (std::size_t i = 0; i < ring.size(); ++i)
+      EXPECT_EQ(ring.peek(i).flow.src_port, next_pop + i) << round;
+    // Pop one to three, so the head lands on every slot.
+    for (int k = 0; k <= round % 3; ++k)
+      EXPECT_EQ(ring.pop()->flow.src_port, next_pop++);
+  }
+  EXPECT_EQ(ring.drops(), 0u);
+}
+
 TEST(Nic, StampsPerFlowWireSeq) {
   Nic nic(NicParams{.num_queues = 1});
   nic.deliver(pkt(1, 7), 100);
@@ -100,4 +115,25 @@ TEST(Nic, NoIrqOnRingOverflowDrop) {
   EXPECT_EQ(irqs, 2);
   EXPECT_EQ(nic.total_drops(), 3u);
   EXPECT_EQ(nic.total_delivered(), 2u);
+}
+
+// The last-flow memo holds the RSS queue as well as the wire counter. It is
+// keyed on the tuple too: a FlowId reused with another tuple must hash to
+// that tuple's queue while its wire counter carries on.
+TEST(Nic, ReusedFlowIdWithNewTupleHashesItsOwnTuple) {
+  Nic nic(NicParams{.num_queues = 8});
+  std::uint16_t other = 1;
+  while (nic.rss_queue(pkt(other)->flow) == nic.rss_queue(pkt(0)->flow))
+    ++other;
+  const int q0 = nic.rss_queue(pkt(0)->flow);
+  const int q1 = nic.rss_queue(pkt(other)->flow);
+  nic.deliver(pkt(0, 9), 1);
+  nic.deliver(pkt(0, 9), 2);
+  nic.deliver(pkt(other, 9), 3);
+  nic.deliver(pkt(0, 9), 4);
+  ASSERT_EQ(nic.queue(q0).size(), 3u);
+  ASSERT_EQ(nic.queue(q1).size(), 1u);
+  EXPECT_EQ(nic.queue(q1).pop()->wire_seq, 2u);
+  for (std::uint64_t seq : {0u, 1u, 3u})
+    EXPECT_EQ(nic.queue(q0).pop()->wire_seq, seq);
 }

@@ -433,11 +433,15 @@ TEST(RtEngine, RuntimeRescaleShrinkAndGrowStaysOrdered) {
 }
 
 // Live capacity changes all apply, in order: epochs retire at the merge
-// head, so there is no budget to run out of. The poster waits for each
-// change to apply, or for proof that the generator sampled it: the
-// generator runs at most pool_capacity packets ahead of delivery, so once
-// delivery has moved that far plus two batches, a micro-flow boundary has
-// passed.
+// head, so there is no budget to run out of. Change k is due at delivered
+// packet k * kEvery, and the sink holds delivery there until the poster has
+// posted it, so the run cannot end before every change is in, however the
+// threads are scheduled. The poster then waits for the change to apply, or
+// for proof that the generator sampled it: delivery had not passed
+// k * kEvery when the change landed, and the generator runs at most
+// pool_capacity packets ahead of delivery, so once delivery is two batches
+// past that, a micro-flow boundary has passed. kEvery exceeds that distance,
+// so the proof never waits on the next checkpoint.
 TEST(RtEngine, LiveCapacityChangesAllApplyInOrder) {
   EngineConfig cfg;
   cfg.workers = 2;
@@ -448,28 +452,37 @@ TEST(RtEngine, LiveCapacityChangesAllApplyInOrder) {
   cfg.max_push_spins = 0;  // lossless
   constexpr std::uint64_t kTotal = 200000;
   constexpr int kChanges = 200;
+  constexpr std::uint64_t kEvery = kTotal / kChanges;
+  const std::uint64_t sample_lag = cfg.pool_capacity + 2 * cfg.batch_size;
+  ASSERT_GT(kEvery, sample_lag);
   Engine eng(cfg);
   EngineCapacityAdapter adapter(eng);
   std::atomic<std::uint64_t> delivered{0};
+  std::atomic<int> posted{0};
   std::atomic<bool> done{false};
-  int posted = 0;
   std::thread poster([&] {
     for (int k = 0; k < kChanges && !done.load(); ++k) {
       const std::uint32_t want = k % 2 == 0 ? 1 : 2;
       adapter.set_active_workers(want);
-      ++posted;
-      const std::uint64_t from = delivered.load();
+      posted.store(k + 1);
+      const std::uint64_t sampled_by =
+          static_cast<std::uint64_t>(k) * kEvery + sample_lag;
       while (!done.load() && adapter.active_workers() != want &&
-             delivered.load() < from + cfg.pool_capacity + 2 * cfg.batch_size)
+             delivered.load() < sampled_by)
         std::this_thread::yield();
     }
   });
   const auto res = eng.run(kTotal, [&](const RtPacket&) {
-    delivered.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t n = delivered.load();
+    if (n % kEvery == 0) {
+      const auto due = static_cast<int>(n / kEvery);
+      while (posted.load() <= due) std::this_thread::yield();
+    }
+    delivered.store(n + 1);
   });
   done.store(true);
   poster.join();
-  EXPECT_EQ(posted, kChanges);
+  EXPECT_EQ(posted.load(), kChanges);
   EXPECT_TRUE(res.in_order);
   EXPECT_EQ(res.packets, kTotal);
   EXPECT_EQ(res.packets_dropped, 0u);

@@ -222,6 +222,27 @@ exp::ScenarioConfig ring_overrun_config(Mode mode, int nic_queues) {
   return c;
 }
 
+/// Three TCP flows on one NIC queue into the IRQ splitter, with an
+/// elephant threshold and a small batch: the first half's same-flow runs
+/// break where the flows interleave, at every 16th segment and where each
+/// flow crosses the threshold.
+exp::ScenarioConfig interleaved_runs_config() {
+  exp::ScenarioConfig c;
+  c.seed = 4;
+  c.mode = Mode::kMflow;
+  c.protocol = net::Ipv4Header::kProtoTcp;
+  c.message_size = 65536;
+  c.num_flows = 3;
+  c.nic_queues = 1;
+  c.warmup = sim::ms(2);
+  c.measure = sim::ms(10);
+  core::MflowConfig m = core::tcp_full_path_config();
+  m.batch_size = 16;
+  m.elephant_threshold_pkts = 2000;
+  c.mflow = m;
+  return c;
+}
+
 }  // namespace
 
 TEST(Scenario, PinnedFingerprints) {
@@ -253,6 +274,10 @@ TEST(Scenario, PinnedFingerprints) {
                 {kUnpinned, 515, 1088, 4628278227011982410ull, 397312,
                  4915200},
                 "ring-overrun-mflow-2q");
+  // Recorded before the IRQ splitter's first half went run by run.
+  expect_pinned(interleaved_runs_config(),
+                {12506, 426, 0, 4626978881774130717ull, 1490944, 2654208},
+                "interleaved-runs");
 }
 
 // ---- pinned control plane ----------------------------------------------------

@@ -2,10 +2,13 @@
 // cores, elephant classification, amortized charging.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/mflow.hpp"
 #include "core/splitter.hpp"
 #include "overlay/topology.hpp"
 #include "steering/modes.hpp"
+#include "util/rng.hpp"
 
 using namespace mflow;
 
@@ -67,6 +70,111 @@ TEST(BatchAssigner, SegsCountTowardBatchSize) {
   EXPECT_EQ(a.assign(1, 4).microflow_id, 1u);
   EXPECT_EQ(a.assign(1, 4).microflow_id, 1u);
   EXPECT_EQ(a.assign(1, 4).microflow_id, 2u);
+}
+
+// --- the run API against one-packet calls ------------------------------------
+
+namespace {
+
+bool same(const core::BatchAssigner::Assignment& x,
+          const core::BatchAssigner::Assignment& y) {
+  return x.microflow_id == y.microflow_id && x.target_core == y.target_core &&
+         x.new_batch == y.new_batch && x.first_split == y.first_split &&
+         x.unsplit == y.unsplit && x.prior_segs == y.prior_segs;
+}
+
+/// What the run API promises for packet `i` of a run starting with `first`.
+core::BatchAssigner::Assignment nth(
+    const core::BatchAssigner::Assignment& first, std::uint32_t i) {
+  if (i == 0) return first;
+  core::BatchAssigner::Assignment a;
+  a.microflow_id = first.microflow_id;
+  a.target_core = first.target_core;
+  return a;
+}
+
+std::vector<std::uint64_t> totals_of(const core::BatchAssigner& a) {
+  std::vector<control::Controller::FlowTotals> rows;
+  a.append_totals(rows);
+  std::vector<std::uint64_t> flat;
+  for (const auto& r : rows) flat.insert(flat.end(), {r.flow, r.segs, r.bytes});
+  return flat;
+}
+
+}  // namespace
+
+// Random traffic through two assigners, one fed whole runs through
+// assign_run() and one fed single packets through assign(): every packet
+// gets the same assignment, and the per-flow counters, first-seen order,
+// recency stamps (the expiry order) and capacity evictions stay equal, and
+// no run stops before a packet that would have continued it. Runs cross
+// elephant thresholds and batch boundaries, degree overrides and erasures
+// land between runs, and the table is small enough to evict.
+TEST(BatchAssigner, RunApiMatchesOnePacketCalls) {
+  constexpr net::FlowId kFlows = 7;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    util::Rng rng(seed);
+    core::MflowConfig cfg;
+    cfg.batch_size = static_cast<std::uint32_t>(rng.uniform_range(1, 24));
+    cfg.splitting_cores.clear();
+    for (int c = 2, n = static_cast<int>(rng.uniform_range(1, 4)); n > 0;
+         ++c, --n)
+      cfg.splitting_cores.push_back(c);
+    cfg.elephant_threshold_pkts =
+        rng.chance(0.25) ? 0 : static_cast<std::uint64_t>(rng.uniform(120));
+    cfg.flow_table.shards = rng.chance(0.5) ? 1 : 2;
+    cfg.flow_table.capacity = static_cast<std::size_t>(rng.uniform_range(2, 6));
+    core::BatchAssigner by_run(cfg);
+    core::BatchAssigner by_pkt(cfg);
+    std::vector<std::uint32_t> bytes;
+
+    for (int step = 0; step < 400; ++step) {
+      const net::FlowId flow = 1 + rng.uniform(kFlows);
+      const double what = rng.uniform01();
+      if (what < 0.06) {
+        const auto degree = static_cast<std::uint32_t>(rng.uniform(5));
+        by_run.set_flow_degree(flow, degree);
+        by_pkt.set_flow_degree(flow, degree);
+      } else if (what < 0.09) {
+        ASSERT_EQ(by_run.erase_flow(flow), by_pkt.erase_flow(flow));
+      } else {
+        const auto pkts = static_cast<std::uint32_t>(rng.uniform_range(1, 60));
+        const auto segs = static_cast<std::uint32_t>(
+            rng.chance(0.7) ? 1 : rng.uniform_range(0, 4));
+        bytes.resize(pkts);
+        for (auto& b : bytes) b = static_cast<std::uint32_t>(rng.uniform(9000));
+        std::uint32_t at = 0;
+        std::optional<core::BatchAssigner::Assignment> cut;
+        while (at < pkts) {
+          const auto run = by_run.assign_run(
+              flow, pkts - at, segs,
+              [&bytes, at](std::uint32_t i) { return bytes[at + i]; });
+          ASSERT_GE(run.taken, 1u);
+          ASSERT_LE(run.taken, pkts - at);
+          for (std::uint32_t i = 0; i < run.taken; ++i, ++at) {
+            const auto want = by_pkt.assign(flow, segs, bytes[at]);
+            ASSERT_TRUE(same(nth(run.first, i), want))
+                << "seed " << seed << " step " << step << " packet " << at
+                << ": run gives batch " << nth(run.first, i).microflow_id
+                << ", one-packet call gives " << want.microflow_id;
+            // A run stops only where the next packet differs.
+            if (i == 0 && cut) ASSERT_FALSE(same(*cut, want));
+          }
+          cut = nth(run.first, 1);
+        }
+      }
+      for (net::FlowId f = 1; f <= kFlows; ++f) {
+        ASSERT_EQ(by_run.observed(f), by_pkt.observed(f))
+            << "seed " << seed << " step " << step << " flow " << f;
+        ASSERT_EQ(by_run.last_op(f), by_pkt.last_op(f))
+            << "seed " << seed << " step " << step << " flow " << f;
+        ASSERT_EQ(by_run.flow_degree(f), by_pkt.flow_degree(f));
+      }
+      ASSERT_EQ(by_run.tracked_flows(), by_pkt.tracked_flows());
+      ASSERT_EQ(totals_of(by_run), totals_of(by_pkt)) << "seed " << seed;
+    }
+    EXPECT_EQ(by_run.peak_tracked(), by_pkt.peak_tracked());
+  }
 }
 
 // --- FlowSplitter wired into a machine ---------------------------------------
