@@ -107,7 +107,6 @@ ChurnDrive drive_controller_churn() {
   cp.monitor.table.shards = 8;
   cp.monitor.table.capacity = 1 << 21;  // the 2M-entry regime
   cp.monitor.table.ttl = sim::ms(1);
-  cp.classifier.table = cp.monitor.table;
   cp.classifier.promote_pps = 200'000;
   cp.classifier.demote_pps = 100'000;
   cp.classifier.dwell = sim::ms(1);

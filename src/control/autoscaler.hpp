@@ -3,7 +3,7 @@
 // The Controller decides how traffic spreads over the workers it is given
 // (per-flow split degrees); the Autoscaler decides how many workers exist
 // at all. It reads one scalar — aggregate offered load in packets/s,
-// normally FlowMonitor::aggregate_rate_pps() — sizes a worker count for it
+// normally Controller::aggregate_rate_pps() — sizes a worker count for it
 // with provisioning headroom, and drives the engine's
 // control::CapacityTarget::set_active_workers(). Capacity changes ride the
 // same rescale-drain protocol as degree changes: a shrink that would
@@ -65,7 +65,7 @@ struct ScaleEvent {
 class Autoscaler {
  public:
   /// Aggregate offered load in packets/s, sampled each tick. DES wires
-  /// FlowMonitor::aggregate_rate_pps; rt benches feed the known offered
+  /// Controller::aggregate_rate_pps; rt benches feed the known offered
   /// rate or a synthetic curve.
   using LoadSource = std::function<double()>;
 

@@ -9,12 +9,14 @@
 // put until it spends `dwell` continuously on the far side, which is what
 // keeps the scaler from thrashing split degrees (every rescale costs a
 // drain through the reassembler).
+//
+// Hysteresis is one flow's state as a value type: the Controller keeps it
+// in the flow's control record (policy.hpp), so erasing the record is what
+// makes a reused FlowId start fresh as a mouse.
 #pragma once
 
 #include <cstdint>
 
-#include "control/flowtable.hpp"
-#include "net/flow.hpp"
 #include "sim/time.hpp"
 
 namespace mflow::control {
@@ -33,45 +35,38 @@ struct ClassifierParams {
   double demote_pps = 50'000.0;
   /// Continuous time a candidate state must hold before it commits.
   sim::Time dwell = sim::us(200);
-  /// Backing flow table (bounds hysteresis state under churn; ttl unused —
-  /// the Controller erases classifier state when the monitor expires a
-  /// flow, so both reclaim atomically).
-  FlowTableParams table{};
 };
 
-class Classifier {
- public:
-  explicit Classifier(ClassifierParams params = {})
-      : params_(params), states_(params.table) {}
+struct Hysteresis {
+  FlowClass committed = FlowClass::kMouse;
+  FlowClass candidate = FlowClass::kMouse;
+  sim::Time candidate_since = 0;
 
-  /// Observe `flow` at `rate_pps` at time `now`; returns the committed
-  /// class after applying hysteresis. New flows start as mice.
-  FlowClass update(net::FlowId flow, double rate_pps, sim::Time now);
-
-  /// Committed class (kMouse for never-seen flows).
-  FlowClass classify(net::FlowId flow) const;
-
-  /// Committed transitions so far (promotions + demotions) — flap meter.
-  std::uint64_t transitions() const { return transitions_; }
-
-  /// Forget one flow's hysteresis state (flow-state expiry): if its id is
-  /// later reused, classification starts fresh as a mouse.
-  bool erase(net::FlowId flow) { return states_.erase(flow); }
-
-  std::size_t tracked_flows() const { return states_.size(); }
-
-  void clear();
-
- private:
-  struct State {
-    FlowClass committed = FlowClass::kMouse;
-    FlowClass candidate = FlowClass::kMouse;
-    sim::Time candidate_since = 0;
-  };
-
-  ClassifierParams params_;
-  FlowTable<State> states_;
-  std::uint64_t transitions_ = 0;
+  /// Observe the flow at `rate_pps` at time `now`. Returns true when the
+  /// committed class changed (a promotion or demotion); `committed` holds
+  /// the class after the step. New flows start as mice.
+  bool update(double rate_pps, sim::Time now, const ClassifierParams& p) {
+    // What does the instantaneous rate argue for, given the hysteresis
+    // band? Inside the band (demote_pps < rate < promote_pps) it argues for
+    // the committed state — any pending candidate is cancelled.
+    FlowClass wanted = committed;
+    if (rate_pps >= p.promote_pps) {
+      wanted = FlowClass::kElephant;
+    } else if (rate_pps <= p.demote_pps) {
+      wanted = FlowClass::kMouse;
+    }
+    if (wanted == committed) {
+      candidate = committed;
+      return false;
+    }
+    if (candidate != wanted) {
+      candidate = wanted;
+      candidate_since = now;
+    }
+    if (now - candidate_since < p.dwell) return false;
+    committed = wanted;
+    return true;
+  }
 };
 
 }  // namespace mflow::control

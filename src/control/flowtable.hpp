@@ -1,5 +1,5 @@
 // Sharded, expiration-aware flow table: the bounded per-flow state plane
-// shared by the control plane (FlowMonitor / Classifier / Controller), the
+// shared by the control plane (the Controller's flow records), the
 // DES split point (BatchAssigner) and the rt engine's flow tracking.
 //
 // Design (after nfos's concurrent-map + concurrent-double-chain pair): the

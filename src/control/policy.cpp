@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 namespace mflow::control {
@@ -31,87 +32,170 @@ Controller::Controller(ControllerParams params, Source source,
     : params_(params),
       source_(std::move(source)),
       target_(target),
-      monitor_(params.monitor),
-      classifier_(params.classifier),
       policy_(params.scaling),
-      degrees_(params.monitor.table) {}
+      flows_(params.monitor.table) {
+  // Capacity eviction drops the whole record, exactly like erase().
+  flows_.set_reclaim(
+      [this](net::FlowId flow, FlowCtl&& fc) { forget(flow, fc); });
+}
 
 void Controller::tick(sim::Time now) {
+  now_ = now;
   const std::uint32_t max_degree = target_->max_degree();
   for (const FlowTotals& t : source_()) {
-    const double pps = monitor_.record(t.flow, t.segs, t.bytes, now);
-    const FlowClass cls = classifier_.update(t.flow, pps, now);
-    const std::uint32_t* cur = degrees_.find(t.flow);
-    const std::uint32_t current = cur != nullptr ? *cur : 0;
-    const std::uint32_t want =
-        policy_.degree_for(cls, pps, max_degree, current);
+    std::uint32_t current = 0;
+    std::uint32_t want = 0;
+    // One probe per flow: sample, trim, rate, hysteresis and degree all
+    // happen on the record upsert_apply found or inserted.
+    flows_.upsert_apply(t.flow, now, [&](FlowCtl& fc) {
+      if (fc.rates.empty()) fc.seq = next_seq_++;
+      // Recency tracks ACTIVITY (the `true` return refreshes it), so a
+      // flow reported at frozen totals still goes idle and expires.
+      const bool active =
+          fc.rates.record(t.segs, t.bytes, now, params_.monitor);
+      const double pps = fc.rates.rate_pps();
+      if (registry_ != nullptr) publish_gauges(t.flow, fc);
+      if (fc.hysteresis.update(pps, now, params_.classifier)) ++transitions_;
+      current = fc.degree;
+      want = policy_.degree_for(fc.hysteresis.committed, pps, max_degree,
+                                current);
+      fc.degree = want;
+      return active;
+    });
     if (current == want) continue;  // mice staying unsplit land here too
     history_.push_back(RescaleEvent{now, t.flow, current, want});
-    // Degrees are stored sparsely (split flows only): under churn the
-    // overwhelming mouse majority must not leave a zero entry each.
-    if (want == 0)
-      degrees_.erase(t.flow);
-    else
-      degrees_.upsert(t.flow, now) = want;
     target_->set_flow_degree(t.flow, want);
   }
   if (params_.monitor.table.ttl > 0) expire_flows(now);
   if (registry_ != nullptr) {
     std::uint64_t lanes = 0;
-    degrees_.for_each(
-        [&lanes](net::FlowId, const std::uint32_t& deg) { lanes += deg; });
+    flows_.for_each(
+        [&lanes](net::FlowId, const FlowCtl& fc) { lanes += fc.degree; });
     registry_->set_gauge("control.elephants",
                          static_cast<double>(elephants()));
     registry_->set_gauge("control.active_lanes", static_cast<double>(lanes));
     registry_->set_counter("control.rescales", history_.size());
     registry_->set_gauge("control.tracked_flows",
-                         static_cast<double>(monitor_.tracked_flows()));
+                         static_cast<double>(flows_.size()));
     registry_->set_counter("control.flows_expired", expired_);
   }
 }
 
+void Controller::publish_gauges(net::FlowId flow, FlowCtl& fc) {
+  // Names are built on the first sample a registry sees, so a registry
+  // attached mid-run picks up flows that were already tracked.
+  if (fc.pps_name.empty()) {
+    fc.pps_name = "flow." + std::to_string(flow) + ".rate_pps";
+    fc.bps_name = "flow." + std::to_string(flow) + ".rate_bps";
+  }
+  registry_->set_gauge(fc.pps_name, fc.rates.rate_pps());
+  registry_->set_gauge(fc.bps_name, fc.rates.rate_bps());
+}
+
 void Controller::expire_flows(sim::Time now) {
   idle_scratch_.clear();
-  monitor_.collect_idle(now, idle_scratch_);
+  flows_.collect_idle(now, idle_scratch_);
   for (net::FlowId flow : idle_scratch_) {
+    // The pointer stays valid until the erase below: the target never
+    // touches this table.
+    FlowCtl* fc = flows_.find(flow);
     // A still-split idle flow (an elephant that went silent) is demoted
     // first so the data path runs the normal rescale-drain protocol; its
     // state is reclaimed once the drain completes.
-    const std::uint32_t* deg = degrees_.find(flow);
-    if (deg != nullptr && *deg > 0) {
-      history_.push_back(RescaleEvent{now, flow, *deg, 0});
-      degrees_.erase(flow);
-      target_->set_flow_degree(flow, 0);
+    if (fc->degree > 0) {
+      demote(flow, fc->degree);
+      fc->degree = 0;
     }
     if (!target_->release_flow(flow)) {
-      // In-flight work (e.g. unsplit hold not yet drained): keep ALL
-      // control state and retry next tick — reclamation is atomic.
+      // In-flight work (e.g. unsplit hold not yet drained): keep the
+      // record and retry next tick — reclamation is atomic.
       ++release_retries_;
       continue;
     }
-    monitor_.erase(flow);  // also retracts the flow's registry gauges
-    classifier_.erase(flow);
-    degrees_.erase(flow);
+    retract_gauges(*fc);
+    flows_.erase(flow);
     ++expired_;
   }
 }
 
+void Controller::demote(net::FlowId flow, std::uint32_t degree) {
+  history_.push_back(RescaleEvent{now_, flow, degree, 0});
+  target_->set_flow_degree(flow, 0);
+}
+
+void Controller::forget(net::FlowId flow, const FlowCtl& fc) {
+  if (fc.degree > 0) demote(flow, fc.degree);
+  retract_gauges(fc);
+}
+
+void Controller::retract_gauges(const FlowCtl& fc) {
+  if (registry_ == nullptr || fc.pps_name.empty()) return;
+  registry_->remove_gauge(fc.pps_name);
+  registry_->remove_gauge(fc.bps_name);
+}
+
+bool Controller::erase(net::FlowId flow) {
+  const FlowCtl* fc = flows_.find(flow);
+  if (fc == nullptr) return false;
+  forget(flow, *fc);
+  return flows_.erase(flow);
+}
+
+void Controller::clear() {
+  for (net::FlowId flow : flows()) erase(flow);
+  next_seq_ = 0;
+}
+
 std::uint32_t Controller::degree_of(net::FlowId flow) const {
-  const std::uint32_t* deg = degrees_.find(flow);
-  return deg == nullptr ? 0 : *deg;
+  const FlowCtl* fc = flows_.find(flow);
+  return fc == nullptr ? 0 : fc->degree;
 }
 
 std::uint64_t Controller::elephants() const {
   std::uint64_t n = 0;
-  degrees_.for_each([this, &n](net::FlowId flow, const std::uint32_t&) {
-    if (classifier_.classify(flow) == FlowClass::kElephant) ++n;
+  flows_.for_each([&n](net::FlowId, const FlowCtl& fc) {
+    if (fc.degree > 0 && fc.hysteresis.committed == FlowClass::kElephant)
+      ++n;
   });
   return n;
 }
 
-void Controller::export_to(trace::Registry* reg) {
-  registry_ = reg;
-  monitor_.export_to(reg);
+double Controller::rate_pps(net::FlowId flow) const {
+  const FlowCtl* fc = flows_.find(flow);
+  return fc == nullptr ? 0.0 : fc->rates.rate_pps();
+}
+
+double Controller::rate_bps(net::FlowId flow) const {
+  const FlowCtl* fc = flows_.find(flow);
+  return fc == nullptr ? 0.0 : fc->rates.rate_bps();
+}
+
+double Controller::aggregate_rate_pps() const {
+  double total = 0.0;
+  // Rate straight from the visited record — for_each holds the shard lock,
+  // so re-entering the table via rate_pps()/find() would self-deadlock.
+  flows_.for_each([&total](net::FlowId, const FlowCtl& fc) {
+    total += fc.rates.rate_pps();
+  });
+  return total;
+}
+
+std::vector<net::FlowId> Controller::flows() const {
+  std::vector<std::pair<std::uint64_t, net::FlowId>> seq;
+  seq.reserve(flows_.size());
+  flows_.for_each([&seq](net::FlowId flow, const FlowCtl& fc) {
+    seq.emplace_back(fc.seq, flow);
+  });
+  std::sort(seq.begin(), seq.end());
+  std::vector<net::FlowId> out;
+  out.reserve(seq.size());
+  for (const auto& [_, flow] : seq) out.push_back(flow);
+  return out;
+}
+
+FlowClass Controller::classify(net::FlowId flow) const {
+  const FlowCtl* fc = flows_.find(flow);
+  return fc == nullptr ? FlowClass::kMouse : fc->hysteresis.committed;
 }
 
 }  // namespace mflow::control

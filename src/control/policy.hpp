@@ -5,10 +5,13 @@
 // (stay on the arrival core — no split, no reassembly latency), elephants
 // get enough micro-flow lanes to absorb their measured rate given a
 // per-core service capacity, clamped to the target's core budget. The
-// Controller owns one monitor/classifier/policy triple, pulls per-flow
-// totals from a source callback on each tick, and pushes degree changes
-// into a control::CapacityTarget (capacity.hpp) — the one seam both
-// engines implement, each via a single adapter
+// Controller keeps ONE control record per flow in one FlowTable — the
+// flow's RateWindow (monitor.hpp), its Hysteresis (classifier.hpp) and its
+// degree — so a tick samples, classifies and retargets a flow in a single
+// probe, and expiry, eviction and erase drop the whole record at once. It
+// pulls per-flow totals from a source callback on each tick and pushes
+// degree changes into a control::CapacityTarget (capacity.hpp) — the one
+// seam both engines implement, each via a single adapter
 // (core::MflowCapacityAdapter; rt::EngineCapacityAdapter). max_degree()
 // is the target's CURRENT active-worker budget, so when the Autoscaler
 // shrinks capacity the Controller auto-clamps degrees on its next tick.
@@ -22,6 +25,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "control/capacity.hpp"
@@ -91,6 +95,9 @@ class Controller {
   using Source = std::function<std::vector<FlowTotals>()>;
 
   Controller(ControllerParams params, Source source, CapacityTarget* target);
+  // The flow table's eviction callback holds `this`.
+  Controller(const Controller&) = delete;
+  Controller& operator=(const Controller&) = delete;
 
   /// One control iteration: sample -> classify -> retarget. Only committed
   /// degree changes reach the target (no-op ticks are free).
@@ -99,38 +106,80 @@ class Controller {
   const std::vector<RescaleEvent>& history() const { return history_; }
   std::uint64_t rescales() const { return history_.size(); }
   std::uint32_t degree_of(net::FlowId flow) const;
+  /// Split flows whose committed class is elephant.
   std::uint64_t elephants() const;
 
-  /// Flows with live control state (monitor samples). Bounded by the flow
-  /// table, not by cumulative arrivals.
-  std::size_t tracked_flows() const { return monitor_.tracked_flows(); }
-  std::size_t peak_tracked() const { return monitor_.peak_tracked(); }
-  /// Flows fully reclaimed by TTL expiry (monitor + classifier + degree +
-  /// data-path state).
+  /// Window rates of one flow; 0 for an untracked flow or one with fewer
+  /// than two samples.
+  double rate_pps(net::FlowId flow) const;
+  double rate_bps(net::FlowId flow) const;
+  /// Sum of rate_pps over every tracked flow — the Autoscaler's load
+  /// signal (aggregate offered load the active workers must absorb).
+  double aggregate_rate_pps() const;
+  /// Tracked flows in first-seen order.
+  std::vector<net::FlowId> flows() const;
+  /// Committed class (kMouse for an untracked flow).
+  FlowClass classify(net::FlowId flow) const;
+  /// Committed class changes so far (promotions + demotions) — flap meter.
+  std::uint64_t transitions() const { return transitions_; }
+
+  /// Flows with a live control record. Bounded by the flow table, not by
+  /// cumulative arrivals.
+  std::size_t tracked_flows() const { return flows_.size(); }
+  std::size_t peak_tracked() const { return flows_.peak_size(); }
+  /// Flows fully reclaimed by TTL expiry (control record + data-path
+  /// state).
   std::uint64_t expired_flows() const { return expired_; }
   /// Expiry candidates whose release the target vetoed this tick (drain
   /// in flight); they stay tracked and retry.
   std::uint64_t release_retries() const { return release_retries_; }
 
-  FlowMonitor& monitor() { return monitor_; }
-  Classifier& classifier() { return classifier_; }
+  /// Drop one flow's control record now, without asking the target to
+  /// release it. A still-split flow is demoted through the target first (a
+  /// history event stamped at the last tick), so the data path never keeps
+  /// a split the Controller has forgotten; capacity eviction takes the same
+  /// path. Returns false if the flow was not tracked.
+  bool erase(net::FlowId flow);
+  /// erase() every tracked flow, in first-seen order.
+  void clear();
 
   /// Publish control.elephants / control.active_lanes / control.rescales
-  /// gauges+counters each tick (and per-flow rates via the monitor).
-  void export_to(trace::Registry* reg);
+  /// gauges+counters each tick, and per-flow `flow.<id>.rate_pps` /
+  /// `flow.<id>.rate_bps` gauges on every sample (names are built once per
+  /// flow, on its first sample with a registry attached, and retracted
+  /// when its record goes). Pass nullptr to detach.
+  void export_to(trace::Registry* reg) { registry_ = reg; }
 
  private:
+  /// One flow's whole control state.
+  struct FlowCtl {
+    RateWindow rates;
+    Hysteresis hysteresis;
+    std::uint32_t degree = 0;  // committed split degree, 0 = unsplit
+    std::uint64_t seq = 0;     // first-seen order for flows()
+    std::string pps_name;      // cached gauge names, empty until a
+    std::string bps_name;      // registry sees the flow
+  };
+
   void expire_flows(sim::Time now);
+  void publish_gauges(net::FlowId flow, FlowCtl& fc);
+  /// Commit degree -> 0 for a split flow leaving its split.
+  void demote(net::FlowId flow, std::uint32_t degree);
+  /// A record leaving by eviction or erase: demote if split, retract
+  /// gauges.
+  void forget(net::FlowId flow, const FlowCtl& fc);
+  void retract_gauges(const FlowCtl& fc);
 
   ControllerParams params_;
   Source source_;
   CapacityTarget* target_;
-  FlowMonitor monitor_;
-  Classifier classifier_;
   ScalingPolicy policy_;
-  FlowTable<std::uint32_t> degrees_;
+  FlowTable<FlowCtl> flows_;
   std::vector<RescaleEvent> history_;
   std::vector<net::FlowId> idle_scratch_;
+  sim::Time now_ = 0;  // the current (or last) tick
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t transitions_ = 0;
   std::uint64_t expired_ = 0;
   std::uint64_t release_retries_ = 0;
   trace::Registry* registry_ = nullptr;

@@ -62,7 +62,7 @@ class MflowEngine final {
   bool release_flow(net::FlowId flow);
 
   /// Cumulative per-flow split-point totals across all splitters — the
-  /// pull source for the control plane's FlowMonitor.
+  /// pull source for the control plane's Controller.
   std::vector<control::Controller::FlowTotals> flow_totals() const;
 
   // --- aggregate statistics ------------------------------------------------

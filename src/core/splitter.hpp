@@ -106,7 +106,7 @@ class BatchAssigner {
   }
 
   /// Cumulative per-flow totals in first-seen order — the pull source the
-  /// control plane's FlowMonitor differentiates into rates.
+  /// control plane's Controller differentiates into rates.
   void append_totals(std::vector<control::Controller::FlowTotals>& out) const;
 
   /// Forget one flow entirely — counters, batch cursor AND degree override

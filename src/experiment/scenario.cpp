@@ -172,7 +172,7 @@ void ScenarioConfig::validate() const {
   if (elastic.enabled) {
     if (!control.enabled)
       fail("elastic.enabled requires control.enabled — the autoscaler sizes "
-           "capacity from the controller's FlowMonitor aggregate, and the "
+           "capacity from the controller's aggregate rate, and the "
            "controller is what re-spreads flows over the new budget");
     if (elastic.interval <= 0) fail("elastic.interval must be > 0");
     if (elastic.params.per_worker_pps <= 0)
@@ -463,7 +463,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     if (cfg.elastic.enabled) {
       autoscaler = std::make_unique<control::Autoscaler>(
           cfg.elastic.params,
-          [mon = &controller->monitor()] { return mon->aggregate_rate_pps(); },
+          [ctl = controller.get()] { return ctl->aggregate_rate_pps(); },
           capacity.get());
       if (tracer) autoscaler->export_to(&tracer->registry());
       elastic_tick = [&sim, &elastic_tick, as = autoscaler.get(),

@@ -161,11 +161,11 @@ struct ScenarioConfig {
   Nf nf;
 
   /// Elastic capacity tier (control::Autoscaler, the tier above the
-  /// Controller): sizes the ACTIVE worker budget from the FlowMonitor's
+  /// Controller): sizes the ACTIVE worker budget from the Controller's
   /// aggregate load and drives it through the engine's
   /// core::MflowCapacityAdapter; the Controller then self-clamps split
   /// degrees to the budget on its next tick. Requires control.enabled (the
-  /// autoscaler reads the controller's monitor) and Mode::kMflow.
+  /// autoscaler reads the controller's aggregate rate) and Mode::kMflow.
   struct Elastic {
     bool enabled = false;
     /// Autoscaler tick cadence (the decision loop; commits are further

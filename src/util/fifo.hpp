@@ -1,4 +1,5 @@
-// Grow-only FIFO ring for the DES's packet and work queues.
+// Grow-only FIFO ring for the DES's packet and work queues and the control
+// plane's per-flow sample windows.
 //
 // std::deque allocates and frees a fixed-size block (512 bytes in libstdc++)
 // each time its front and back cross one, so a queue that cycles packets in
@@ -33,6 +34,12 @@ class Fifo {
   const T& front() const {
     assert(size_ > 0);
     return slots_[head_];
+  }
+
+  /// Precondition: !empty().
+  const T& back() const {
+    assert(size_ > 0);
+    return slots_[(head_ + size_ - 1) & (slots_.size() - 1)];
   }
 
   /// Precondition: !empty().

@@ -21,57 +21,58 @@
 using namespace mflow;
 using control::FlowClass;
 
-// --- FlowMonitor -------------------------------------------------------------
+// --- RateWindow --------------------------------------------------------------
 
-TEST(FlowMonitor, RateZeroUntilTwoSamples) {
-  control::FlowMonitor mon;
-  EXPECT_DOUBLE_EQ(mon.rate_pps(1), 0.0);
-  mon.record(1, 1000, 1'500'000, 0);
-  EXPECT_DOUBLE_EQ(mon.rate_pps(1), 0.0);
-  mon.record(1, 2000, 3'000'000, sim::ms(1));
+TEST(RateWindow, RateZeroUntilTwoSamples) {
+  const control::MonitorParams mp;
+  control::RateWindow w;
+  EXPECT_DOUBLE_EQ(w.rate_pps(), 0.0);
+  w.record(1000, 1'500'000, 0, mp);
+  EXPECT_DOUBLE_EQ(w.rate_pps(), 0.0);
+  w.record(2000, 3'000'000, sim::ms(1), mp);
   // 1000 segs / 1ms, 1.5MB / 1ms * 8.
-  EXPECT_DOUBLE_EQ(mon.rate_pps(1), 1e6);
-  EXPECT_DOUBLE_EQ(mon.rate_bps(1), 1.5e6 * 8.0 * 1000.0);
+  EXPECT_DOUBLE_EQ(w.rate_pps(), 1e6);
+  EXPECT_DOUBLE_EQ(w.rate_bps(), 1.5e6 * 8.0 * 1000.0);
 }
 
-// The exported rate_bps gauge is in bits per second, like rate_bps().
-TEST(FlowMonitor, RateBpsGaugeMatchesRateBps) {
-  trace::Registry reg;
-  control::FlowMonitor mon;
-  mon.export_to(&reg);
-  mon.record(1, 1000, 1'500'000, 0);
-  mon.record(1, 2000, 3'000'000, sim::ms(1));
-  EXPECT_DOUBLE_EQ(reg.gauge("flow.1.rate_bps"), mon.rate_bps(1));
-  EXPECT_DOUBLE_EQ(reg.gauge("flow.1.rate_bps"), 1.2e10);
-  EXPECT_DOUBLE_EQ(reg.gauge("flow.1.rate_pps"), mon.rate_pps(1));
-}
-
-TEST(FlowMonitor, SlidingWindowForgetsOldRate) {
-  control::FlowMonitor mon(control::MonitorParams{sim::ms(1), 32});
+TEST(RateWindow, SlidingWindowForgetsOldRate) {
+  const control::MonitorParams mp{sim::ms(1), 32};
+  control::RateWindow w;
   // 100 segs per 250us for 2ms, then the flow goes silent.
   std::uint64_t total = 0;
   sim::Time t = 0;
   for (int i = 0; i < 8; ++i) {
     total += 100;
     t += sim::us(250);
-    mon.record(1, total, total * 1500, t);
+    w.record(total, total * 1500, t, mp);
   }
-  EXPECT_NEAR(mon.rate_pps(1), 400'000.0, 1.0);
+  EXPECT_NEAR(w.rate_pps(), 400'000.0, 1.0);
   // Flat samples push the active burst out of the window: rate decays to 0.
   for (int i = 0; i < 8; ++i) {
     t += sim::us(250);
-    mon.record(1, total, total * 1500, t);
+    w.record(total, total * 1500, t, mp);
   }
-  EXPECT_DOUBLE_EQ(mon.rate_pps(1), 0.0);
-  EXPECT_EQ(mon.total_segs(1), total);
+  EXPECT_DOUBLE_EQ(w.rate_pps(), 0.0);
+  EXPECT_EQ(w.total_segs(), total);
 }
 
-TEST(FlowMonitor, FlowsListedInFirstSeenOrder) {
-  control::FlowMonitor mon;
-  mon.record(9, 1, 1, 0);
-  mon.record(3, 1, 1, 0);
-  mon.record(9, 2, 2, sim::us(100));
-  EXPECT_EQ(mon.flows(), (std::vector<net::FlowId>{9, 3}));
+// The retained sample span must never exceed the window. The old trim
+// compared against the second sample, keeping up to window + one interval —
+// with a front-loaded burst that inflates the measured rate and delays
+// demotion.
+TEST(RateWindow, WindowTrimBoundsRetainedSpan) {
+  const control::MonitorParams mp{sim::ms(1), 32};
+  control::RateWindow w;
+  // Burst of 1000 segs in the first interval, then 100 per 250us.
+  w.record(0, 0, 0, mp);
+  std::uint64_t total = 1000;
+  for (int i = 0; i < 5; ++i) {
+    w.record(total, total * 1500, sim::us(250) * (i + 1), mp);
+    total += 100;
+  }
+  // Retained samples must span [250us, 1250us]: 400 segs / 1ms. A trim
+  // that keeps the t=0 sample reports (1400 - 0) / 1.25ms = 1.12M.
+  EXPECT_DOUBLE_EQ(w.rate_pps(), 400'000.0);
 }
 
 // --- Classifier hysteresis ---------------------------------------------------
@@ -86,56 +87,69 @@ control::ClassifierParams band_params() {
   return p;
 }
 
+/// One flow's hysteresis stepped as the Controller steps it, counting the
+/// committed transitions the Controller's transitions() would count.
+struct OneFlowClassifier {
+  control::ClassifierParams params = band_params();
+  control::Hysteresis state;
+  std::uint64_t transitions = 0;
+
+  FlowClass update(double rate_pps, sim::Time now) {
+    if (state.update(rate_pps, now, params)) ++transitions;
+    return state.committed;
+  }
+};
+
 }  // namespace
 
-TEST(Classifier, PromotionRequiresDwell) {
-  control::Classifier cl(band_params());
-  EXPECT_EQ(cl.update(1, 200'000.0, sim::us(0)), FlowClass::kMouse);
-  EXPECT_EQ(cl.update(1, 200'000.0, sim::us(100)), FlowClass::kMouse);
-  EXPECT_EQ(cl.update(1, 200'000.0, sim::us(200)), FlowClass::kElephant);
-  EXPECT_EQ(cl.transitions(), 1u);
+TEST(Hysteresis, PromotionRequiresDwell) {
+  OneFlowClassifier cl;
+  EXPECT_EQ(cl.update(200'000.0, sim::us(0)), FlowClass::kMouse);
+  EXPECT_EQ(cl.update(200'000.0, sim::us(100)), FlowClass::kMouse);
+  EXPECT_EQ(cl.update(200'000.0, sim::us(200)), FlowClass::kElephant);
+  EXPECT_EQ(cl.transitions, 1u);
 }
 
-TEST(Classifier, BandOscillationNeverFlaps) {
-  control::Classifier cl(band_params());
-  cl.update(1, 200'000.0, 0);
-  cl.update(1, 200'000.0, sim::us(200));
-  ASSERT_EQ(cl.classify(1), FlowClass::kElephant);
+TEST(Hysteresis, BandOscillationNeverFlaps) {
+  OneFlowClassifier cl;
+  cl.update(200'000.0, 0);
+  cl.update(200'000.0, sim::us(200));
+  ASSERT_EQ(cl.state.committed, FlowClass::kElephant);
   // Rate bouncing INSIDE the band (above demote, below promote) argues for
   // the committed state: no candidate ever forms, no flap.
   sim::Time t = sim::us(200);
   for (int i = 0; i < 50; ++i) {
     t += sim::us(100);
-    cl.update(1, i % 2 == 0 ? 60'000.0 : 95'000.0, t);
-    EXPECT_EQ(cl.classify(1), FlowClass::kElephant);
+    cl.update(i % 2 == 0 ? 60'000.0 : 95'000.0, t);
+    EXPECT_EQ(cl.state.committed, FlowClass::kElephant);
   }
-  EXPECT_EQ(cl.transitions(), 1u);
+  EXPECT_EQ(cl.transitions, 1u);
 }
 
-TEST(Classifier, ThresholdOscillationFasterThanDwellNeverFlaps) {
-  control::Classifier cl(band_params());
-  cl.update(1, 200'000.0, 0);
-  cl.update(1, 200'000.0, sim::us(200));
-  ASSERT_EQ(cl.classify(1), FlowClass::kElephant);
+TEST(Hysteresis, ThresholdOscillationFasterThanDwellNeverFlaps) {
+  OneFlowClassifier cl;
+  cl.update(200'000.0, 0);
+  cl.update(200'000.0, sim::us(200));
+  ASSERT_EQ(cl.state.committed, FlowClass::kElephant);
   // Rate alternating ACROSS the whole band every 100us: each demote
   // candidate is cancelled before the 200us dwell elapses.
   sim::Time t = sim::us(200);
   for (int i = 0; i < 50; ++i) {
     t += sim::us(100);
-    cl.update(1, i % 2 == 0 ? 40'000.0 : 200'000.0, t);
-    EXPECT_EQ(cl.classify(1), FlowClass::kElephant);
+    cl.update(i % 2 == 0 ? 40'000.0 : 200'000.0, t);
+    EXPECT_EQ(cl.state.committed, FlowClass::kElephant);
   }
-  EXPECT_EQ(cl.transitions(), 1u);
+  EXPECT_EQ(cl.transitions, 1u);
 }
 
-TEST(Classifier, SustainedLowRateDemotes) {
-  control::Classifier cl(band_params());
-  cl.update(1, 200'000.0, 0);
-  cl.update(1, 200'000.0, sim::us(200));
-  ASSERT_EQ(cl.classify(1), FlowClass::kElephant);
-  EXPECT_EQ(cl.update(1, 10'000.0, sim::us(300)), FlowClass::kElephant);
-  EXPECT_EQ(cl.update(1, 10'000.0, sim::us(500)), FlowClass::kMouse);
-  EXPECT_EQ(cl.transitions(), 2u);
+TEST(Hysteresis, SustainedLowRateDemotes) {
+  OneFlowClassifier cl;
+  cl.update(200'000.0, 0);
+  cl.update(200'000.0, sim::us(200));
+  ASSERT_EQ(cl.state.committed, FlowClass::kElephant);
+  EXPECT_EQ(cl.update(10'000.0, sim::us(300)), FlowClass::kElephant);
+  EXPECT_EQ(cl.update(10'000.0, sim::us(500)), FlowClass::kMouse);
+  EXPECT_EQ(cl.transitions, 2u);
 }
 
 // --- ScalingPolicy -----------------------------------------------------------
@@ -221,6 +235,49 @@ TEST(Controller, PromotesScalesAndDemotes) {
   // ticks emit nothing (history has exactly the committed changes).
   for (const auto& [flow, degree] : target.calls) EXPECT_EQ(flow, 1u);
   EXPECT_EQ(target.calls.size(), ctl.history().size());
+}
+
+namespace {
+
+/// Controller whose source reports exactly `report` on every tick.
+struct ScriptedController {
+  FakeTarget target;
+  std::vector<control::Controller::FlowTotals> report;
+  control::Controller ctl;
+
+  explicit ScriptedController(control::ControllerParams params = {})
+      : ctl(params, [this] { return report; }, &target) {}
+
+  void tick(std::vector<control::Controller::FlowTotals> totals,
+            sim::Time now) {
+    report = std::move(totals);
+    ctl.tick(now);
+  }
+};
+
+/// Gauges the Controller publishes for itself on every exported tick
+/// (control.elephants, control.active_lanes, control.tracked_flows).
+constexpr std::size_t kOwnGauges = 3;
+
+}  // namespace
+
+// The exported rate_bps gauge is in bits per second, like rate_bps().
+TEST(Controller, RateBpsGaugeMatchesRateBps) {
+  trace::Registry reg;
+  ScriptedController sc;
+  sc.ctl.export_to(&reg);
+  sc.tick({{1, 1000, 1'500'000}}, 0);
+  sc.tick({{1, 2000, 3'000'000}}, sim::ms(1));
+  EXPECT_DOUBLE_EQ(reg.gauge("flow.1.rate_bps"), sc.ctl.rate_bps(1));
+  EXPECT_DOUBLE_EQ(reg.gauge("flow.1.rate_bps"), 1.2e10);
+  EXPECT_DOUBLE_EQ(reg.gauge("flow.1.rate_pps"), sc.ctl.rate_pps(1));
+}
+
+TEST(Controller, FlowsListedInFirstSeenOrder) {
+  ScriptedController sc;
+  sc.tick({{9, 1, 1}, {3, 1, 1}}, 0);
+  sc.tick({{9, 2, 2}}, sim::us(100));
+  EXPECT_EQ(sc.ctl.flows(), (std::vector<net::FlowId>{9, 3}));
 }
 
 // --- Rescale drain at the merge point, both engines -------------------------
@@ -585,74 +642,6 @@ TEST(ControlScenario, LiveRescaleDeterministic) {
 
 // --- flow-state lifecycle under churn ----------------------------------------
 
-// Satellite of the sharded-flow-table fix: the retained sample span must
-// never exceed the window. The old trim compared against samples[1],
-// keeping up to window + one interval — with a front-loaded burst that
-// inflates the measured rate and delays demotion.
-TEST(FlowMonitor, WindowTrimBoundsRetainedSpan) {
-  control::FlowMonitor mon(control::MonitorParams{sim::ms(1), 32});
-  // Burst of 1000 segs in the first interval, then 100 per 250us.
-  mon.record(1, 0, 0, 0);
-  std::uint64_t total = 1000;
-  for (int i = 0; i < 5; ++i) {
-    mon.record(1, total, total * 1500, sim::us(250) * (i + 1));
-    total += 100;
-  }
-  // Retained samples must span [250us, 1250us]: 400 segs / 1ms. A trim
-  // that keeps the t=0 sample reports (1400 - 0) / 1.25ms = 1.12M.
-  EXPECT_DOUBLE_EQ(mon.rate_pps(1), 400'000.0);
-}
-
-TEST(FlowMonitor, EraseRetractsRegistryGauges) {
-  trace::Registry reg;
-  control::MonitorParams mp;
-  mp.table.ttl = sim::ms(1);
-  control::FlowMonitor mon(mp);
-  mon.export_to(&reg);
-  mon.record(1, 100, 1000, 0);
-  mon.record(2, 100, 1000, 0);
-  EXPECT_EQ(reg.num_gauges(), 4u);  // rate_pps + rate_bps per flow
-
-  std::vector<net::FlowId> idle;
-  mon.collect_idle(sim::ms(2), idle);
-  EXPECT_EQ(idle, (std::vector<net::FlowId>{1, 2}));
-  EXPECT_TRUE(mon.erase(1));
-  EXPECT_EQ(reg.num_gauges(), 2u);
-  EXPECT_FALSE(mon.erase(1));
-  mon.clear();
-  EXPECT_EQ(reg.num_gauges(), 0u);
-  EXPECT_EQ(mon.tracked_flows(), 0u);
-}
-
-// export_to() after a flow's first sample: names are built lazily, so the
-// flow's gauges must appear on its next record(), and erase() / clear()
-// must still retract them.
-TEST(FlowMonitor, RegistryAttachedMidRunPublishesAndRetracts) {
-  trace::Registry reg;
-  control::FlowMonitor mon;
-  mon.record(1, 100, 1000, 0);
-  mon.record(2, 100, 1000, 0);
-  mon.record(1, 200, 2000, sim::us(100));
-  EXPECT_EQ(reg.num_gauges(), 0u);
-
-  mon.export_to(&reg);
-  mon.record(1, 300, 3000, sim::us(200));
-  EXPECT_EQ(reg.num_gauges(), 2u);  // flow 1 only: flow 2 has no new sample
-  EXPECT_DOUBLE_EQ(reg.gauge("flow.1.rate_pps"), mon.rate_pps(1));
-  EXPECT_DOUBLE_EQ(reg.gauge("flow.1.rate_pps"), 1e6);
-  mon.record(2, 150, 1500, sim::us(200));
-  mon.record(3, 10, 100, sim::us(200));  // first seen with a registry
-  EXPECT_EQ(reg.num_gauges(), 6u);
-
-  EXPECT_TRUE(mon.erase(1));
-  EXPECT_EQ(reg.num_gauges(), 4u);
-  EXPECT_DOUBLE_EQ(reg.gauge("flow.1.rate_pps"), 0.0);
-  EXPECT_FALSE(mon.erase(4));
-  mon.clear();
-  EXPECT_EQ(reg.num_gauges(), 0u);
-  EXPECT_EQ(mon.tracked_flows(), 0u);
-}
-
 // --- FlowTable value construction --------------------------------------------
 
 namespace {
@@ -667,8 +656,8 @@ struct Counted {
 
 }  // namespace
 
-// upsert_apply on a resident key must not build a throwaway V (for the
-// monitor's per-flow state that is a std::deque, two heap allocations per
+// upsert_apply on a resident key must not build a throwaway V (a value that
+// allocates in its constructor, like a std::deque, would pay for it on every
 // call); an insert builds the new entry and an eviction only re-initialises
 // the slot the new entry takes over.
 TEST(FlowTable, UpsertBuildsNoValueUnlessInsertingOrEvicting) {
@@ -791,8 +780,9 @@ TEST(Controller, ChurnStormKeepsStateAndGaugesBounded) {
 }
 
 // 400 steady mice whose totals advance every tick: after warm-up a tick
-// must not allocate per flow. The deque sample history still allocates a
-// node every ~21 samples per flow, which this bound leaves room for.
+// allocates nothing per flow. Each flow's sample ring has reached its peak
+// depth and the record's probe builds no value, so the only allocation left
+// is the test source's per-tick vector (1 per 400 flow-ticks, 0.0025).
 TEST(Controller, SteadyStateTickAllocationsPerFlowBounded) {
   FakeTarget target;
   constexpr int kFlows = 400;
@@ -821,15 +811,62 @@ TEST(Controller, SteadyStateTickAllocationsPerFlowBounded) {
   EXPECT_EQ(ctl.rescales(), 0u);
   const double per_flow_tick =
       static_cast<double>(allocs) / (static_cast<double>(kFlows) * kTicks);
-  EXPECT_LE(per_flow_tick, 0.1) << allocs << " allocations over " << kTicks
+  EXPECT_LE(per_flow_tick, 0.01) << allocs << " allocations over " << kTicks
                                 << " ticks of " << kFlows << " flows";
+}
+
+// A churn-shaped source (40 new flows per tick, each advancing its totals
+// for 10 ticks, then silent until the TTL expires it): after warm-up the
+// only allocations are one sample-ring growth per new flow and the test
+// source's per-tick vector. A record that allocated on reset (a std::deque
+// allocates in its default constructor) pays about one more per flow.
+TEST(Controller, ChurnAllocationsPerExpiredFlowBounded) {
+  FakeTarget target;
+  constexpr int kPerTick = 40;
+  constexpr int kLifeTicks = 10;
+  int tick = 0;
+  auto source = [&] {
+    std::vector<control::Controller::FlowTotals> v;
+    v.reserve(kPerTick * kLifeTicks);
+    for (int born = std::max(0, tick - kLifeTicks + 1); born <= tick;
+         ++born) {
+      const auto segs = static_cast<std::uint64_t>(tick - born + 1) * 5;
+      for (int j = 0; j < kPerTick; ++j) {
+        const auto id = static_cast<net::FlowId>(born) * kPerTick + j + 1;
+        v.push_back({id, segs, segs * 1500});  // 50k pps: mice
+      }
+    }
+    return v;
+  };
+  control::Controller ctl(churn_controller_params(), source, &target);
+  auto run = [&](int ticks) {
+    for (int i = 0; i < ticks; ++i) {
+      ++tick;
+      ctl.tick(sim::us(100) * tick);
+    }
+  };
+  run(200);
+  constexpr int kTicks = 1800;
+  const std::uint64_t expired_before = ctl.expired_flows();
+  const std::uint64_t before = alloc_counter::calls();
+  run(kTicks);
+  const std::uint64_t allocs = alloc_counter::calls() - before;
+  const std::uint64_t expired = ctl.expired_flows() - expired_before;
+  ASSERT_GE(expired, static_cast<std::uint64_t>(kTicks - 20) * kPerTick);
+  EXPECT_EQ(ctl.rescales(), 0u);
+  const double per_expired =
+      static_cast<double>(allocs) / static_cast<double>(expired);
+  EXPECT_LE(per_expired, 1.1) << allocs << " allocations for " << expired
+                              << " expired flows";
 }
 
 namespace {
 
-/// Records release_flow calls and vetoes the first `veto_count`.
+/// Records release_flow calls (asked, and accepted) and vetoes the first
+/// `veto_count`.
 struct ReleasingTarget final : control::CapacityTarget {
   std::vector<std::pair<net::FlowId, std::uint32_t>> degree_calls;
+  std::vector<net::FlowId> asked;
   std::vector<net::FlowId> releases;
   int veto_count = 0;
   void set_flow_degree(net::FlowId flow, std::uint32_t degree) override {
@@ -837,6 +874,7 @@ struct ReleasingTarget final : control::CapacityTarget {
   }
   std::uint32_t max_degree() const override { return 4; }
   bool release_flow(net::FlowId flow) override {
+    asked.push_back(flow);
     if (veto_count > 0) {
       --veto_count;
       return false;
@@ -945,6 +983,128 @@ TEST(Controller, ReleaseVetoRetriesUntilAccepted) {
   EXPECT_EQ(ctl.expired_flows(), 1u);
   EXPECT_EQ(ctl.tracked_flows(), 0u);
   EXPECT_EQ(target.releases, (std::vector<net::FlowId>{9}));
+}
+
+// Expiry asks for release in (shard, oldest-first) order; a vetoed flow
+// keeps its record and its gauges. erase() then drops one record and
+// retracts its gauges, and clear() retracts every flow's.
+TEST(Controller, EraseRetractsRegistryGauges) {
+  trace::Registry reg;
+  ReleasingTarget target;
+  target.veto_count = 2;
+  std::vector<control::Controller::FlowTotals> report;
+  control::ControllerParams p;
+  p.monitor.table.ttl = sim::ms(1);
+  control::Controller ctl(p, [&report] { return report; }, &target);
+  ctl.export_to(&reg);
+  report = {{1, 100, 1000}, {2, 100, 1000}};
+  ctl.tick(0);
+  EXPECT_EQ(reg.num_gauges(), kOwnGauges + 4);  // rate_pps + rate_bps each
+
+  report.clear();
+  ctl.tick(sim::ms(2));
+  EXPECT_EQ(target.asked, (std::vector<net::FlowId>{1, 2}));
+  EXPECT_EQ(ctl.tracked_flows(), 2u);
+  EXPECT_EQ(reg.num_gauges(), kOwnGauges + 4);
+  EXPECT_TRUE(ctl.erase(1));
+  EXPECT_EQ(reg.num_gauges(), kOwnGauges + 2);
+  EXPECT_FALSE(ctl.erase(1));
+  ctl.clear();
+  EXPECT_EQ(reg.num_gauges(), kOwnGauges);
+  EXPECT_EQ(ctl.tracked_flows(), 0u);
+}
+
+// export_to() after a flow's first sample: names are built lazily, so the
+// flow's gauges must appear on its next sample, and erase() / clear()
+// must still retract them.
+TEST(Controller, RegistryAttachedMidRunPublishesAndRetracts) {
+  trace::Registry reg;
+  ScriptedController sc;
+  sc.tick({{1, 100, 1000}, {2, 100, 1000}}, 0);
+  sc.tick({{1, 200, 2000}}, sim::us(100));
+  EXPECT_EQ(reg.num_gauges(), 0u);
+
+  sc.ctl.export_to(&reg);
+  sc.tick({{1, 300, 3000}}, sim::us(200));
+  // Flow 1 only: flow 2 has no new sample.
+  EXPECT_EQ(reg.num_gauges(), kOwnGauges + 2);
+  EXPECT_DOUBLE_EQ(reg.gauge("flow.1.rate_pps"), sc.ctl.rate_pps(1));
+  EXPECT_DOUBLE_EQ(reg.gauge("flow.1.rate_pps"), 1e6);
+  // Flow 3 is first seen with a registry attached.
+  sc.tick({{2, 150, 1500}, {3, 10, 100}}, sim::us(200));
+  EXPECT_EQ(reg.num_gauges(), kOwnGauges + 6);
+
+  EXPECT_TRUE(sc.ctl.erase(1));
+  EXPECT_EQ(reg.num_gauges(), kOwnGauges + 4);
+  EXPECT_DOUBLE_EQ(reg.gauge("flow.1.rate_pps"), 0.0);
+  EXPECT_FALSE(sc.ctl.erase(4));
+  sc.ctl.clear();
+  EXPECT_EQ(reg.num_gauges(), kOwnGauges);
+  EXPECT_EQ(sc.ctl.tracked_flows(), 0u);
+}
+
+// A table too small for the live flows evicts its LRU record whole: a split
+// elephant is demoted through the target (a history event, as expiry does)
+// so the data path keeps no split the Controller forgot, its gauges go, and
+// its id, when reused, starts as a mouse at degree 0 with no hysteresis or
+// degree left over.
+TEST(Controller, CapacityEvictionDropsTheWholeRecord) {
+  trace::Registry reg;
+  ReleasingTarget target;
+  std::vector<control::Controller::FlowTotals> report;
+  control::ControllerParams p = churn_controller_params();
+  p.monitor.table.shards = 1;
+  p.monitor.table.capacity = 2;
+  p.monitor.table.ttl = 0;  // eviction, not expiry, reclaims here
+  control::Controller ctl(p, [&report] { return report; }, &target);
+  ctl.export_to(&reg);
+
+  // Flow 7 at 500k pps promotes to a split.
+  std::uint64_t segs = 0;
+  sim::Time t = 0;
+  for (int i = 0; i < 10; ++i) {
+    segs += 50;
+    t += sim::us(100);
+    report = {{7, segs, segs * 1500}};
+    ctl.tick(t);
+  }
+  const std::uint32_t promoted = ctl.degree_of(7);
+  ASSERT_GT(promoted, 0u);
+  ASSERT_EQ(ctl.classify(7), FlowClass::kElephant);
+  ASSERT_EQ(reg.num_gauges(), kOwnGauges + 2);
+
+  // Flow 7 goes silent; two mice arrive and the second evicts it.
+  t += sim::us(100);
+  report = {{8, 1, 1500}};
+  ctl.tick(t);
+  t += sim::us(100);
+  report = {{9, 1, 1500}};
+  ctl.tick(t);
+  EXPECT_EQ(ctl.tracked_flows(), 2u);
+  EXPECT_EQ(ctl.flows(), (std::vector<net::FlowId>{8, 9}));
+  ASSERT_FALSE(target.degree_calls.empty());
+  EXPECT_EQ(target.degree_calls.back(),
+            (std::pair<net::FlowId, std::uint32_t>{7, 0}));
+  EXPECT_EQ(ctl.history().back().at, t);
+  EXPECT_EQ(ctl.history().back().flow, 7u);
+  EXPECT_EQ(ctl.history().back().old_degree, promoted);
+  EXPECT_EQ(ctl.history().back().new_degree, 0u);
+  EXPECT_DOUBLE_EQ(reg.gauge("flow.7.rate_pps"), 0.0);
+  EXPECT_EQ(reg.num_gauges(), kOwnGauges + 4);  // flows 8 and 9
+  EXPECT_TRUE(target.releases.empty());  // eviction does not ask release
+
+  // Id 7 returns at mouse rates: a fresh mouse, degree 0, no rescale.
+  const auto rescales_before = ctl.rescales();
+  for (int i = 0; i < 10; ++i) {
+    segs += 1;  // 10k pps
+    t += sim::us(100);
+    report = {{7, segs, segs * 1500}};
+    ctl.tick(t);
+    EXPECT_EQ(ctl.degree_of(7), 0u);
+    EXPECT_EQ(ctl.classify(7), FlowClass::kMouse);
+  }
+  EXPECT_EQ(ctl.rescales(), rescales_before);
+  EXPECT_EQ(ctl.elephants(), 0u);
 }
 
 TEST(ScenarioValidate, RejectsChurnWithoutControlOrTtl) {

@@ -5,6 +5,7 @@
 
 #include <deque>
 #include <memory>
+#include <utility>
 
 #include "util/fifo.hpp"
 #include "util/rng.hpp"
@@ -32,6 +33,9 @@ TEST(Fifo, MatchesDequeAcrossWrapAndGrowth) {
     }
     ASSERT_EQ(fifo.size(), model.size()) << "step " << step;
     ASSERT_EQ(fifo.empty(), model.empty()) << "step " << step;
+    if (!model.empty()) {
+      ASSERT_EQ(std::as_const(fifo).back(), model.back()) << "step " << step;
+    }
   }
 }
 
