@@ -4,9 +4,10 @@
 // Three measurement groups:
 //
 //   table/*    : raw FlowTable throughput (wall-clock) under insert/touch/
-//                expire churn at 2M and 8M resident entries, single- and
-//                multi-threaded. Machine-dependent — baselined in
-//                bench/baselines/ at the loose cross-runner tolerance.
+//                expire churn at 2M and 8M resident entries, on one
+//                thread (the table has one user at a time). Machine-
+//                dependent — baselined in bench/baselines/ at the loose
+//                cross-runner tolerance.
 //
 //   churn/*    : a Controller driven through >= 1M cumulative short flows
 //                (closed-form synthetic churn, exp::append_churn_totals,
@@ -21,11 +22,9 @@
 //                into the engine's real flow totals, exercising the
 //                release_flow drain handshake end to end. Deterministic,
 //                same 2% baseline directory.
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
-#include <thread>
 #include <vector>
 
 #include "bench/harness.hpp"
@@ -40,44 +39,30 @@ namespace {
 
 // --- raw table throughput ----------------------------------------------------
 
-/// Sliding-window churn against one table: thread t inserts keys
-/// base+0..base+ops-1 stamped with its loop index, touches each once, and
-/// sweeps periodically with ttl = capacity — so occupancy rides at the
-/// capacity bound (every insert past it evicts the shard LRU) and all four
-/// hot paths (upsert, touch, expire, evict) stay exercised. Returns ops/s
-/// counting upsert + touch as two ops.
-double churn_table_ops(std::size_t capacity, std::uint64_t ops_per_thread,
-                       int threads) {
+/// Sliding-window churn against one table: inserts keys 0..ops-1 stamped
+/// with the loop index, touches each once, and sweeps periodically with
+/// ttl = capacity — so occupancy rides at the capacity bound (every insert
+/// past it evicts the shard LRU) and all four hot paths (upsert, touch,
+/// expire, evict) stay exercised. Returns ops/s counting upsert + touch as
+/// two ops.
+double churn_table_ops(std::size_t capacity, std::uint64_t ops) {
   control::FlowTableParams p;
   p.shards = 8;
   p.capacity = capacity;
   p.ttl = static_cast<sim::Time>(capacity);
   control::FlowTable<std::uint64_t> table(p);
 
-  auto worker = [&table, ops_per_thread](int t) {
-    const net::FlowId base = static_cast<net::FlowId>(t) << 40;
-    for (std::uint64_t i = 0; i < ops_per_thread; ++i) {
-      const auto now = static_cast<sim::Time>(i);
-      table.upsert_apply(base + i, now, [i](std::uint64_t& v) { v = i; });
-      table.touch(base + i, now);
-      if ((i & 0xFFFF) == 0) table.expire_idle(now);
-    }
-  };
-
   const auto t0 = std::chrono::steady_clock::now();
-  if (threads <= 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    for (int t = 0; t < threads; ++t) pool.emplace_back(worker, t);
-    for (auto& th : pool) th.join();
+  for (std::uint64_t i = 0; i < ops; ++i) {
+    const auto now = static_cast<sim::Time>(i);
+    table.upsert_apply(i, now, [i](std::uint64_t& v) { v = i; });
+    table.touch(i, now);
+    if ((i & 0xFFFF) == 0) table.expire_idle(now);
   }
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  const double total_ops =
-      2.0 * static_cast<double>(ops_per_thread) * std::max(threads, 1);
-  return secs > 0 ? total_ops / secs : 0.0;
+  return secs > 0 ? 2.0 * static_cast<double>(ops) / secs : 0.0;
 }
 
 // --- controller under synthetic churn ---------------------------------------
@@ -211,15 +196,10 @@ int main(int argc, char** argv) {
   bench::Harness harness(hc);
 
   // --- raw table throughput (wall clock; loose cross-runner baseline) -------
-  harness.run_case("table/ops_2m", "ops/s", true, [&] {
-    return churn_table_ops(1 << 21, ops_2m, 1);
-  });
-  harness.run_case("table/ops_2m_mt4", "ops/s", true, [&] {
-    return churn_table_ops(1 << 21, ops_2m / 4, 4);
-  });
-  harness.run_case("table/ops_8m", "ops/s", true, [&] {
-    return churn_table_ops(1 << 23, ops_2m * 2, 1);
-  });
+  harness.run_case("table/ops_2m", "ops/s", true,
+                   [&] { return churn_table_ops(1 << 21, ops_2m); });
+  harness.run_case("table/ops_8m", "ops/s", true,
+                   [&] { return churn_table_ops(1 << 23, ops_2m * 2); });
 
   // --- controller under >= 1M cumulative flows (deterministic) --------------
   const ChurnDrive d = drive_controller_churn();

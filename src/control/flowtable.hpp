@@ -1,10 +1,10 @@
 // Sharded, expiration-aware flow table: the bounded per-flow state plane
-// shared by the control plane (the Controller's flow records), the
-// DES split point (BatchAssigner) and the rt engine's flow tracking.
+// of the control plane (the Controller's flow records), the DES split
+// point (BatchAssigner), the NF layer, the steering pins and the rt
+// engine's flow tracking and NF state.
 //
-// Design (after nfos's concurrent-map + concurrent-double-chain pair): the
-// key space is partitioned into power-of-two shards by hash; each shard
-// owns, under one mutex,
+// Design (after nfos's map + double-chain pair): the key space is
+// partitioned into power-of-two shards by hash; each shard owns
 //   - an open-addressing bucket array of slot indices (linear probing,
 //     backward-shift deletion — churn is delete-heavy, so tombstones would
 //     rot the probe distance),
@@ -19,25 +19,22 @@
 // touch() refreshes existing ones (or upsert_apply() does both in one probe
 // when its callback returns true), but a touch with a timestamp older than
 // the entry's is a no-op. That keeps the chain sorted by last-seen even
-// when touches arrive out of order (rt workers processing old batches
-// behind the generator), which is what makes expire_idle() deterministic:
-// it pops from the head while `last_seen <= now - ttl` and stops at the
-// first survivor.
+// when touches arrive out of order, which is what makes expire_idle()
+// deterministic: it pops from the head while `last_seen <= now - ttl` and
+// stops at the first survivor.
 //
 // Values live in a per-shard vector parallel to the slot arrays. find() /
 // upsert() return pointers/references into it: they remain valid until the
-// next mutating call on the same shard — which makes writing through them
-// safe ONLY for single-threaded users (the DES control plane). Concurrent
-// writers must use upsert_apply(), which runs the value mutation inside
-// the shard's critical section; the rt engine's workers only touch().
+// next mutating call on the same shard.
+//
+// A table has one user at a time: it takes no lock and holds no atomic. A
+// caller that shares a table across threads serializes every call on it
+// with its own lock (the rt engine's shared-lock NF strategy does).
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -49,8 +46,9 @@
 namespace mflow::control {
 
 struct FlowTableParams {
-  /// Shard count (rounded up to a power of two). More shards cut lock
-  /// contention for concurrent users; single-threaded users can use 1.
+  /// Shard count (rounded up to a power of two). Shards partition the
+  /// capacity, the LRU eviction (a full shard evicts its own oldest entry)
+  /// and the iteration order of collect_idle()/for_each().
   std::size_t shards = 8;
   /// Hard bound on resident entries (split evenly across shards). Inserts
   /// past it evict the least-recently-touched entry of the full shard.
@@ -130,11 +128,8 @@ class FlowTable {
     while (n < std::max<std::size_t>(1, params_.shards)) n <<= 1;
     const std::size_t per_shard =
         std::max<std::size_t>(1, (params_.capacity + n - 1) / n);
-    shards_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      shards_.push_back(std::make_unique<Shard>());
-      shards_.back()->idx.init(per_shard);
-    }
+    shards_.resize(n);
+    for (Shard& sh : shards_) sh.idx.init(per_shard);
     shard_mask_ = n - 1;
     capacity_ = per_shard * n;
   }
@@ -145,7 +140,6 @@ class FlowTable {
   /// next mutating call on this key's shard.
   V* find(net::FlowId key) {
     Shard& sh = shard_for(key);
-    std::lock_guard lock(sh.mu);
     const std::int32_t slot = sh.idx.find(key);
     return slot == detail::ShardIndex::kNil ? nullptr : &sh.values[slot];
   }
@@ -158,7 +152,6 @@ class FlowTable {
   /// nullopt if absent.
   std::optional<sim::Time> last_seen(net::FlowId key) const {
     const Shard& sh = shard_for(key);
-    std::lock_guard lock(sh.mu);
     const std::int32_t slot = sh.idx.find(key);
     if (slot == detail::ShardIndex::kNil) return std::nullopt;
     return sh.idx.last_seen(slot);
@@ -169,9 +162,7 @@ class FlowTable {
   /// When the key's shard is full its least-recently-touched entry is
   /// evicted through the reclaim callback to make room — occupancy is
   /// bounded no matter what the caller does. The returned reference is
-  /// invalidated by the next mutating call on this key's shard, so only
-  /// single-threaded users may write through it; concurrent writers use
-  /// upsert_apply().
+  /// invalidated by the next mutating call on this key's shard.
   V& upsert(net::FlowId key, sim::Time now, bool* inserted_out = nullptr) {
     V* vp = nullptr;
     const bool evicted = upsert_apply(
@@ -184,16 +175,14 @@ class FlowTable {
     return *vp;
   }
 
-  /// Find-or-insert and mutate in one critical section: `fn(V&)` runs
-  /// under the shard lock, so it cannot race with another thread growing
-  /// or reclaiming the shard (vector growth relocates values, which makes
-  /// writing through upsert()'s reference unsafe across threads). When fn
-  /// returns bool, `true` also refreshes the entry's recency at `now`
-  /// (touch() semantics) under the same lock — one probe for what would
-  /// otherwise be an upsert and a touch. A resident key builds no V; only
-  /// an insert (and the eviction it forces) does. Capacity eviction still
-  /// routes through the reclaim callback after unlock; returns true when
-  /// the insert evicted the shard's LRU entry.
+  /// Find-or-insert and mutate in one probe: `fn(V&)` runs on the entry
+  /// before anything else can move the shard's values. When fn returns
+  /// bool, `true` also refreshes the entry's recency at `now` (touch()
+  /// semantics) — one probe for what would otherwise be an upsert and a
+  /// touch. A resident key builds no V; only an insert (and the eviction
+  /// it forces) does. Capacity eviction routes through the reclaim
+  /// callback after fn has run; returns true when the insert evicted the
+  /// shard's LRU entry.
   template <typename Fn>
   bool upsert_apply(net::FlowId key, sim::Time now, Fn&& fn,
                     bool* inserted_out = nullptr) {
@@ -201,30 +190,27 @@ class FlowTable {
     net::FlowId evicted_key{};
     std::optional<V> evicted;
     bool inserted = false;
-    {
-      std::lock_guard lock(sh.mu);
-      std::int32_t slot = sh.idx.acquire(key, now, inserted);
-      if (slot == detail::ShardIndex::kNil) {
-        const std::int32_t victim = sh.idx.oldest();
-        evicted_key = sh.idx.key_at(victim);
-        evicted.emplace(std::move(sh.values[victim]));
-        sh.values[victim] = V();
-        sh.idx.erase(evicted_key);
-        size_.fetch_sub(1, std::memory_order_relaxed);
-        slot = sh.idx.acquire(key, now, inserted);
-      }
-      if (static_cast<std::size_t>(slot) >= sh.values.size())
-        sh.values.resize(static_cast<std::size_t>(slot) + 1);
-      if (inserted) note_insert();
-      V& value = sh.values[static_cast<std::size_t>(slot)];
-      if constexpr (std::is_same_v<std::invoke_result_t<Fn&, V&>, bool>) {
-        if (fn(value)) sh.idx.touch(slot, now);
-      } else {
-        fn(value);
-      }
+    std::int32_t slot = sh.idx.acquire(key, now, inserted);
+    if (slot == detail::ShardIndex::kNil) {
+      const std::int32_t victim = sh.idx.oldest();
+      evicted_key = sh.idx.key_at(victim);
+      evicted.emplace(std::move(sh.values[victim]));
+      sh.values[victim] = V();
+      sh.idx.erase(evicted_key);
+      --size_;
+      slot = sh.idx.acquire(key, now, inserted);
+    }
+    if (static_cast<std::size_t>(slot) >= sh.values.size())
+      sh.values.resize(static_cast<std::size_t>(slot) + 1);
+    if (inserted) peak_ = std::max(peak_, ++size_);
+    V& value = sh.values[static_cast<std::size_t>(slot)];
+    if constexpr (std::is_same_v<std::invoke_result_t<Fn&, V&>, bool>) {
+      if (fn(value)) sh.idx.touch(slot, now);
+    } else {
+      fn(value);
     }
     if (evicted) {
-      evictions_.fetch_add(1, std::memory_order_relaxed);
+      ++evictions_;
       if (reclaim_) reclaim_(evicted_key, std::move(*evicted));
     }
     if (inserted_out != nullptr) *inserted_out = inserted;
@@ -235,7 +221,6 @@ class FlowTable {
   /// resurrects an expired entry) or `now` is older than its stamp.
   bool touch(net::FlowId key, sim::Time now) {
     Shard& sh = shard_for(key);
-    std::lock_guard lock(sh.mu);
     const std::int32_t slot = sh.idx.find(key);
     if (slot == detail::ShardIndex::kNil) return false;
     return sh.idx.touch(slot, now);
@@ -243,11 +228,10 @@ class FlowTable {
 
   bool erase(net::FlowId key) {
     Shard& sh = shard_for(key);
-    std::lock_guard lock(sh.mu);
     const std::int32_t slot = sh.idx.erase(key);
     if (slot == detail::ShardIndex::kNil) return false;
     sh.values[static_cast<std::size_t>(slot)] = V();
-    size_.fetch_sub(1, std::memory_order_relaxed);
+    --size_;
     return true;
   }
 
@@ -257,9 +241,7 @@ class FlowTable {
   void collect_idle(sim::Time now, std::vector<net::FlowId>& out) const {
     if (params_.ttl <= 0) return;
     const sim::Time deadline = now - params_.ttl;
-    for (const auto& shp : shards_) {
-      const Shard& sh = *shp;
-      std::lock_guard lock(sh.mu);
+    for (const Shard& sh : shards_) {
       for (std::int32_t s = sh.idx.oldest(); s != detail::ShardIndex::kNil;
            s = sh.idx.chain_next(s)) {
         if (sh.idx.last_seen(s) > deadline) break;  // chain is sorted
@@ -269,16 +251,14 @@ class FlowTable {
   }
 
   /// Remove every entry idle for >= ttl at `now`; `fn(key, V&&)` runs for
-  /// each AFTER the shard lock is released (safe to re-enter the table).
+  /// each AFTER the sweep has finished (safe to re-enter the table).
   /// Returns the number expired.
   template <typename Fn>
   std::size_t expire_idle(sim::Time now, Fn&& fn) {
     if (params_.ttl <= 0) return 0;
     const sim::Time deadline = now - params_.ttl;
     std::vector<std::pair<net::FlowId, V>> out;
-    for (const auto& shp : shards_) {
-      Shard& sh = *shp;
-      std::lock_guard lock(sh.mu);
+    for (Shard& sh : shards_) {
       std::int32_t s;
       while ((s = sh.idx.oldest()) != detail::ShardIndex::kNil &&
              sh.idx.last_seen(s) <= deadline) {
@@ -286,10 +266,10 @@ class FlowTable {
         out.emplace_back(key, std::move(sh.values[s]));
         sh.values[static_cast<std::size_t>(s)] = V();
         sh.idx.erase(key);
-        size_.fetch_sub(1, std::memory_order_relaxed);
+        --size_;
       }
     }
-    expirations_.fetch_add(out.size(), std::memory_order_relaxed);
+    expirations_ += out.size();
     for (auto& [key, value] : out) fn(key, std::move(value));
     return out.size();
   }
@@ -298,13 +278,11 @@ class FlowTable {
   }
 
   /// Visit every entry as fn(key, const V&), shard by shard in recency
-  /// order (oldest first), under each shard's lock. Deterministic for a
-  /// deterministic operation history.
+  /// order (oldest first). Deterministic for a deterministic operation
+  /// history.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const auto& shp : shards_) {
-      const Shard& sh = *shp;
-      std::lock_guard lock(sh.mu);
+    for (const Shard& sh : shards_) {
       for (std::int32_t s = sh.idx.oldest(); s != detail::ShardIndex::kNil;
            s = sh.idx.chain_next(s)) {
         fn(sh.idx.key_at(s), sh.values[static_cast<std::size_t>(s)]);
@@ -314,70 +292,54 @@ class FlowTable {
 
   /// Receives entries displaced by capacity eviction (NOT by erase() or
   /// expire_idle(), whose callers already hold the state in hand). Called
-  /// outside the shard lock.
+  /// after the insert that displaced them has finished.
   void set_reclaim(std::function<void(net::FlowId, V&&)> fn) {
     reclaim_ = std::move(fn);
   }
 
   void clear() {
-    for (const auto& shp : shards_) {
-      Shard& sh = *shp;
-      std::lock_guard lock(sh.mu);
+    for (Shard& sh : shards_) {
       sh.idx.clear();
       sh.values.clear();
     }
-    size_.store(0, std::memory_order_relaxed);
+    size_ = 0;
   }
 
-  std::size_t size() const {
-    return size_.load(std::memory_order_relaxed);
-  }
+  std::size_t size() const { return size_; }
   /// Effective bound (capacity rounded up to shards * per-shard).
   std::size_t capacity() const { return capacity_; }
   sim::Time ttl() const { return params_.ttl; }
-  std::size_t shard_count() const { return shards_.size(); }
   /// High-water resident entries — "occupancy bounded by live flows, not
   /// cumulative flows" is asserted against this.
-  std::size_t peak_size() const {
-    return peak_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t expirations() const {
-    return expirations_.load(std::memory_order_relaxed);
-  }
+  std::size_t peak_size() const { return peak_; }
+  std::uint64_t evictions() const { return evictions_; }
+  std::uint64_t expirations() const { return expirations_; }
 
  private:
   struct Shard {
-    mutable std::mutex mu;
     detail::ShardIndex idx;
     std::vector<V> values;
   };
 
-  Shard& shard_for(net::FlowId key) const {
-    // Buckets inside the shard probe on the low hash bits; shard selection
-    // uses an upper slice so the two stay independent.
-    return *shards_[(detail::mix64(key) >> 32) & shard_mask_];
+  // Buckets inside the shard probe on the low hash bits; shard selection
+  // uses an upper slice so the two stay independent.
+  std::size_t shard_of(net::FlowId key) const {
+    return (detail::mix64(key) >> 32) & shard_mask_;
   }
-
-  void note_insert() {
-    const std::size_t n = size_.fetch_add(1, std::memory_order_relaxed) + 1;
-    std::size_t peak = peak_.load(std::memory_order_relaxed);
-    while (n > peak &&
-           !peak_.compare_exchange_weak(peak, n, std::memory_order_relaxed)) {
-    }
+  Shard& shard_for(net::FlowId key) { return shards_[shard_of(key)]; }
+  const Shard& shard_for(net::FlowId key) const {
+    return shards_[shard_of(key)];
   }
 
   FlowTableParams params_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<Shard> shards_;
   std::size_t shard_mask_ = 0;
   std::size_t capacity_ = 0;
   std::function<void(net::FlowId, V&&)> reclaim_;
-  std::atomic<std::size_t> size_{0};
-  std::atomic<std::size_t> peak_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> expirations_{0};
+  std::size_t size_ = 0;
+  std::size_t peak_ = 0;
+  std::uint64_t evictions_ = 0;
+  std::uint64_t expirations_ = 0;
 };
 
 }  // namespace mflow::control

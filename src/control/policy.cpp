@@ -172,8 +172,7 @@ double Controller::rate_bps(net::FlowId flow) const {
 
 double Controller::aggregate_rate_pps() const {
   double total = 0.0;
-  // Rate straight from the visited record — for_each holds the shard lock,
-  // so re-entering the table via rate_pps()/find() would self-deadlock.
+  // Rate straight from the visited record: no second probe per flow.
   flows_.for_each([&total](net::FlowId, const FlowCtl& fc) {
     total += fc.rates.rate_pps();
   });

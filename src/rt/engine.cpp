@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 
 #include "control/flowtable.hpp"
@@ -209,6 +210,14 @@ struct WorkerCounts {
   std::uint64_t ring_returns = 0;  // dropped slabs sent home
 };
 
+/// kSharedLock's one state table and the one lock every worker takes
+/// around each packet's update of it.
+struct SharedNfTable {
+  explicit SharedNfTable(std::size_t capacity) : table({1, capacity, 0}) {}
+  std::mutex mu;
+  control::FlowTable<nf::FlowState> table;
+};
+
 /// A worker thread's private state, on that thread's stack.
 struct Lane {
   std::size_t w;
@@ -291,7 +300,7 @@ struct Pipeline {
                                    cfg.nf.chain.lb_table_size,
                                    cfg.nf.chain.lb_seed)
           : nf::MaglevTable{};
-  std::unique_ptr<control::FlowTable<nf::FlowState>> nf_shared_table;
+  std::unique_ptr<SharedNfTable> nf_shared_table;
   std::vector<std::unique_ptr<control::FlowTable<nf::FlowState>>> nf_tables;
 
   std::atomic<bool> produce_done{false};
@@ -388,18 +397,16 @@ struct Pipeline {
     if (cfg.flow_table.enabled) {
       ftable = std::make_unique<control::FlowTable<std::uint64_t>>(
           control::FlowTableParams{
-              cfg.flow_table.shards, cfg.flow_table.capacity,
-              static_cast<sim::Time>(
+              .capacity = cfg.flow_table.capacity,
+              .ttl = static_cast<sim::Time>(
                   std::max<std::uint64_t>(cfg.flow_table.ttl_batches, 1))});
     }
 
-    // NF plane: the shared table's shard mutex is the kSharedLock lock; the
+    // NF plane: kSharedLock's one table sits behind its own mutex; the
     // private tables are strictly single-writer (only their owning worker
     // touches them while threads run; folded after join).
     if (nf_shared) {
-      nf_shared_table = std::make_unique<control::FlowTable<nf::FlowState>>(
-          control::FlowTableParams{cfg.nf.shared_shards,
-                                   cfg.nf.state_capacity, 0});
+      nf_shared_table = std::make_unique<SharedNfTable>(cfg.nf.state_capacity);
     } else if (nf_on) {
       for (std::size_t w = 0; w < W; ++w)
         nf_tables.push_back(
@@ -744,7 +751,8 @@ struct Pipeline {
     const auto now = static_cast<sim::Time>(pkt.batch);
     if (nf_shared) {
       ++lane.counts.locks;
-      nf_shared_table->upsert_apply(skb.flow_id, now, update);
+      std::lock_guard lock(nf_shared_table->mu);
+      nf_shared_table->table.upsert_apply(skb.flow_id, now, update);
     } else {
       if (lane.run_state == nullptr || skb.flow_id != lane.run_flow ||
           pkt.batch != lane.run_batch) {
@@ -878,7 +886,7 @@ struct Pipeline {
                                         const nf::FlowState& st) {
         nf::merge(merged[fid], st);
       };
-      if (nf_shared_table) nf_shared_table->for_each(fold_table);
+      if (nf_shared_table) nf_shared_table->table.for_each(fold_table);
       for (const auto& t : nf_tables) t->for_each(fold_table);
       res.nf_flows = merged.size();
       std::uint64_t h = 0;

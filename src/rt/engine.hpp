@@ -132,10 +132,9 @@ struct EngineConfig {
   /// of the control plane's expiring flow table. The table's clock is the
   /// BATCH INDEX, not wall time. Only the generator thread reads or writes
   /// the table, so peak/expired/live counts are deterministic despite real
-  /// threads, and workers take none of its locks.
+  /// threads.
   struct FlowTableConfig {
     bool enabled = false;
-    std::size_t shards = 8;
     /// Resident-entry bound (occupancy stays under it by construction).
     std::size_t capacity = 1 << 14;
     /// Batches of inactivity after which a flow expires.
@@ -150,9 +149,9 @@ struct EngineConfig {
   FlowTableConfig flow_table;
   /// Stateful NF plane: every worker runs the configured nf:: chain over
   /// each surviving packet it processes, with per-flow state held per
-  /// `strategy` — kSharedLock: one shared control::FlowTable updated
-  /// through upsert_apply (the shard mutex is the lock every split packet
-  /// serializes on); kScr / kFlowAffinity: one PRIVATE single-writer table
+  /// `strategy` — kSharedLock: one state table and one engine mutex that
+  /// every worker takes around each packet's upsert_apply (the lock every
+  /// split packet serializes on); kScr / kFlowAffinity: one PRIVATE table
   /// per worker, folded into the merged state after join (exact, because
   /// nf::FlowState is a lattice). A worker resolves a private table's
   /// entry once per run of equal (flow, batch) and applies the chain to it
@@ -170,8 +169,6 @@ struct EngineConfig {
     /// replica contribution (reclaim is not wired here), so size it to
     /// cover the flow population when digest equality matters.
     std::size_t state_capacity = 1 << 14;
-    /// Shard count of the shared table (kSharedLock contention knob).
-    std::size_t shared_shards = 8;
   };
   NfConfig nf;
   /// Scalability profiler (rt/profiler.hpp): every pipeline thread records

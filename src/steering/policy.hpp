@@ -83,8 +83,7 @@ class FalconSteering final : public SteeringPolicy {
   Level level_;
   std::vector<int> pool_;
   bool overlay_;
-  /// flow -> pipeline base core index, LRU-bounded. Single-threaded (DES),
-  /// so writing through upsert()'s reference is safe.
+  /// flow -> pipeline base core index, LRU-bounded.
   control::FlowTable<int> flow_base_;
   sim::Time clock_ = 0;  // monotone access counter driving table recency
 };

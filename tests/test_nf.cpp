@@ -443,7 +443,6 @@ TEST(NfRtEngine, PerRunStateMatchesOneWorkerAndSharedLockDigests) {
         rc.flow_table.enabled = true;
         rc.nf.enabled = true;
         rc.nf.strategy = strat;
-        rc.nf.shared_shards = 1;
         rc.nf.chain.chain = {nf::Kind::kNat, nf::Kind::kFirewall,
                              nf::Kind::kLoadBalancer};
         if (churn) {

@@ -600,12 +600,11 @@ TEST(RtEngine, RescaleUnderFaultsConservesSurvivors) {
   EXPECT_EQ(res.rescales_applied, 3u);
 }
 
-// Flow-state churn tracking: the shared control::FlowTable driven on the
-// batch-index clock. Peak occupancy must follow the live window (ttl /
-// flow lifetime), not cumulative flows, and — because worker touches
-// replay a flow's own batch number, which monotone touch turns into
-// no-ops against the generator's stamps — the telemetry must be
-// bit-identical across runs despite real threads.
+// Flow-state churn tracking: the generator's control::FlowTable driven on
+// the batch-index clock. Peak occupancy must follow the live window (ttl /
+// flow lifetime), not cumulative flows, and — because only the generator
+// thread touches the table — the telemetry must be bit-identical across
+// runs despite real threads.
 TEST(RtEngine, FlowTableChurnBoundedAndDeterministic) {
   EngineConfig cfg;
   cfg.workers = 3;
