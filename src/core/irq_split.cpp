@@ -1,6 +1,7 @@
 #include "core/irq_split.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "trace/trace.hpp"
 
@@ -16,6 +17,7 @@ class IrqSplitter::SecondHalf final : public sim::Pollable {
     stack::Machine& m = owner_.machine_;
     const stack::CostModel& costs = m.costs();
     trace::Tracer* tr = trace::active();
+    stack::TransitionMemo into_path;
     int n = 0;
     while (n < budget) {
       net::PacketPtr pkt = ring_.pop();
@@ -35,7 +37,7 @@ class IrqSplitter::SecondHalf final : public sim::Pollable {
         since_release_ = 0;
         core.charge(sim::Tag::kDriver, costs.driver_release_update);
       }
-      m.inject_into_path(0, core_id_, std::move(pkt));
+      m.inject_into_path(0, core_id_, std::move(pkt), into_path);
       ++n;
     }
     return !ring_.empty();
@@ -52,9 +54,10 @@ class IrqSplitter::SecondHalf final : public sim::Pollable {
 
 /// First half: request location + dispatch on the IRQ core. It works run by
 /// run: a run is the packets of one flow at the head of the driver ring, and
-/// the flow's split state and reassembler are visited once per run; only
-/// the pop, the charges, the trace records, the fault verdict and the
-/// request-ring push stay per packet.
+/// the flow's split state and reassembler are visited once per run, and its
+/// splitting core's second half is raised once, after the run's first
+/// request lands on its ring; only the pop, the charges, the trace records,
+/// the fault verdict and the request-ring push stay per packet.
 class IrqSplitter::FirstHalf final : public sim::Pollable {
  public:
   explicit FirstHalf(IrqSplitter& owner) : owner_(owner) {}
@@ -66,6 +69,7 @@ class IrqSplitter::FirstHalf final : public sim::Pollable {
     trace::Tracer* tr = trace::active();
     net::RxRing& rx = o.driver_ring_;
     m.pull_arrivals(m.simulator().running());
+    stack::TransitionMemo into_path;  // the mouse path's stage-1 handoff
     int n = 0;
     while (n < budget && !rx.empty()) {
       // The run shares the flow id (the assigner's key) and the destination
@@ -100,6 +104,7 @@ class IrqSplitter::FirstHalf final : public sim::Pollable {
         if (split) ra->note_dispatch(flow, a.microflow_id, run.taken);
       }
 
+      bool raised = false;  // the run's second half is raised
       for (std::uint32_t i = 0; i < run.taken; ++i) {
         net::PacketPtr pkt = rx.pop();
         if (tr != nullptr)
@@ -107,12 +112,13 @@ class IrqSplitter::FirstHalf final : public sim::Pollable {
                      pkt->flow_id, pkt->wire_seq, pkt->microflow_id);
         core.charge(sim::Tag::kDriver, costs.driver_poll_per_pkt);
         if (!split) {
-          stage_one_here(core, std::move(pkt));
+          stage_one_here(core, std::move(pkt), into_path);
           continue;
         }
         if (i == 0 && a.new_batch)
           core.charge(sim::Tag::kSteer, costs.mflow_dispatch_per_batch);
-        dispatch(core, std::move(pkt), a, slot, ra, run.taken - 1 - i);
+        dispatch(core, std::move(pkt), a, slot, ra, run.taken - 1 - i,
+                 raised);
       }
       n += static_cast<int>(run.taken);
     }
@@ -125,7 +131,8 @@ class IrqSplitter::FirstHalf final : public sim::Pollable {
 
  private:
   /// Mouse flow: do the whole stage 1 here, as the stock driver would.
-  void stage_one_here(sim::Core& core, net::PacketPtr pkt) {
+  void stage_one_here(sim::Core& core, net::PacketPtr pkt,
+                      stack::TransitionMemo& into_path) {
     IrqSplitter& o = owner_;
     const stack::CostModel& costs = o.machine_.costs();
     trace::Tracer* tr = trace::active();
@@ -138,16 +145,30 @@ class IrqSplitter::FirstHalf final : public sim::Pollable {
       tr->packet(trace::EventKind::kSkbAlloc, core.vnow(), core.id(),
                  pkt->flow_id, pkt->wire_seq, 0, 0,
                  costs.driver_poll_per_pkt + costs.skb_alloc);
-    o.machine_.inject_into_path(0, o.irq_core_, std::move(pkt));
+    o.machine_.inject_into_path(0, o.irq_core_, std::move(pkt), into_path);
+  }
+
+  /// Raise the second half of `slot` on `target` unless this run already
+  /// did: it then stays scheduled until this poll's event ends.
+  void raise_once(std::size_t slot, int target, bool& raised) {
+    IrqSplitter& o = owner_;
+    sim::Pollable& second = *o.second_halves_[slot];
+    if (raised) {
+      assert(second.scheduled());
+      return;
+    }
+    raised = true;
+    o.machine_.core(target).raise(second, /*remote=*/true);
   }
 
   /// Deposit one request of micro-flow `a` on the request ring `slot` of
   /// its splitting core. Its dispatch is already noted, along with `ahead`
   /// segments of the packets behind it in the run; a lost request retracts
-  /// only itself.
+  /// only itself. `raised` is the run's: a request that lands raises the
+  /// second half if no earlier one of the run did.
   void dispatch(sim::Core& core, net::PacketPtr pkt,
                 const BatchAssigner::Assignment& a, std::size_t slot,
-                Reassembler* ra, std::uint32_t ahead) {
+                Reassembler* ra, std::uint32_t ahead, bool& raised) {
     IrqSplitter& o = owner_;
     stack::Machine& m = o.machine_;
     trace::Tracer* tr = trace::active();
@@ -187,9 +208,7 @@ class IrqSplitter::FirstHalf final : public sim::Pollable {
         faults->corrupt(*pkt);
       } else if (action == net::FaultAction::kDuplicate) {
         auto dup = net::clone_packet(*pkt);
-        if (ring.push(std::move(dup)))
-          m.core(a.target_core).raise(*o.second_halves_[slot],
-                                      /*remote=*/true);
+        if (ring.push(std::move(dup))) raise_once(slot, a.target_core, raised);
       } else if (action == net::FaultAction::kDelay) {
         IrqSplitter* op = &o;
         const int target = a.target_core;
@@ -212,7 +231,7 @@ class IrqSplitter::FirstHalf final : public sim::Pollable {
     const std::uint64_t wseq = pkt->wire_seq;
     if (ring.push(std::move(pkt))) {
       ++o.dispatched_;
-      m.core(a.target_core).raise(*o.second_halves_[slot], /*remote=*/true);
+      raise_once(slot, a.target_core, raised);
     } else {
       // Request-ring overrun: retract the dispatch so merging never waits
       // for a packet that will not arrive.

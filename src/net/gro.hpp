@@ -52,9 +52,28 @@ class GroEngine {
   // handful of flows, so a flat vector costs no allocation per held skb,
   // and flush emits in ascending-id order without sorting.
   std::vector<std::pair<FlowId, PacketPtr>> held_;
+  // Index in held_ of the flow the last add() touched: a run of one flow's
+  // segments finds its entry without a search. Every insert is an add(),
+  // which moves it to the new entry, so it never points at a shifted one.
+  std::size_t last_ = 0;
   std::uint64_t merged_ = 0;
   std::uint64_t emitted_ = 0;
 };
+
+inline bool GroEngine::can_merge(const Packet& held, const Packet& pkt) const {
+  if (pkt.flow.protocol != Ipv4Header::kProtoTcp) return false;
+  if (held.flow_id != pkt.flow_id) return false;
+  if (held.microflow_id != pkt.microflow_id) return false;  // don't merge
+  // across MFLOW batch boundaries: batches may diverge to different cores
+  if (held.tcp_seq + held.payload_len != pkt.tcp_seq) return false;  // gap
+  // Application senders set PSH on the last segment of a message, which
+  // terminates GRO aggregation; equivalently, never merge across message
+  // boundaries (this also keeps per-message accounting exact).
+  if (held.message_id != pkt.message_id) return false;
+  if (held.gro_segs + pkt.gro_segs > params_.max_segs) return false;
+  if (held.payload_len + pkt.payload_len > params_.max_bytes) return false;
+  return true;
+}
 
 template <class Sink>
 void GroEngine::add(PacketPtr pkt, Sink&& sink) {
@@ -64,14 +83,18 @@ void GroEngine::add(PacketPtr pkt, Sink&& sink) {
     return;
   }
   const FlowId id = pkt->flow_id;
-  auto it = std::lower_bound(
-      held_.begin(), held_.end(), id,
-      [](const auto& entry, FlowId key) { return entry.first < key; });
-  if (it == held_.end() || it->first != id) {
-    held_.emplace(it, id, std::move(pkt));
-    return;
+  if (last_ >= held_.size() || held_[last_].first != id) {
+    const auto it = std::lower_bound(
+        held_.begin(), held_.end(), id,
+        [](const auto& entry, FlowId key) { return entry.first < key; });
+    last_ = static_cast<std::size_t>(it - held_.begin());
+    if (it == held_.end() || it->first != id) {
+      held_.emplace(it, id, std::move(pkt));
+      return;
+    }
   }
-  Packet& held = *it->second;
+  PacketPtr& slot = held_[last_].second;
+  Packet& held = *slot;
   if (can_merge(held, *pkt)) {
     held.payload_len += pkt->payload_len;
     held.gro_segs += pkt->gro_segs;
@@ -80,7 +103,7 @@ void GroEngine::add(PacketPtr pkt, Sink&& sink) {
   }
   // Not mergeable: the new segment takes the held one's place, and the held
   // super-skb is emitted first to keep flow order.
-  PacketPtr out = std::exchange(it->second, std::move(pkt));
+  PacketPtr out = std::exchange(slot, std::move(pkt));
   ++emitted_;
   sink(std::move(out));
 }
@@ -92,6 +115,7 @@ void GroEngine::flush(Sink&& sink) {
     sink(std::move(pkt));
   }
   held_.clear();
+  last_ = 0;
 }
 
 }  // namespace mflow::net

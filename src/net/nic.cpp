@@ -17,7 +17,7 @@ int Nic::rss_queue(const FlowKey& flow) const {
                           static_cast<std::uint32_t>(rings_.size()));
 }
 
-void Nic::deliver(PacketPtr pkt, sim::Time now) {
+int Nic::receive(PacketPtr pkt, sim::Time now) {
   pkt->t_wire = now;
   if (last_seq_ == nullptr || pkt->flow_id != last_flow_ ||
       pkt->flow != last_key_) {
@@ -42,12 +42,14 @@ void Nic::deliver(PacketPtr pkt, sim::Time now) {
     if (tr != nullptr)
       tr->packet(trace::EventKind::kRingEnqueue, now, /*core=*/-1, flow, seq,
                  0, static_cast<std::uint64_t>(q));
-    if (irq_) irq_(q);
-  } else if (tr != nullptr) {
+    return q;
+  }
+  if (tr != nullptr) {
     tr->registry().add("nic.ring_drops");
     tr->packet(trace::EventKind::kRingDrop, now, /*core=*/-1, flow, seq, 0,
                static_cast<std::uint64_t>(q));
   }
+  return -1;
 }
 
 std::uint64_t Nic::total_drops() const {

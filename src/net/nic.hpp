@@ -1,13 +1,14 @@
 // Physical NIC model: multi-queue RX rings with RSS, IRQ signalling.
 //
 // Stand-in for the Mellanox ConnectX-5 of the paper's testbed: packets
-// arriving from the wire are hashed (RSS) to one of the RX queues; an IRQ
-// callback fires unless the driver is already polling that queue (NAPI
-// interrupt suppression).
+// arriving from the wire are hashed (RSS) to one of the RX queues and signal
+// that queue's IRQ line, whose owner (stack::Machine) charges the interrupt
+// unless the driver is already polling that queue (NAPI interrupt
+// suppression). A delivery into a queue known to be polling skips the
+// signal altogether (receive()).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -22,18 +23,36 @@ struct NicParams {
   std::uint32_t rss_seed = 0x6d5a6d5a;  // Toeplitz-key stand-in
 };
 
+/// Where a NIC signals its RX interrupts.
+class IrqLine {
+ public:
+  /// A packet landed on `queue`'s ring. The owner decides whether to charge
+  /// an IRQ and wake the driver (NAPI may already be polling).
+  virtual void irq(int queue) = 0;
+
+ protected:
+  ~IrqLine() = default;
+};
+
 class Nic {
  public:
   explicit Nic(NicParams params);
 
-  /// Called for every wire arrival; the handler decides whether to charge an
-  /// IRQ and wake the driver (NAPI may already be polling).
-  using IrqHandler = std::function<void(int queue)>;
-  void set_irq_handler(IrqHandler handler) { irq_ = std::move(handler); }
+  /// Signal RX interrupts to `line` (non-owning; null: none).
+  void set_irq_line(IrqLine* line) { irq_ = line; }
 
-  /// Wire delivery: stamps the per-flow arrival index (ground truth for
-  /// ordering checks), selects the RX queue via RSS, enqueues, signals.
-  void deliver(PacketPtr pkt, sim::Time now);
+  /// Wire delivery: receive(), then signal the queue's IRQ line.
+  void deliver(PacketPtr pkt, sim::Time now) {
+    const int q = receive(std::move(pkt), now);
+    if (q >= 0 && irq_ != nullptr) irq_->irq(q);
+  }
+
+  /// Wire delivery without the IRQ signal, for a queue whose consumer is
+  /// already scheduled (its interrupt is masked): stamps the arrival time
+  /// and the per-flow arrival index (ground truth for ordering checks),
+  /// selects the RX queue via RSS and enqueues. Returns that queue, or -1
+  /// if its ring was full and dropped the packet.
+  int receive(PacketPtr pkt, sim::Time now);
 
   int num_queues() const { return static_cast<int>(rings_.size()); }
   RxRing& queue(int i) { return rings_[static_cast<std::size_t>(i)]; }
@@ -50,7 +69,7 @@ class Nic {
  private:
   NicParams params_;
   std::vector<RxRing> rings_;
-  IrqHandler irq_;
+  IrqLine* irq_ = nullptr;
   std::unordered_map<FlowId, std::uint64_t> flow_seq_;
   // The last flow delivered, its counter in flow_seq_ (map nodes do not
   // move) and its RSS queue: a train of one flow's packets costs no hash

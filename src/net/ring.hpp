@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -20,10 +21,26 @@ class RxRing {
   explicit RxRing(std::size_t capacity);
 
   /// Enqueue; returns false (and drops the packet) when full.
-  bool push(PacketPtr pkt);
+  bool push(PacketPtr pkt) {
+    if (full()) {
+      ++drops_;
+      return false;  // pkt destroyed: tail drop, like a DMA ring overrun
+    }
+    slots_[tail_] = std::move(pkt);
+    if (++tail_ == slots_.size()) tail_ = 0;
+    ++count_;
+    ++enqueued_;
+    return true;
+  }
 
   /// Dequeue; returns nullptr when empty.
-  PacketPtr pop();
+  PacketPtr pop() {
+    if (empty()) return nullptr;
+    PacketPtr pkt = std::move(slots_[head_]);
+    if (++head_ == slots_.size()) head_ = 0;
+    --count_;
+    return pkt;
+  }
 
   /// The packet `i` places behind the head (0 = the next pop), left in
   /// place; requires i < size().

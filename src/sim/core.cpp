@@ -49,21 +49,6 @@ bool Core::raise(Pollable& src, bool remote) {
   return false;
 }
 
-void Core::charge(Tag tag, Time ns) {
-  assert(ns >= 0);
-  busy_[static_cast<std::size_t>(tag)] += ns;
-  if (in_poll_) {
-    slice_ns_ += ns;
-  } else {
-    // Charged outside a poll: treat as injection.
-    if (loop_scheduled_) {
-      pending_inject_ += ns;
-    } else {
-      free_at_ = std::max(free_at_, sim_.now()) + ns;
-    }
-  }
-}
-
 void Core::inject(Tag tag, Time ns) {
   assert(!in_poll_);
   busy_[static_cast<std::size_t>(tag)] += ns;

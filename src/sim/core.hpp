@@ -12,6 +12,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <string_view>
 
@@ -91,7 +92,15 @@ class Core {
 
   /// Charge `ns` of CPU under `tag`. Only valid while a poll is running on
   /// this core (the usual case) or as external injection (see inject()).
-  void charge(Tag tag, Time ns);
+  void charge(Tag tag, Time ns) {
+    assert(ns >= 0);
+    if (!in_poll_) {
+      inject(tag, ns);  // charged outside a poll: treat as injection
+      return;
+    }
+    busy_[static_cast<std::size_t>(tag)] += ns;
+    slice_ns_ += ns;
+  }
 
   /// Account CPU consumed outside any pollable (interrupt top halves,
   /// background interference). Extends the core's busy period.

@@ -9,6 +9,7 @@ bool DriverPollable::poll(sim::Core& core, int budget) {
   const CostModel& costs = machine_.costs();
   trace::Tracer* tr = trace::active();
   machine_.pull_arrivals(machine_.simulator().running());
+  TransitionMemo into_path;
   int n = 0;
   while (n < budget) {
     net::PacketPtr pkt = ring_.pop();
@@ -23,7 +24,7 @@ bool DriverPollable::poll(sim::Core& core, int budget) {
       tr->packet(trace::EventKind::kSkbAlloc, core.vnow(), core.id(),
                  pkt->flow_id, pkt->wire_seq, pkt->microflow_id, 0,
                  costs.driver_poll_per_pkt + costs.skb_alloc);
-    machine_.inject_into_path(0, core_id_, std::move(pkt));
+    machine_.inject_into_path(0, core_id_, std::move(pkt), into_path);
     ++n;
   }
   if (!ring_.empty()) return true;

@@ -71,19 +71,21 @@ void Machine::start() {
         std::make_unique<DriverPollable>(*this, nic_.queue(q), core_id));
     drivers_.push_back(DriverEntry{owned_drivers_.back().get(), core_id});
   }
-  nic_.set_irq_handler([this](int q) {
-    DriverEntry& d = drivers_[static_cast<std::size_t>(q)];
-    sim::Core& c = core(d.core_id);
-    // NAPI: the device interrupt is masked while its pollable is scheduled;
-    // only a fresh wakeup pays top-half cost.
-    if (!d.pollable->scheduled()) {
-      c.inject(sim::Tag::kIrq, params_.costs.irq);
-      if (trace::Tracer* tr = trace::active())
-        tr->mark(trace::EventKind::kIrqRaise, sim_.now(), d.core_id,
-                 static_cast<std::uint64_t>(q));
-    }
-    c.raise(*d.pollable, /*remote=*/false);
-  });
+  nic_.set_irq_line(this);
+}
+
+void Machine::irq(int queue) {
+  DriverEntry& d = drivers_[static_cast<std::size_t>(queue)];
+  sim::Core& c = core(d.core_id);
+  // NAPI: the device interrupt is masked while its pollable is scheduled;
+  // only a fresh wakeup pays top-half cost.
+  if (!d.pollable->scheduled()) {
+    c.inject(sim::Tag::kIrq, params_.costs.irq);
+    if (trace::Tracer* tr = trace::active())
+      tr->mark(trace::EventKind::kIrqRaise, sim_.now(), d.core_id,
+               static_cast<std::uint64_t>(queue));
+  }
+  c.raise(*d.pollable, /*remote=*/false);
 }
 
 void Machine::override_driver(int queue, sim::Pollable* driver, int core_id) {
@@ -127,8 +129,30 @@ void Machine::pull_arrivals(sim::Ticket limit) {
   }
 }
 
+void Machine::resolve(TransitionMemo& t, std::size_t index, int from_core,
+                      const net::Packet& pkt) {
+  t.index = index;
+  t.from_core = from_core;
+  t.flow = pkt.flow_id;
+  t.key = pkt.flow;
+  t.raised = false;
+  t.hook = hooks_[index];
+  if (t.hook != nullptr) return;
+  const StageId next_id = path_[index]->id();
+  int target = from_core;
+  Time steer_cost = 0;
+  if (steering_) {
+    target = steering_->core_for(next_id, pkt, from_core);
+    steer_cost = steering_->steer_cost(next_id);
+  }
+  t.target = target;
+  t.charge = steer_cost + (target != from_core ? params_.costs.remote_enqueue
+                                               : params_.costs.local_enqueue);
+  t.queue = &queue(index, target);
+}
+
 void Machine::inject_into_path(std::size_t index, int from_core,
-                               net::PacketPtr pkt) {
+                               net::PacketPtr pkt, TransitionMemo& memo) {
   if (index >= path_.size()) {
     if (terminal_) {
       terminal_(std::move(pkt), from_core);
@@ -137,22 +161,16 @@ void Machine::inject_into_path(std::size_t index, int from_core,
     }
     return;
   }
-  if (TransitionHook* hook = hooks_[index]) {
-    hook->on_forward(std::move(pkt), index, from_core);
+  if (!memo.holds(index, from_core, *pkt))
+    resolve(memo, index, from_core, *pkt);
+  if (memo.hook != nullptr) {
+    memo.hook->on_forward(std::move(pkt), index, from_core);
     return;
   }
-  const StageId next_id = path_[index]->id();
-  int target = from_core;
-  Time steer_cost = 0;
-  if (steering_) {
-    target = steering_->core_for(next_id, *pkt, from_core);
-    steer_cost = steering_->steer_cost(next_id);
-  }
+  const int target = memo.target;
   const bool handoff = target != from_core;
   sim::Core& fc = core(from_core);
-  fc.charge(sim::Tag::kSteer,
-            steer_cost + (handoff ? params_.costs.remote_enqueue
-                                  : params_.costs.local_enqueue));
+  fc.charge(sim::Tag::kSteer, memo.charge);
   trace::Tracer* tr = trace::active();
   if (handoff && tr != nullptr)
     tr->packet(trace::EventKind::kHandoff, fc.vnow(), from_core, pkt->flow_id,
@@ -178,9 +196,7 @@ void Machine::inject_into_path(std::size_t index, int from_core,
         faults_->corrupt(*pkt);
         break;
       case net::FaultAction::kDuplicate:
-        deliver_to_stage(index, target, from_core,
-                         net::clone_packet(*pkt),
-                         /*charge_handoff=*/false);
+        enqueue(memo, fc, net::clone_packet(*pkt));
         break;
       case net::FaultAction::kDelay: {
         sim_.after(faults_->delay_ns(net::FaultPoint::kHandoff),
@@ -196,8 +212,24 @@ void Machine::inject_into_path(std::size_t index, int from_core,
         break;
     }
   }
-  deliver_to_stage(index, target, from_core, std::move(pkt),
-                   /*charge_handoff=*/false);
+  enqueue(memo, fc, std::move(pkt));
+}
+
+void Machine::enqueue(TransitionMemo& t, sim::Core& fc, net::PacketPtr&& pkt) {
+  if (trace::Tracer* tr = trace::active())
+    tr->packet(trace::EventKind::kEnqueue, fc.vnow(), t.target, pkt->flow_id,
+               pkt->wire_seq, pkt->microflow_id,
+               static_cast<std::uint64_t>(path_[t.index]->id()));
+  t.queue->enqueue(std::move(pkt));
+  if (t.raised) {
+    // Raised earlier in this poll: the queue is still scheduled.
+    assert(t.queue->scheduled());
+    return;
+  }
+  t.raised = true;
+  const bool remote = t.target != fc.id();
+  if (core(t.target).raise(*t.queue, remote) && remote)
+    fc.charge(sim::Tag::kSteer, params_.costs.ipi_cost);
 }
 
 void Machine::note_lost_in_flight(const net::Packet& pkt) {
@@ -212,15 +244,11 @@ void Machine::deliver_to_stage(std::size_t index, int target_core,
     fc.charge(sim::Tag::kSteer, target_core != from_core
                                     ? params_.costs.remote_enqueue
                                     : params_.costs.local_enqueue);
-  if (trace::Tracer* tr = trace::active())
-    tr->packet(trace::EventKind::kEnqueue, fc.vnow(), target_core,
-               pkt->flow_id, pkt->wire_seq, pkt->microflow_id,
-               static_cast<std::uint64_t>(path_[index]->id()));
-  StageQueue& q = queue(index, target_core);
-  q.enqueue(std::move(pkt));
-  const bool remote = target_core != from_core;
-  if (core(target_core).raise(q, remote) && remote)
-    fc.charge(sim::Tag::kSteer, params_.costs.ipi_cost);
+  TransitionMemo once;  // one packet: no run to share the raise with
+  once.index = index;
+  once.target = target_core;
+  once.queue = &queue(index, target_core);
+  enqueue(once, fc, std::move(pkt));
 }
 
 void Machine::socket_ingest(net::PacketPtr pkt, int from_core) {

@@ -1,14 +1,17 @@
 // The receiving host: cores + NIC + software path + sockets, wired together.
 //
 // Machine owns the per-(stage, core) queues and implements the stage
-// transition function (forward_from / inject_into_path): every skb movement
-// between stages goes through it, consulting the installed SteeringPolicy or
-// a TransitionHook (MFLOW's splitter). This is the single seam where
-// vanilla, RPS, FALCON and MFLOW differ — everything else in the pipeline is
-// shared, exactly as in the paper where MFLOW reuses the unmodified kernel
-// stack and only re-purposes netif_rx and the driver poll.
+// transition function (inject_into_path): every skb movement between stages
+// goes through it, consulting the installed SteeringPolicy or a
+// TransitionHook (MFLOW's splitter). This is the single seam where vanilla,
+// RPS, FALCON and MFLOW differ — everything else in the pipeline is shared,
+// exactly as in the paper where MFLOW reuses the unmodified kernel stack and
+// only re-purposes netif_rx and the driver poll. A poll resolves the
+// transition once per run of same-flow packets (TransitionMemo); the
+// per-packet charges, fault verdicts and trace records stay per packet.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -36,7 +39,7 @@ struct MachineParams {
   std::vector<int> irq_affinity{};
 };
 
-class Machine {
+class Machine final : private net::IrqLine {
  public:
   Machine(sim::Simulator& sim, MachineParams params);
   ~Machine();
@@ -88,18 +91,19 @@ class Machine {
   void override_driver(int queue, sim::Pollable* driver, int core_id);
 
   // --- runtime plumbing (stages, hooks, workloads) -----------------------------
-  /// Stage transition: the packet finished stage `index`; route onward.
-  void forward_from(std::size_t index, int from_core, net::PacketPtr pkt) {
-    inject_into_path(index + 1, from_core, std::move(pkt));
-  }
-
   /// Route a packet into path stage `index` (hooks/steering applied);
-  /// index == path_length() means terminal socket ingest.
-  void inject_into_path(std::size_t index, int from_core, net::PacketPtr pkt);
+  /// index == path_length() means terminal socket ingest. `memo` is the
+  /// caller's poll's transition: the hook check, steering decision and
+  /// target queue are reused while (index, from_core, flow) repeat, and the
+  /// target is raised once per run. Callers outside a poll pass a fresh
+  /// memo.
+  void inject_into_path(std::size_t index, int from_core, net::PacketPtr pkt,
+                        TransitionMemo& memo);
 
   /// Place a packet directly onto stage `index`'s queue on `target_core`,
   /// bypassing steering (MFLOW's splitter uses this with its own amortized
   /// charging; charge_handoff selects the default per-skb handoff charge).
+  /// Raises the target for this packet alone.
   void deliver_to_stage(std::size_t index, int target_core, int from_core,
                         net::PacketPtr pkt, bool charge_handoff);
 
@@ -146,6 +150,17 @@ class Machine {
     return true;
   }
 
+  /// A held arrival a source delivers from pull(): into the NIC without
+  /// the IRQ path. Its queue's consumer is scheduled (the source held it
+  /// only while every consumer was, and a consumer that goes idle wakes the
+  /// sources first), so the interrupt is masked and an IRQ would change
+  /// nothing.
+  void receive_polled(net::PacketPtr pkt, sim::Time at) {
+    [[maybe_unused]] const int q = nic_.receive(std::move(pkt), at);
+    assert(q < 0 ||
+           drivers_[static_cast<std::size_t>(q)].pollable->scheduled());
+  }
+
   /// Deliver every held arrival whose ticket sorts before `limit`, merged
   /// across sources in ticket order. An RX consumer calls it with
   /// sim::Simulator::running() when its poll starts; so does every arrival
@@ -182,7 +197,17 @@ class Machine {
   std::uint64_t socket_ingest_count() const { return ingested_; }
 
  private:
+  /// net::IrqLine: a wire delivery landed on `queue`'s ring.
+  void irq(int queue) override;
+
   StageQueue& queue(std::size_t index, int core_id);
+  /// Resolve `t` for packets like `pkt` entering stage `index` from
+  /// `from_core`: hook, or steering target, charge and queue.
+  void resolve(TransitionMemo& t, std::size_t index, int from_core,
+               const net::Packet& pkt);
+  /// Put `pkt` on t.queue, raising the target unless t.raised says this
+  /// run already did; `fc` is the core paying for the handoff.
+  void enqueue(TransitionMemo& t, sim::Core& fc, net::PacketPtr&& pkt);
 
   struct DriverEntry {
     sim::Pollable* pollable = nullptr;  // points into owned_drivers_ or override

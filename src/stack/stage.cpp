@@ -23,7 +23,7 @@ std::string_view stage_name(StageId id) {
 }
 
 void StageContext::forward(net::PacketPtr pkt) {
-  machine.forward_from(stage_index, core.id(), std::move(pkt));
+  machine.inject_into_path(stage_index + 1, core.id(), std::move(pkt), memo);
 }
 
 bool StageQueue::poll(sim::Core& core, int budget) {

@@ -2,11 +2,12 @@
 //
 // A Path is an ordered list of Stages (driver, GRO, IP, VXLAN, bridge, veth,
 // transport). Packets move between stages through *stage transition
-// functions* — in our model, Machine::forward_from() — which enqueue the skb
-// into the next stage's per-core queue. Where that queue lives is decided by
-// the installed SteeringPolicy (vanilla / RPS / FALCON) or intercepted by a
-// TransitionHook (MFLOW's flow-splitting function re-purposes exactly this
-// transition point, per paper §III-A).
+// functions* — in our model, Machine::inject_into_path() — which enqueue the
+// skb into the next stage's per-core queue. Where that queue lives is decided
+// by the installed SteeringPolicy (vanilla / RPS / FALCON) or intercepted by
+// a TransitionHook (MFLOW's flow-splitting function re-purposes exactly this
+// transition point, per paper §III-A). A poll resolves the transition once
+// per run of same-flow packets (TransitionMemo).
 #pragma once
 
 #include <cstdint>
@@ -23,6 +24,8 @@
 namespace mflow::stack {
 
 class Machine;
+class StageQueue;
+class TransitionHook;
 
 /// Identifies a pipeline stage kind (a "network device" or function).
 enum class StageId : std::uint8_t {
@@ -43,6 +46,13 @@ std::string_view stage_name(StageId id);
 
 /// Steering decision interface implemented by vanilla/RPS/FALCON (steering/)
 /// and consulted at every stage transition.
+///
+/// Contract: the core depends only on (stage, the packet's flow — its
+/// FlowId and FlowKey —, from_core). A poll asks once per run of
+/// consecutive packets that agree on all three and reuses the answer for
+/// the rest of the run (TransitionMemo), so a stateful policy sees one call
+/// per run, not per packet; per-flow state it keeps (FALCON's pin table)
+/// must give the same answers and the same recency order either way.
 class SteeringPolicy {
  public:
   virtual ~SteeringPolicy() = default;
@@ -59,10 +69,39 @@ class SteeringPolicy {
   virtual std::string_view name() const = 0;
 };
 
+/// One stage transition resolved for a run of packets: while the next
+/// packet enters the same stage from the same core with the same flow,
+/// Machine::inject_into_path reuses the hook check, the steering target and
+/// charge and the target queue, and raises the target only once. A memo
+/// lives for one poll and no longer: a queue raised inside a poll stays
+/// scheduled, on a core whose loop stays armed, until the poll's event
+/// ends, so the run's later raises would be no-ops.
+struct TransitionMemo {
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  // The run's key.
+  std::size_t index = kNone;  // the stage the run enters
+  int from_core = -1;
+  net::FlowId flow = 0;
+  net::FlowKey key{};
+  // What the key resolved to.
+  TransitionHook* hook = nullptr;  // per-packet hook; queue unused then
+  StageQueue* queue = nullptr;
+  int target = -1;
+  Time charge = 0;      // steer cost plus the local or remote enqueue
+  bool raised = false;  // the target queue has been raised in this run
+
+  bool holds(std::size_t next, int from, const net::Packet& pkt) const {
+    return next == index && from == from_core && pkt.flow_id == flow &&
+           pkt.flow == key;
+  }
+};
+
 struct StageContext {
   Machine& machine;
   sim::Core& core;
   std::size_t stage_index;  // index of the *current* stage in the path
+  TransitionMemo memo{};    // this poll's transitions out of the stage
 
   /// Send the skb onward through the stage transition function.
   void forward(net::PacketPtr pkt);
@@ -94,7 +133,9 @@ class StageQueue : public sim::Pollable {
         stage_index_(stage_index),
         core_id_(core_id) {}
 
-  void enqueue(net::PacketPtr pkt) { fifo_.push_back(std::move(pkt)); }
+  void enqueue(net::PacketPtr&& pkt) {
+    fifo_.emplace_back() = std::move(pkt);
+  }
   std::size_t depth() const { return fifo_.size(); }
   int core_id() const { return core_id_; }
 

@@ -16,7 +16,7 @@ void VxlanStage::process(net::PacketPtr pkt, StageContext& ctx) {
       ++spliced_;
       cache_->note_hit_segs(*pkt, pkt->gro_segs);
       ctx.machine.inject_into_path(ctx.machine.stage_index(StageId::kIp),
-                                   ctx.core.id(), std::move(pkt));
+                                   ctx.core.id(), std::move(pkt), ctx.memo);
       return;
     }
     // Bytes disagree with the committed entry (tunnel changed under the

@@ -4,13 +4,6 @@
 
 namespace mflow::trace {
 
-namespace {
-Tracer* g_tracer = nullptr;
-}  // namespace
-
-void set_current(Tracer* tracer) { g_tracer = tracer; }
-Tracer* current() { return g_tracer; }
-
 std::string_view event_kind_name(EventKind kind) {
   switch (kind) {
     case EventKind::kWireArrival: return "wire_arrival";

@@ -142,10 +142,16 @@ class Tracer {
   Registry registry_;
 };
 
+namespace detail {
+/// The process-wide tracer. An inline variable, so every tracepoint reads
+/// it with one load instead of a call.
+inline Tracer* current_tracer = nullptr;
+}  // namespace detail
+
 /// Install/read the process-wide tracer. set_current is called only while no
 /// traced threads run (see threading note above).
-void set_current(Tracer* tracer);
-Tracer* current();
+inline void set_current(Tracer* tracer) { detail::current_tracer = tracer; }
+inline Tracer* current() { return detail::current_tracer; }
 
 /// The tracer every tracepoint consults; constant nullptr when tracing is
 /// compiled out, so call sites fold away entirely.

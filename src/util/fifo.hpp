@@ -10,20 +10,26 @@
 
 #include <cassert>
 #include <cstddef>
+#include <memory>
 #include <utility>
 #include <vector>
 
 namespace mflow::util {
 
 /// T must be default-constructible and move-assignable; pop_front resets
-/// the vacated slot to T{}, so an owning T (a PacketPtr) is released there.
+/// the vacated slot to T{}, so an owning T (a PacketPtr) is released there,
+/// and every slot past the back holds T{}.
 template <class T>
 class Fifo {
  public:
-  void push_back(T v) {
+  void push_back(T v) { emplace_back() = std::move(v); }
+
+  /// Append a T{} and return it, for the caller to fill in place.
+  T& emplace_back() {
     if (size_ == slots_.size()) grow();
-    slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(v);
+    T& slot = slots_[(head_ + size_) & (slots_.size() - 1)];
     ++size_;
+    return slot;
   }
 
   /// Precondition: !empty().
@@ -45,7 +51,11 @@ class Fifo {
   /// Precondition: !empty().
   void pop_front() {
     assert(size_ > 0);
-    slots_[head_] = T{};
+    // T{} built in place: assigning a temporary would store it on the
+    // stack and reload it, a store-forwarding stall per pop.
+    T& slot = slots_[head_];
+    std::destroy_at(&slot);
+    std::construct_at(&slot);
     head_ = (head_ + 1) & (slots_.size() - 1);
     --size_;
   }

@@ -13,6 +13,7 @@ class TxHost::App final : public sim::Pollable {
   bool poll(sim::Core& core, int budget) override {
     TxHost& h = host_;
     const stack::CostModel& costs = h.config_.costs;
+    stack::TransitionMemo into_path;
     for (int n = 0; n < budget; ++n) {
       if (frag_off_ == 0)
         core.charge(sim::Tag::kApp, costs.client_per_msg);
@@ -27,7 +28,7 @@ class TxHost::App final : public sim::Pollable {
       // wire_seq doubles as the sender-side order stamp so the TX merge has
       // ground truth; the receiver NIC re-stamps it on arrival.
       pkt->wire_seq = order_++;
-      h.machine_.inject_into_path(0, core.id(), std::move(pkt));
+      h.machine_.inject_into_path(0, core.id(), std::move(pkt), into_path);
 
       frag_off_ += len;
       if (frag_off_ >= h.config_.message_size) {

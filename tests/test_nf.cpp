@@ -77,21 +77,24 @@ TEST(NfNat, PortDeterministicAndInRange) {
 
 TEST(NfNat, RewritesRealHeaderBytes) {
   nf::ChainConfig cfg;
-  auto pkt = net::make_udp_datagram(key_of(3), 1200);
+  net::FlowKey udp_key = key_of(3);
+  udp_key.protocol = net::Ipv4Header::kProtoUdp;
+  auto pkt = net::make_udp_datagram(udp_key, 1200);
   ASSERT_TRUE(nf::nat_rewrite(cfg, *pkt, 7777));
   const auto bytes = pkt->buf.data();
   const auto ip =
       net::Ipv4Header::decode(bytes.subspan(net::EthernetHeader::kSize));
   EXPECT_EQ(ip.src, cfg.nat_external);
-  EXPECT_EQ(ip.dst, key_of(3).dst);  // destination untouched
+  EXPECT_EQ(ip.protocol, net::Ipv4Header::kProtoUdp);
+  EXPECT_EQ(ip.dst, udp_key.dst);  // destination untouched
   EXPECT_TRUE(net::Ipv4Header::verify(
       bytes.subspan(net::EthernetHeader::kSize)));  // checksum recomputed
   const auto udp = net::UdpHeader::decode(bytes.subspan(
       net::EthernetHeader::kSize + net::Ipv4Header::kSize));
   EXPECT_EQ(udp.src_port, 7777);
-  EXPECT_EQ(udp.dst_port, key_of(3).dst_port);
+  EXPECT_EQ(udp.dst_port, udp_key.dst_port);
   // Flow METADATA stays: downstream delivery keys on it.
-  EXPECT_EQ(pkt->flow, key_of(3));
+  EXPECT_EQ(pkt->flow, udp_key);
 
   auto tcp = net::make_tcp_segment(key_of(4), 0, 1000);
   ASSERT_TRUE(nf::nat_rewrite(cfg, *tcp, 4242));

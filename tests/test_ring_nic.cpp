@@ -92,29 +92,50 @@ TEST(Nic, RssSpreadsDistinctFlows) {
   EXPECT_EQ(used.size(), 8u);
 }
 
-TEST(Nic, IrqFiresPerDelivery) {
-  Nic nic(NicParams{.num_queues = 2});
+/// Counts the IRQs a NIC signals.
+struct CountingIrqLine final : IrqLine {
   int irqs = 0;
   int last_q = -1;
-  nic.set_irq_handler([&](int q) {
+  void irq(int q) override {
     ++irqs;
     last_q = q;
-  });
+  }
+};
+
+TEST(Nic, IrqFiresPerDelivery) {
+  Nic nic(NicParams{.num_queues = 2});
+  CountingIrqLine line;
+  nic.set_irq_line(&line);
   auto p = pkt(3);
   const int expect_q = nic.rss_queue(p->flow);
   nic.deliver(std::move(p), 1);
-  EXPECT_EQ(irqs, 1);
-  EXPECT_EQ(last_q, expect_q);
+  EXPECT_EQ(line.irqs, 1);
+  EXPECT_EQ(line.last_q, expect_q);
 }
 
 TEST(Nic, NoIrqOnRingOverflowDrop) {
   Nic nic(NicParams{.num_queues = 1, .ring_capacity = 2});
-  int irqs = 0;
-  nic.set_irq_handler([&](int) { ++irqs; });
+  CountingIrqLine line;
+  nic.set_irq_line(&line);
   for (int i = 0; i < 5; ++i) nic.deliver(pkt(0), i);
-  EXPECT_EQ(irqs, 2);
+  EXPECT_EQ(line.irqs, 2);
   EXPECT_EQ(nic.total_drops(), 3u);
   EXPECT_EQ(nic.total_delivered(), 2u);
+}
+
+// receive() is deliver() without the signal: it reports the queue it
+// filled, or -1 when the ring dropped the packet.
+TEST(Nic, ReceiveSkipsTheIrqAndReportsTheQueue) {
+  Nic nic(NicParams{.num_queues = 2, .ring_capacity = 1});
+  CountingIrqLine line;
+  nic.set_irq_line(&line);
+  auto p = pkt(3);
+  const int expect_q = nic.rss_queue(p->flow);
+  EXPECT_EQ(nic.receive(std::move(p), 1), expect_q);
+  EXPECT_EQ(nic.receive(pkt(3), 2), -1);  // ring full
+  EXPECT_EQ(line.irqs, 0);
+  EXPECT_EQ(nic.total_delivered(), 1u);
+  EXPECT_EQ(nic.total_drops(), 1u);
 }
 
 // The last-flow memo holds the RSS queue as well as the wire counter. It is

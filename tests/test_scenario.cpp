@@ -280,6 +280,49 @@ TEST(Scenario, PinnedFingerprints) {
                 "interleaved-runs");
 }
 
+namespace {
+
+/// Three flows over 2 + 10 ms, so per-flow steering (RPS's hash, FALCON's
+/// pin table) places more than one flow: TCP for each non-MFLOW steering
+/// mode, UDP for MFLOW's flow-splitter path.
+exp::ScenarioConfig steering_mode_config(Mode mode, std::uint8_t proto) {
+  exp::ScenarioConfig c;
+  c.seed = 1;
+  c.mode = mode;
+  c.protocol = proto;
+  c.message_size = proto == net::Ipv4Header::kProtoTcp ? 65536 : 1448;
+  c.num_flows = 3;
+  c.warmup = sim::ms(2);
+  c.measure = sim::ms(10);
+  return c;
+}
+
+}  // namespace
+
+// Recorded before stage transitions resolved once per same-flow run, so they
+// hold every steering policy's placements to per-packet routing.
+TEST(Scenario, PinnedSteeringModes) {
+  constexpr std::uint8_t kTcp = net::Ipv4Header::kProtoTcp;
+  expect_pinned(steering_mode_config(Mode::kNative, kTcp),
+                {7590, 436, 0, 4627094565737758983ull, 1622016, 1687552},
+                "native-3tcp");
+  expect_pinned(steering_mode_config(Mode::kVanilla, kTcp),
+                {7595, 229, 0, 4622947847557819984ull, 3047424, 3178496},
+                "vanilla-3tcp");
+  expect_pinned(steering_mode_config(Mode::kRps, kTcp),
+                {8735, 263, 0, 4623997377223621510ull, 2654208, 2785280},
+                "rps-3tcp");
+  expect_pinned(steering_mode_config(Mode::kFalconDev, kTcp),
+                {16785, 504, 0, 4628123054586101434ull, 1392640, 1458176},
+                "falcon-dev-3tcp");
+  expect_pinned(steering_mode_config(Mode::kFalconFun, kTcp),
+                {15009, 450, 0, 4627318593698342826ull, 1556480, 1622016},
+                "falcon-fun-3tcp");
+  expect_pinned(
+      steering_mode_config(Mode::kMflow, net::Ipv4Header::kProtoUdp),
+      {4382, 4032, 0, 4616944723994200654ull, 405504, 548864}, "mflow-3udp");
+}
+
 // ---- pinned control plane ----------------------------------------------------
 //
 // PinnedFingerprints pins data-path outputs only. The control plane's own

@@ -379,6 +379,89 @@ TEST(ScenarioTrace, MflowRunHasSplitAndMergeEvents) {
   EXPECT_TRUE(has_split_queue);
 }
 
+// Pins the traced model: a change that keeps every end-to-end output but
+// moves a per-packet charge or record to another vnow() (or drops one) moves
+// these. Record counts are per EventKind over the retained events; each
+// attribution phase is pinned by its p50 and p99 in ns. Recorded before stage
+// transitions resolved once per same-flow run.
+struct PhasePin {
+  std::uint64_t p50, p99;
+};
+
+void expect_trace_pinned(const exp::ScenarioResult& res,
+                         const std::map<std::string, std::uint64_t>& kinds,
+                         const std::map<std::string, PhasePin>& phases,
+                         const char* name) {
+  ASSERT_NE(res.tracer, nullptr) << name;
+  std::map<std::string, std::uint64_t> got_kinds;
+  for (const auto& ev : res.tracer->sorted_events())
+    ++got_kinds[std::string(trace::event_kind_name(ev.kind))];
+  EXPECT_EQ(got_kinds, kinds) << name;
+  std::map<std::string, PhasePin> got_phases;
+  for (const auto& [phase, h] : res.phases.phases)
+    got_phases[phase] = PhasePin{h.p50(), h.p99()};
+  ASSERT_EQ(got_phases.size(), phases.size()) << name;
+  for (const auto& [phase, want] : phases) {
+    const auto it = got_phases.find(phase);
+    ASSERT_NE(it, got_phases.end()) << name << ": no phase " << phase;
+    EXPECT_EQ(it->second.p50, want.p50) << name << " " << phase << " p50";
+    EXPECT_EQ(it->second.p99, want.p99) << name << " " << phase << " p99";
+  }
+}
+
+TEST(ScenarioTrace, PinnedPhases) {
+  if (!trace::compiled_in()) GTEST_SKIP() << "tracing compiled out";
+  // des-mflow-tcp as the repo benchmark traces it (every 16th packet).
+  exp::ScenarioConfig tcp;
+  tcp.seed = 1;
+  tcp.mode = exp::Mode::kMflow;
+  tcp.message_size = 65536;
+  tcp.warmup = sim::ms(10);
+  tcp.measure = sim::ms(100);
+  tcp.trace.enabled = true;
+  tcp.trace.sample_period = 16;
+  expect_trace_pinned(
+      exp::run_scenario(tcp),
+      {{"copy_done", 7614}, {"copy_start", 7614}, {"enqueue", 41657},
+       {"handoff", 13848}, {"irq_raise", 3462}, {"reasm_hold", 6107},
+       {"reasm_release", 7614}, {"ring_dequeue", 27696},
+       {"ring_enqueue", 13848}, {"skb_alloc", 13848},
+       {"split_decision", 13848}, {"split_deposit", 13848},
+       {"stage_enter", 41654}, {"stage_exit", 41654},
+       {"wire_arrival", 13848}},
+      {{"copy", {2208, 2208}}, {"queue", {33280, 56832}},
+       {"reader_proc", {920, 920}}, {"reasm_hold", {17664, 62976}},
+       {"ring_wait", {4000, 16000}}, {"split_queue", {1840, 12160}},
+       {"svc:bridge", {150, 150}}, {"svc:driver", {150, 150}},
+       {"svc:gro", {91, 91}}, {"svc:ip", {250, 250}},
+       {"svc:ip_outer", {250, 250}}, {"svc:veth", {202, 202}},
+       {"svc:vxlan", {1776, 1776}}},
+      "des-mflow-tcp");
+  // Three flows through FALCON's per-flow pipelines: every skb crosses cores.
+  exp::ScenarioConfig falcon;
+  falcon.seed = 1;
+  falcon.mode = exp::Mode::kFalconFun;
+  falcon.message_size = 65536;
+  falcon.num_flows = 3;
+  falcon.warmup = sim::ms(2);
+  falcon.measure = sim::ms(10);
+  falcon.trace.enabled = true;
+  expect_trace_pinned(
+      exp::run_scenario(falcon),
+      {{"copy_done", 3158}, {"copy_start", 3158}, {"enqueue", 39078},
+       {"handoff", 26464}, {"reader_pop", 3158}, {"ring_dequeue", 20160},
+       {"ring_enqueue", 20166}, {"skb_alloc", 20160},
+       {"socket_enqueue", 3158}, {"stage_enter", 39084},
+       {"stage_exit", 39084}, {"wire_arrival", 20166}},
+      {{"copy", {2208, 2208}}, {"queue", {1490944, 1523712}},
+       {"ring_wait", {1424, 1523712}}, {"socket_wait", {3360, 9600}},
+       {"svc:bridge", {150, 150}}, {"svc:driver", {250, 250}},
+       {"svc:gro", {91, 91}}, {"svc:ip", {250, 250}},
+       {"svc:ip_outer", {250, 250}}, {"svc:tcp", {920, 920}},
+       {"svc:veth", {202, 202}}, {"svc:vxlan", {808, 1776}}},
+      "falcon-fun-3tcp");
+}
+
 // The overhead guard: identical fig08-style runs with tracing enabled vs
 // disabled must agree on goodput within 2% (acceptance bound; the DES is
 // deterministic in virtual time, so they in fact agree exactly).

@@ -118,7 +118,10 @@ TEST(TxStages, EncapStageProducesValidOuter) {
                    41000, 5000, net::Ipv4Header::kProtoUdp},
       100);
   // Inject directly into the TX path as the app would.
-  sim.at(0, [&] { m.inject_into_path(0, 0, std::move(pkt)); });
+  sim.at(0, [&] {
+    stack::TransitionMemo fresh;
+    m.inject_into_path(0, 0, std::move(pkt), fresh);
+  });
   sim.run();
   ASSERT_TRUE(seen);
   EXPECT_TRUE(seen->encapsulated);
