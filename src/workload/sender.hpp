@@ -7,6 +7,7 @@
 // receive capacity is not saturated).
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -54,8 +55,11 @@ class WireLink final : private stack::Machine::RxSource {
 
   /// Perturb packets at the wire->NIC-ring boundary (kNicRing faults:
   /// overruns, bit errors, PFC pauses). Non-owning; set before the first
-  /// transmit.
-  void set_fault_injector(net::FaultInjector* inj) { faults_ = inj; }
+  /// transmit, so that no packet the wire holds lazily skips the verdicts.
+  void set_fault_injector(net::FaultInjector* inj) {
+    assert(packets_ == 0);
+    faults_ = inj;
+  }
 
   std::uint64_t packets() const { return packets_; }
 
