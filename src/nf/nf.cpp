@@ -159,21 +159,27 @@ std::size_t MaglevTable::slots_of(std::uint32_t backend) const {
 
 PacketView view_of(const net::Packet& pkt) {
   PacketView v;
-  v.flow = pkt.flow;
-  v.wire_bytes = pkt.wire_len();
-  v.segs = std::max<std::uint32_t>(pkt.gro_segs, 1);
+  view_into(pkt, v);
+  return v;
+}
+
+void view_into(const net::Packet& pkt, PacketView& out) {
+  out.flow = pkt.flow;
+  out.wire_bytes = pkt.wire_len();
+  out.segs = std::max<std::uint32_t>(pkt.gro_segs, 1);
+  std::uint8_t flags = 0;
   if (pkt.flow.protocol == net::Ipv4Header::kProtoTcp && !pkt.encapsulated) {
     const auto bytes = pkt.buf.data();
     constexpr std::size_t kTcpOff =
         net::EthernetHeader::kSize + net::Ipv4Header::kSize;
     if (bytes.size() >= kTcpOff + net::TcpHeader::kSize) {
       const net::TcpHeader tcp = net::TcpHeader::decode(bytes.subspan(kTcpOff));
-      if (tcp.flag_syn) v.tcp_flags |= kTcpFlagSyn;
-      if (tcp.flag_ack) v.tcp_flags |= kTcpFlagAck;
-      if (tcp.flag_fin) v.tcp_flags |= kTcpFlagFin;
+      if (tcp.flag_syn) flags |= kTcpFlagSyn;
+      if (tcp.flag_ack) flags |= kTcpFlagAck;
+      if (tcp.flag_fin) flags |= kTcpFlagFin;
     }
   }
-  return v;
+  out.tcp_flags = flags;
 }
 
 std::uint16_t nat_port_for(const ChainConfig& cfg, const net::FlowKey& key) {
@@ -182,37 +188,46 @@ std::uint16_t nat_port_for(const ChainConfig& cfg, const net::FlowKey& key) {
                                     key_hash(key, cfg.nat_seed) % span);
 }
 
-void apply(const ChainConfig& cfg, const MaglevTable* maglev, Kind kind,
-           const PacketView& view, FlowState& state) {
+namespace {
+
+/// One NF's update by `segs` wire segments and `bytes` bytes of flow `key`
+/// that carried the firewall classes `fw_classes`: apply() for one packet,
+/// commit() for a run.
+void add_to(const ChainConfig& cfg, const MaglevTable* maglev, Kind kind,
+            const net::FlowKey& key, std::uint64_t segs, std::uint64_t bytes,
+            std::uint8_t fw_classes, FlowState& state) {
   switch (kind) {
     case Kind::kNat:
-      if (state.nat.ext_port == 0)
-        state.nat.ext_port = nat_port_for(cfg, view.flow);
-      state.nat.segs += view.segs;
-      state.nat.bytes += view.wire_bytes;
+      if (state.nat.ext_port == 0) state.nat.ext_port = nat_port_for(cfg, key);
+      state.nat.segs += segs;
+      state.nat.bytes += bytes;
       break;
-    case Kind::kFirewall: {
-      std::uint8_t cls = 0;
-      if (view.tcp_flags & kTcpFlagSyn)
-        cls = (view.tcp_flags & kTcpFlagAck) ? kFwSawSynAck : kFwSawSyn;
-      else if (view.tcp_flags & kTcpFlagFin)
-        cls = kFwSawFin;
-      else
-        cls = kFwSawData;
-      // FIN may ride on a data segment; record teardown regardless.
-      if ((view.tcp_flags & kTcpFlagFin) != 0) cls |= kFwSawFin;
-      state.fw.flags |= cls;
-      state.fw.segs += view.segs;
-      state.fw.bytes += view.wire_bytes;
+    case Kind::kFirewall:
+      state.fw.flags |= fw_classes;
+      state.fw.segs += segs;
+      state.fw.bytes += bytes;
       break;
-    }
     case Kind::kLoadBalancer:
       if (state.lb.backend == 0 && maglev != nullptr)
-        state.lb.backend = maglev->backend_for(view.flow) + 1;
-      state.lb.segs += view.segs;
-      state.lb.bytes += view.wire_bytes;
+        state.lb.backend = maglev->backend_for(key) + 1;
+      state.lb.segs += segs;
+      state.lb.bytes += bytes;
       break;
   }
+}
+
+}  // namespace
+
+void apply(const ChainConfig& cfg, const MaglevTable* maglev, Kind kind,
+           const PacketView& view, FlowState& state) {
+  add_to(cfg, maglev, kind, view.flow, view.segs, view.wire_bytes,
+         fw_class(view.tcp_flags), state);
+}
+
+void commit(const ChainConfig& cfg, const MaglevTable* maglev,
+            const net::FlowKey& key, const RunFold& run, FlowState& state) {
+  for (Kind kind : cfg.chain)
+    add_to(cfg, maglev, kind, key, run.segs, run.bytes, run.fw_classes, state);
 }
 
 bool nat_rewrite(const ChainConfig& cfg, net::Packet& pkt,

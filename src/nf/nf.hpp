@@ -205,16 +205,74 @@ struct PacketView {
 /// decoded from the actual header bytes when the (decapsulated) buffer
 /// parses as Eth/IPv4/TCP.
 PacketView view_of(const net::Packet& pkt);
+/// view_of() written field by field into `out`, for a caller that keeps
+/// views in memory of its own. Assigning a returned view goes through a
+/// temporary that is copied in loads wider than the stores that built it,
+/// which the store buffer cannot forward: a stall per packet.
+void view_into(const net::Packet& pkt, PacketView& out);
 
 /// Deterministic dynamic-NAT port for `key` — the replicated computation
 /// every core performs instead of synchronizing on an allocation bitmap.
 std::uint16_t nat_port_for(const ChainConfig& cfg, const net::FlowKey& key);
+
+/// nat_port_for() under one ChainConfig, memoized on the last key asked
+/// for: an rt worker's packets come in runs of one flow, so the keyed hash
+/// runs once per run instead of once per packet.
+class NatPortMemo {
+ public:
+  std::uint16_t operator()(const ChainConfig& cfg, const net::FlowKey& key) {
+    if (!valid_ || key != key_) {
+      key_ = key;
+      port_ = nat_port_for(cfg, key);
+      valid_ = true;
+    }
+    return port_;
+  }
+
+ private:
+  net::FlowKey key_{};
+  std::uint16_t port_ = 0;
+  bool valid_ = false;
+};
+
+/// Firewall flag class (kFwSaw* bits) of one packet's kTcpFlag* bits.
+inline std::uint8_t fw_class(std::uint8_t tcp_flags) {
+  std::uint8_t cls = 0;
+  if (tcp_flags & kTcpFlagSyn)
+    cls = (tcp_flags & kTcpFlagAck) ? kFwSawSynAck : kFwSawSyn;
+  else if (tcp_flags & kTcpFlagFin)
+    cls = kFwSawFin;
+  else
+    cls = kFwSawData;
+  // FIN may ride on a data segment; record teardown regardless.
+  if ((tcp_flags & kTcpFlagFin) != 0) cls |= kFwSawFin;
+  return cls;
+}
 
 /// Apply one NF's state update for one packet. Pure in (cfg, maglev, view):
 /// identical inputs produce identical updates on every core, which is the
 /// SCR replication invariant.
 void apply(const ChainConfig& cfg, const MaglevTable* maglev, Kind kind,
            const PacketView& view, FlowState& state);
+
+/// What a run of packets of ONE flow adds to its FlowState under any chain:
+/// every update apply() makes is a sum or an OR, so the run's packets fold
+/// into these three values and commit() applies them in one step.
+struct RunFold {
+  std::uint64_t segs = 0;
+  std::uint64_t bytes = 0;
+  std::uint8_t fw_classes = 0;  // OR of fw_class() over the run
+  void add(const PacketView& view) {
+    segs += view.segs;
+    bytes += view.wire_bytes;
+    fw_classes |= fw_class(view.tcp_flags);
+  }
+};
+
+/// Commit a run of flow `key` to `state`: field by field the state that
+/// apply()ing every kind of cfg.chain to each of the run's packets gives.
+void commit(const ChainConfig& cfg, const MaglevTable* maglev,
+            const net::FlowKey& key, const RunFold& run, FlowState& state);
 
 /// Rewrite the packet's real header bytes for source NAT (src address ->
 /// cfg.nat_external, src port -> ext_port). The IPv4 checksum is updated

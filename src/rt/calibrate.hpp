@@ -2,8 +2,8 @@
 // into busy-loop iterations on this machine, so the real-thread engine's
 // stage costs are wall-clock meaningful.
 //
-// The engine charges each packet `cost_ns` of synthetic processing
-// (rt/engine.hpp); spin() burns that time as a dependent integer chain the
+// The engine charges each packet EngineConfig::cost_ns_per_packet of
+// synthetic processing (rt/engine.hpp); spin() burns that time as a dependent integer chain the
 // compiler cannot elide or vectorize away. The iterations-per-nanosecond
 // rate is measured once per process (thread-safe memoization) — cheap, but
 // it makes the very first engine run slightly slower, which is why the

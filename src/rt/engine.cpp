@@ -117,11 +117,25 @@ net::FlowKey generated_flow(std::uint64_t fid) {
 // plain stamp inline in the acquisition loop cost rt-forward more than
 // half its throughput.
 
-/// Prefetch distances of the overlay stamp, in packets: the slab's Packet
-/// lines far ahead, then its buffer (whose address lives in those lines)
-/// once they have arrived.
+/// Prefetch what a pass (the overlay stamp, a worker) at `at`, with `left`
+/// packets to go, writes next: the Packet lines of the slab kPrefetchSlab
+/// packets ahead, then the first two lines of the byte storage of the one
+/// kPrefetchBuf ahead, whose address lives in its Packet lines.
 constexpr std::size_t kPrefetchSlab = 8;
 constexpr std::size_t kPrefetchBuf = 4;
+[[gnu::always_inline]] inline void prefetch_ahead(const RtPacket* at,
+                                                  std::size_t left) {
+  if (kPrefetchSlab < left && at[kPrefetchSlab].skb) {
+    const auto* p = reinterpret_cast<const char*>(at[kPrefetchSlab].skb.get());
+    for (int line = 0; line < 3; ++line) __builtin_prefetch(p + 64 * line, 1);
+  }
+  if (kPrefetchBuf < left && at[kPrefetchBuf].skb) {
+    const net::PacketBuffer& buf = at[kPrefetchBuf].skb->buf;
+    const std::uint8_t* b = buf.data().data() - buf.headroom();
+    __builtin_prefetch(b, 1);
+    __builtin_prefetch(b + 64, 1);
+  }
+}
 
 /// Plain-mode stamp, the way the splitter stamps real packets: every packet
 /// of the chunk belongs to flow `flow_id` and carries its 5-tuple when
@@ -165,20 +179,7 @@ constexpr std::size_t kPrefetchBuf = 4;
     tmpl.batch = batch;
   }
   for (std::size_t k = 0; k < n; ++k) {
-    if (k + kPrefetchSlab < n) {
-      const char* p =
-          reinterpret_cast<const char*>(stage[k + kPrefetchSlab].skb.get());
-      __builtin_prefetch(p, 1);
-      __builtin_prefetch(p + 64, 1);
-      __builtin_prefetch(p + 128, 1);
-    }
-    if (k + kPrefetchBuf < n) {
-      // Start of the slab's byte storage, where the header copy lands.
-      const net::PacketBuffer& buf = stage[k + kPrefetchBuf].skb->buf;
-      const std::uint8_t* b = buf.data().data() - buf.headroom();
-      __builtin_prefetch(b, 1);
-      __builtin_prefetch(b + 64, 1);
-    }
+    prefetch_ahead(stage + k, n - k);
     net::Packet& skb = *stage[k].skb;
     skb = *tmpl.pkt;
     skb.wire_seq = stage[k].seq;
@@ -208,6 +209,16 @@ struct WorkerCounts {
   std::uint64_t hits = 0, misses = 0, invals = 0, fails = 0;  // overlay
   std::uint64_t nf_pkts = 0, rewrites = 0, rewrite_fails = 0, locks = 0;
   std::uint64_t ring_returns = 0;  // dropped slabs sent home
+  std::uint64_t fault_drops = 0, merge_sheds = 0;  // packets lost, by reason
+};
+
+/// What a surviving packet of a worker's chunk adds to its flow's NF state,
+/// kept for the commit after the deposit has moved the packet on.
+struct NfTally {
+  bool on = false;  // the packet carries bytes the NF chain ran over
+  net::FlowId flow = 0;
+  std::uint64_t batch = 0;
+  nf::PacketView view;
 };
 
 /// kSharedLock's one state table and the one lock every worker takes
@@ -225,12 +236,11 @@ struct Lane {
   util::Rng faults;
   ThreadTrace trace;
   WorkerCounts counts{};
-  // Replica-table NF state of the current run of equal (flow, batch),
-  // resolved once per run. Only this worker mutates its table while threads
-  // run, so the entry stays put until this worker's next upsert.
-  nf::FlowState* run_state = nullptr;
-  net::FlowId run_flow = 0;
-  std::uint64_t run_batch = 0;
+  std::vector<NfTally> tally = std::vector<NfTally>(kChunk);
+  // Open run of equal (flow, batch) if head.on: first packet, and fold.
+  NfTally head{};
+  nf::RunFold run{};
+  nf::NatPortMemo nat_port{};
 };
 
 /// One Engine::run, on the caller's stack: its threads' bodies and state,
@@ -345,6 +355,7 @@ struct Pipeline {
   std::vector<net::PacketPtr> stash = std::vector<net::PacketPtr>(kChunk);
   std::size_t stash_n = 0, stash_i = 0;
   std::uint64_t gen_free_list_draws = 0;  // slabs drawn off the pool itself
+  std::uint64_t pool_dry_drops = 0, split_sheds = 0;  // packets lost, by reason
   StageCounters* const gen_prof = cfg.profile ? &profile.generator : nullptr;
   StallClock pool_dry, out_full;
   std::uint64_t gen_chunks = 0;
@@ -537,12 +548,13 @@ struct Pipeline {
         // Pool stayed dry past the retry budget: shed the packet here
         // rather than wedging the generator.
         dropped.fetch_add(1, std::memory_order_release);
+        ++pool_dry_drops;
         gt.event(trace::EventKind::kDrop, next_seq, batch);
         continue;
       }
-      stage[staged++] = RtPacket{next_seq, batch, cfg.cost_ns_per_packet,
-                                 static_cast<std::uint32_t>(rescales_applied),
-                                 next_seq + 1 == total, std::move(skb)};
+      const auto epoch = static_cast<std::uint32_t>(rescales_applied);
+      stage[staged++] = RtPacket{next_seq, batch, epoch, next_seq + 1 == total,
+                                 false, false, std::move(skb)};
     }
     // A chunk never crosses a micro-flow, so a micro-flow's final packet is
     // the last of its final chunk (unless it was shed above).
@@ -586,6 +598,7 @@ struct Pipeline {
         ring, stage.data(), staged, cfg.max_push_spins, [&] {
           if (gen_prof != nullptr) out_full.stall();
         });
+    split_sheds += staged - done;
     for (std::size_t k = done; k < staged; ++k) {
       dropped.fetch_add(1, std::memory_order_release);
       gt.event(trace::EventKind::kDrop, stage[k].seq, stage[k].batch);
@@ -604,7 +617,8 @@ struct Pipeline {
   }
 
   /// Worker `w`: pop a chunk off its split ring, run every packet through
-  /// process(), and deposit the survivors into its buffer ring in one batch.
+  /// process(), deposit the survivors into its buffer ring in one batch,
+  /// then fold the NF state of the packets the ring accepted.
   void work(std::size_t w) {
     if (plan.workers[w] >= 0 && pin_current_thread(plan.workers[w]))
       threads_pinned.fetch_add(1, std::memory_order_relaxed);
@@ -642,20 +656,25 @@ struct Pipeline {
       std::size_t m = 0;
       for (std::size_t i = 0; i < n; ++i) {
         RtPacket& pkt = chunk[i];
+        if (overlay_on) prefetch_ahead(&pkt, n - i);
         saw_last = saw_last || pkt.last;
-        if (!process(lane, pkt)) continue;
+        if (!process(lane, pkt, lane.tally[m])) continue;
         if (m != i) chunk[m] = std::move(pkt);
         ++m;
       }
       const std::size_t ok =
           merger.deposit_batch(w, chunk.data(), m, cfg.max_push_spins, pc);
-      // Scalar metadata survives the move into the ring, so tracing off
-      // the staged entries after deposit_batch is safe.
-      for (std::size_t i = 0; i < ok; ++i)
+      // Scalar metadata survives the move into the ring, so tracing and
+      // run detection off the staged entries after deposit_batch are safe.
+      for (std::size_t i = 0; i < ok; ++i) {
         lane.trace.event(trace::EventKind::kReasmHold, chunk[i].seq,
                          chunk[i].batch);
-      for (std::size_t i = ok; i < m; ++i) drop(lane, chunk[i]);
+        if (lane.tally[i].on) fold_nf(lane, lane.tally[i]);
+      }
+      for (std::size_t i = ok; i < m; ++i)
+        drop(lane, chunk[i], lane.counts.merge_sheds);
     }
+    commit_run(lane);
     lane.trace.flush();
     worker_counts[w] = lane.counts;
     if (pc != nullptr) {
@@ -666,18 +685,21 @@ struct Pipeline {
   }
 
   /// The worker's steps for one packet, in order. Returns false when the
-  /// packet was lost and leaves nothing in its place.
-  bool process(Lane& lane, RtPacket& pkt) {
+  /// packet was lost and leaves nothing in its place; a survivor leaves in
+  /// `tally` what it adds to the NF state.
+  bool process(Lane& lane, RtPacket& pkt, NfTally& tally) {
     lane.trace.event(trace::EventKind::kRingDequeue, pkt.seq, pkt.batch);
     const bool carries = !pkt.marker && pkt.skb;
     if (overlay_on && carries) decap(lane, pkt);
-    if (pkt.cost_ns > 0) spin_ns(pkt.cost_ns);
+    const std::uint32_t cost_ns = pkt.marker ? 0 : cfg.cost_ns_per_packet;
+    if (cost_ns > 0) spin_ns(cost_ns);
     lane.trace.event(trace::EventKind::kStageExit, pkt.seq, pkt.batch,
-                     /*aux=*/0xFF, static_cast<sim::Time>(pkt.cost_ns));
+                     /*aux=*/0xFF, static_cast<sim::Time>(cost_ns));
+    tally.on = false;
     if (!pkt.marker && cfg.fault_drop_rate > 0.0 &&
         lane.faults.chance(cfg.fault_drop_rate))
       return fault_drop(lane, pkt);
-    if (nf_on && carries) apply_nf(lane, pkt);
+    if (nf_on && carries) apply_nf(lane, pkt, tally);
     return true;
   }
 
@@ -726,7 +748,7 @@ struct Pipeline {
   /// completes it at the merge, so a lost one leaves a marker for the next
   /// micro-flow in its place; returns whether that marker was left.
   bool fault_drop(Lane& lane, RtPacket& pkt) {
-    drop(lane, pkt);
+    drop(lane, pkt, lane.counts.fault_drops);
     if (!pkt.batch_end) return false;
     ++pkt.batch;
     pkt.marker = true;
@@ -734,41 +756,50 @@ struct Pipeline {
     return true;
   }
 
-  /// Run the NF chain over a surviving packet — survivors only, so the
-  /// merged state counts exactly the delivered stream. The recency clock
-  /// is the batch index, as for the churn flow table; ttl is 0 so it only
-  /// orders evictions.
-  void apply_nf(Lane& lane, const RtPacket& pkt) {
+  /// The NF chain's per-packet work: source-NAT the real header bytes with
+  /// the flow's pure port binding, and tally the packet for fold_nf().
+  void apply_nf(Lane& lane, const RtPacket& pkt, NfTally& tally) {
     net::Packet& skb = *pkt.skb;
-    const nf::PacketView view = nf::view_of(skb);
+    nf::view_into(skb, tally.view);
+    tally.flow = skb.flow_id;
+    tally.batch = pkt.batch;
+    tally.on = true;
+    lane.trace.event(trace::EventKind::kNfApply, pkt.seq, pkt.batch);
+    if (!nf_has_nat || !overlay_on || skb.encapsulated) return;
+    if (const auto port = lane.nat_port(cfg.nf.chain, skb.flow); port != 0)
+      ++(nf::nat_rewrite(cfg.nf.chain, skb, port) ? lane.counts.rewrites
+                                                  : lane.counts.rewrite_fails);
+  }
+
+  /// Fold a delivered packet into the open run of equal (flow, batch),
+  /// committing the run it ends first. kSharedLock commits every packet on
+  /// its own: one locked update each, the serialization it stands for.
+  void fold_nf(Lane& lane, const NfTally& t) {
     ++lane.counts.nf_pkts;
-    std::uint16_t ext_port = 0;
-    auto update = [&](nf::FlowState& st) {
-      for (nf::Kind k : cfg.nf.chain.chain)
-        nf::apply(cfg.nf.chain, &nf_maglev, k, view, st);
-      ext_port = st.nat.ext_port;
+    const NfTally& h = lane.head;
+    if (h.on && (t.flow != h.flow || t.batch != h.batch)) commit_run(lane);
+    if (!h.on) lane.head = t;
+    lane.run.add(t.view);
+    if (nf_shared) commit_run(lane);
+  }
+
+  /// Commit the open run: one upsert and one fold. The recency clock is the
+  /// batch index, as for the churn flow table (ttl 0: it orders evictions).
+  void commit_run(Lane& lane) {
+    if (!lane.head.on) return;
+    const auto now = static_cast<sim::Time>(lane.head.batch);
+    const auto update = [&](nf::FlowState& st) {
+      nf::commit(cfg.nf.chain, &nf_maglev, lane.head.view.flow, lane.run, st);
     };
-    const auto now = static_cast<sim::Time>(pkt.batch);
     if (nf_shared) {
       ++lane.counts.locks;
       std::lock_guard lock(nf_shared_table->mu);
-      nf_shared_table->table.upsert_apply(skb.flow_id, now, update);
+      nf_shared_table->table.upsert_apply(lane.head.flow, now, update);
     } else {
-      if (lane.run_state == nullptr || skb.flow_id != lane.run_flow ||
-          pkt.batch != lane.run_batch) {
-        lane.run_state = &nf_tables[lane.w]->upsert(skb.flow_id, now);
-        lane.run_flow = skb.flow_id;
-        lane.run_batch = pkt.batch;
-      }
-      update(*lane.run_state);
+      update(nf_tables[lane.w]->upsert(lane.head.flow, now));
     }
-    if (nf_has_nat && overlay_on && !skb.encapsulated && ext_port != 0) {
-      if (nf::nat_rewrite(cfg.nf.chain, skb, ext_port))
-        ++lane.counts.rewrites;
-      else
-        ++lane.counts.rewrite_fails;
-    }
-    lane.trace.event(trace::EventKind::kNfApply, pkt.seq, pkt.batch);
+    lane.head.on = false;
+    lane.run = {};
   }
 
   /// Give up on a packet: a lost one at the fault site, or the deposit's
@@ -776,9 +807,10 @@ struct Pipeline {
   /// counted when its marker replaced it). Anything else is counted, so
   /// the consumer's conservation check still terminates, and its slab goes
   /// home through the worker's return ring.
-  void drop(Lane& lane, RtPacket& pkt) {
+  void drop(Lane& lane, RtPacket& pkt, std::uint64_t& reason) {
     if (pkt.marker) return;
     dropped.fetch_add(1, std::memory_order_release);
+    ++reason;
     lane.trace.event(trace::EventKind::kDrop, pkt.seq, pkt.batch);
     if (!pkt.skb) return;
     send_home(*return_rings[lane.w + 1], &pkt.skb, 1);
@@ -861,7 +893,10 @@ struct Pipeline {
     res.active_workers_final = static_cast<std::uint32_t>(w_active);
     res.recycle_ring_returns = consumer_ring_returns;
     res.recycle_cas_fallbacks = gen_free_list_draws;
+    res.drops = {pool_dry_drops, split_sheds, 0, 0};
     for (const WorkerCounts& c : worker_counts) {
+      res.drops.merge_ring += c.merge_sheds;
+      res.drops.fault += c.fault_drops;
       res.cache_hits += c.hits;
       res.cache_misses += c.misses;
       res.cache_invalidations += c.invals;
@@ -871,6 +906,11 @@ struct Pipeline {
       res.nf_nat_rewrite_failures += c.rewrite_fails;
       res.nf_lock_acquires += c.locks;
       res.recycle_ring_returns += c.ring_returns;
+    }
+    if (const auto& d = res.drops; d.pool_dry + d.split_ring + d.merge_ring +
+                                       d.fault != res.packets_dropped) {
+      std::fprintf(stderr, "rt::Engine: drop reasons do not add up\n");
+      std::abort();
     }
     if (ftable != nullptr) {
       res.flow_table.peak = ftable->peak_size();

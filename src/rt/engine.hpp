@@ -9,8 +9,9 @@
 //        | round-robin, pushes CHUNKS into the splitting rings
 //        v
 //   per-worker SPSC splitting rings                    (1:N fan-out)
-//        |            (worker threads: pop a chunk, spin cost_ns of
-//        |             "processing" per packet, deposit the chunk)
+//        |            (worker threads: pop a chunk, spin
+//        |             cost_ns_per_packet of "processing" per packet,
+//        |             deposit the chunk, then commit its NF state)
 //        v
 //   per-worker SPSC buffer rings                       (N:1 fan-in)
 //        |            (consumer thread: batched in-order merge across the
@@ -25,8 +26,10 @@
 // thread runs one of its bodies — generate() on the caller thread, work(w)
 // on worker w, consume() on the consumer — before fold() gathers the
 // results after join. Every worker runs the same per-packet loop whatever
-// the config: flow-table touch, overlay decap, cost spin, injected fault,
-// NF chain, each step a no-op when its feature is off.
+// the config: overlay decap, cost spin, injected fault, the NF chain's byte
+// work (NAT rewrite), each step a no-op when its feature is off. After the
+// chunk's deposit the worker commits NF state once per run of equal (flow,
+// micro-flow) among the packets the merge ring accepted.
 //
 // Slab return is itself a fan-in fabric. The pool belongs to the generator
 // thread alone, so every slab another thread retires goes home over an
@@ -148,19 +151,20 @@ struct EngineConfig {
   };
   FlowTableConfig flow_table;
   /// Stateful NF plane: every worker runs the configured nf:: chain over
-  /// each surviving packet it processes, with per-flow state held per
-  /// `strategy` — kSharedLock: one state table and one engine mutex that
-  /// every worker takes around each packet's upsert_apply (the lock every
-  /// split packet serializes on); kScr / kFlowAffinity: one PRIVATE table
-  /// per worker, folded into the merged state after join (exact, because
-  /// nf::FlowState is a lattice). A worker resolves a private table's
-  /// entry once per run of equal (flow, batch) and applies the chain to it
-  /// per packet; the shared table keeps its per-packet locked update. In
-  /// overlay mode the NAT stage rewrites the real decapsulated header
-  /// bytes. Tables are built before thread spawn and a table grows only
-  /// when its owner first sees a flow, so the no-alloc steady state holds
-  /// once every live flow has reached every worker, as long as
-  /// `state_capacity` covers the live flows.
+  /// each packet it delivers, with per-flow state held per `strategy` —
+  /// kSharedLock: one state table and one engine mutex that every worker
+  /// takes around each packet's upsert_apply (the lock every split packet
+  /// serializes on); kScr / kFlowAffinity: one PRIVATE table per worker,
+  /// folded into the merged state after join (exact, because
+  /// nf::FlowState is a lattice). State is committed after the chunk's
+  /// deposit, over the packets the merge ring accepted: a private table
+  /// takes one upsert and one nf::commit per run of equal (flow, batch);
+  /// the shared table keeps one locked update per packet. In overlay mode
+  /// the NAT stage rewrites the real decapsulated header bytes of every
+  /// packet before its deposit. Tables are built before thread spawn and a
+  /// table grows only when its owner first sees a flow, so the no-alloc
+  /// steady state holds once every live flow has reached every worker, as
+  /// long as `state_capacity` covers the live flows.
   struct NfConfig {
     bool enabled = false;
     nf::Strategy strategy = nf::Strategy::kScr;
@@ -198,6 +202,15 @@ struct EngineConfig {
 struct EngineResult {
   std::uint64_t packets = 0;          // delivered (survivors)
   std::uint64_t packets_dropped = 0;  // backpressure + injected drops
+  /// `packets_dropped` by reason, each counted by the thread that gave up
+  /// on the packet and summed after join; they always add up to it.
+  struct DropReasons {
+    std::uint64_t pool_dry = 0;    // generator: no slab within the budget
+    std::uint64_t split_ring = 0;  // generator: split-ring push budget
+    std::uint64_t merge_ring = 0;  // worker: merge-ring deposit budget
+    std::uint64_t fault = 0;       // worker: injected (fault_drop_rate)
+  };
+  DropReasons drops;
   std::uint64_t batches_merged = 0;
   double wall_seconds = 0.0;
   /// Survivor seqs strictly increasing AND delivered + dropped == total
@@ -230,11 +243,11 @@ struct EngineResult {
     std::uint64_t live = 0;
   };
   FlowTableStats flow_table;
-  /// NF-plane accounting (zero unless nf.enabled). The merged state and
-  /// its digest (seeded 0, folded in flow-id order — same convention as
-  /// nf::NfLayer::state_digest) cover only SURVIVING packets, so for a
-  /// lossless run they are equal across all three strategies and equal to
-  /// the single-threaded oracle over the same stream.
+  /// NF-plane accounting (zero unless nf.enabled). `nf_packets`, the
+  /// merged state and its digest (seeded 0, folded in flow-id order — same
+  /// convention as nf::NfLayer::state_digest) cover only DELIVERED packets,
+  /// so they are equal across all three strategies and equal to the
+  /// single-threaded oracle over the same delivered stream.
   std::uint64_t nf_packets = 0;
   std::uint64_t nf_nat_rewrites = 0;
   std::uint64_t nf_nat_rewrite_failures = 0;

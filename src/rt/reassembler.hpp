@@ -29,10 +29,12 @@ namespace mflow::rt {
 /// One unit of work flowing splitter -> worker -> merger. Move-only once an
 /// skb is attached (PacketPtr), but remains an aggregate so tests can brace-
 /// initialize metadata-only packets (skb == nullptr is legal everywhere).
+/// Every split-ring, merge-ring and worker-chunk slot holds one, so it is
+/// kept to 40 bytes: the flags are packed, and the per-packet processing
+/// cost is EngineConfig::cost_ns_per_packet, the same for every packet.
 struct RtPacket {
-  std::uint64_t seq = 0;       // position in the original flow
-  std::uint64_t batch = 0;     // micro-flow id (1-based)
-  std::uint32_t cost_ns = 0;   // synthetic per-packet processing cost
+  std::uint64_t seq = 0;    // position in the original flow
+  std::uint64_t batch = 0;  // micro-flow id (1-based)
   /// Rescale epoch the generator stamped this packet with (count of worker
   /// mapping changes applied at staging time, from EngineConfig::rescales
   /// and live capacity requests alike). The overlay fast path keys
@@ -40,21 +42,22 @@ struct RtPacket {
   /// entry re-resolves through the full decap, so a split-degree change
   /// never applies a stale decision.
   std::uint32_t epoch = 0;
-  bool last = false;           // end-of-stream marker
-  net::PacketPtr skb;          // pooled packet buffer (may be null)
+  bool last : 1 = false;  // end-of-stream marker
   /// Epoch-flush marker (never delivered): `batch` holds the NEW epoch's
   /// first batch id, and its position in a worker's FIFO proves every
   /// older batch on that ring is fully deposited. Closes the completion
   /// gap on rings a shrink leaves inactive — without it the consumer could
   /// never distinguish "last batch done" from "more packets in flight".
-  bool marker = false;
+  bool marker : 1 = false;
   /// Final packet of its micro-flow (set by the generator). Popping it
   /// completes the micro-flow at the merge without waiting for FIFO
   /// evidence: a micro-flow larger than the rings would otherwise stall
   /// the merge until the next batch on the same ring or its worker's exit,
   /// while the next micro-flow's worker blocks on a full buffer ring.
-  bool batch_end = false;
+  bool batch_end : 1 = false;
+  net::PacketPtr skb;  // pooled packet buffer (may be null)
 };
+static_assert(sizeof(RtPacket) == 40);
 
 class RtReassembler {
  public:

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "experiment/scenario.hpp"
@@ -321,6 +323,76 @@ TEST(NfScr, MergeEqualsSharedLockOracleUnderSplitReorderLossRescale) {
   }
 }
 
+// --- the run fold ------------------------------------------------------------
+//
+// The rt workers commit a run of one flow's packets in one step:
+// nf::RunFold adds up the run's packets and nf::commit applies the sums and
+// OR'd firewall classes. For random TCP streams (SYN, SYN+ACK, FIN, data,
+// GRO skbs of several segments) cut into random runs, under several chains,
+// the committed state must equal per-packet nf::apply field by field.
+TEST(NfRunFold, CommitEqualsPerPacketApplyFieldByField) {
+  const std::vector<std::vector<nf::Kind>> chains = {
+      {nf::Kind::kNat, nf::Kind::kFirewall, nf::Kind::kLoadBalancer},
+      {nf::Kind::kFirewall},
+      {nf::Kind::kLoadBalancer, nf::Kind::kNat},
+      {nf::Kind::kFirewall, nf::Kind::kFirewall}};
+  const std::uint8_t flag_sets[] = {
+      nf::kTcpFlagSyn, nf::kTcpFlagSyn | nf::kTcpFlagAck, nf::kTcpFlagFin,
+      nf::kTcpFlagFin | nf::kTcpFlagAck, nf::kTcpFlagAck, 0};
+  for (const auto& chain : chains) {
+    nf::ChainConfig cfg;
+    cfg.chain = chain;
+    const auto maglev =
+        nf::MaglevTable::build(cfg.lb_backends, cfg.lb_table_size, cfg.lb_seed);
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      util::Rng rng(seed);
+      std::map<net::FlowId, nf::FlowState> applied, folded;
+      nf::RunFold run;
+      net::FlowId run_flow = 0;
+      std::size_t runs = 0;
+      const auto commit = [&] {
+        if (run.segs == 0) return;
+        nf::commit(cfg, &maglev, key_of(static_cast<int>(run_flow)), run,
+                   folded[run_flow]);
+        run = {};
+        ++runs;
+      };
+      net::FlowId fid = 1;
+      for (int i = 0; i < 300; ++i) {
+        if (rng.chance(0.25)) fid = 1 + rng.uniform(3);  // sticky flows
+        nf::PacketView v;
+        v.flow = key_of(static_cast<int>(fid));
+        v.wire_bytes = 54 + static_cast<std::uint32_t>(rng.uniform(1446));
+        v.segs = 1 + static_cast<std::uint32_t>(rng.uniform(4));
+        v.tcp_flags = flag_sets[rng.uniform(std::size(flag_sets))];
+        for (const auto kind : cfg.chain)
+          nf::apply(cfg, &maglev, kind, v, applied[fid]);
+        // A flow change ends the run; a random cut ends it early.
+        if (fid != run_flow || rng.chance(0.2)) commit();
+        run_flow = fid;
+        run.add(v);
+      }
+      commit();
+      const std::string where =
+          nf::chain_name(chain) + " seed " + std::to_string(seed);
+      ASSERT_GT(runs, 30u) << where;
+      ASSERT_EQ(folded.size(), applied.size()) << where;
+      for (const auto& [fid, want] : applied) {
+        const nf::FlowState& got = folded.at(fid);
+        EXPECT_EQ(got.nat.ext_port, want.nat.ext_port) << where;
+        EXPECT_EQ(got.nat.segs, want.nat.segs) << where;
+        EXPECT_EQ(got.nat.bytes, want.nat.bytes) << where;
+        EXPECT_EQ(got.fw.flags, want.fw.flags) << where;
+        EXPECT_EQ(got.fw.segs, want.fw.segs) << where;
+        EXPECT_EQ(got.fw.bytes, want.fw.bytes) << where;
+        EXPECT_EQ(got.lb.backend, want.lb.backend) << where;
+        EXPECT_EQ(got.lb.segs, want.lb.segs) << where;
+        EXPECT_EQ(got.lb.bytes, want.lb.bytes) << where;
+      }
+    }
+  }
+}
+
 // --- DES engine: strategies agree end-to-end --------------------------------
 //
 // Paced lossless TCP through the full simulated stack with MFLOW splitting
@@ -502,4 +574,55 @@ TEST(NfRtEngine, StateCountsSurvivorsOnlyUnderLoss) {
   for (const auto& [fid, st] : res.nf_state) segs += st.fw.segs;
   EXPECT_EQ(segs, res.packets);
   EXPECT_EQ(res.nf_packets, res.packets);
+}
+
+// The merge ring sheds packets here: ring 64, a 16-yield deposit budget and
+// a sink that sleeps 200 us every 1024 packets. NF state is committed after
+// the deposit, over the packets the ring accepted, so it counts exactly the
+// delivered stream: nf_packets, the summed fw.segs and (shared lock) the
+// lock count equal the delivered packets, and the engine's digest equals
+// the one-table, in-order oracle run over the packets the sink received.
+TEST(NfRtEngine, DepositShedsLeaveNoNfState) {
+  constexpr std::uint64_t kTotal = 200000;
+  for (const auto strat : {nf::Strategy::kScr, nf::Strategy::kSharedLock}) {
+    rt::EngineConfig rc;
+    rc.workers = 2;
+    rc.batch_size = 256;
+    rc.ring_capacity = 64;
+    rc.cost_ns_per_packet = 0;
+    rc.max_push_spins = 16;
+    rc.overlay.enabled = true;
+    rc.overlay.cache = true;
+    rc.overlay.flows = 16;
+    rc.nf.enabled = true;
+    rc.nf.strategy = strat;
+    rc.nf.chain.chain = {nf::Kind::kNat, nf::Kind::kFirewall,
+                         nf::Kind::kLoadBalancer};
+    const auto maglev = nf::MaglevTable::build(rc.nf.chain.lb_backends,
+                                               rc.nf.chain.lb_table_size,
+                                               rc.nf.chain.lb_seed);
+    std::map<net::FlowId, nf::FlowState> oracle;
+    std::uint64_t seen = 0;
+    const auto res = rt::Engine(rc).run(kTotal, [&](const rt::RtPacket& p) {
+      const nf::PacketView v = nf::view_of(*p.skb);
+      for (const auto kind : rc.nf.chain.chain)
+        nf::apply(rc.nf.chain, &maglev, kind, v, oracle[p.skb->flow_id]);
+      if (++seen % 1024 == 0)
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    });
+    const std::string where(nf::strategy_name(strat));
+    EXPECT_TRUE(res.in_order) << where;
+    ASSERT_LT(res.packets, kTotal) << where << ": nothing was shed";
+    EXPECT_GT(res.drops.merge_ring, 0u) << where;
+    EXPECT_EQ(res.nf_packets, res.packets) << where;
+    std::uint64_t segs = 0;
+    for (const auto& [fid, st] : res.nf_state) segs += st.fw.segs;
+    EXPECT_EQ(segs, res.packets) << where;
+    if (strat == nf::Strategy::kSharedLock) {
+      EXPECT_EQ(res.nf_lock_acquires, res.packets) << where;
+    }
+    std::uint64_t h = 0;
+    for (const auto& [fid, st] : oracle) h = nf::fold_digest(h, fid, st);
+    EXPECT_EQ(res.nf_state_digest, h) << where;
+  }
 }

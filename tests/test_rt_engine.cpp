@@ -6,6 +6,7 @@
 #include <deque>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -267,6 +268,19 @@ struct RtSweep {
 
 class RtEngineSweep : public ::testing::TestWithParam<RtSweep> {};
 
+namespace {
+
+// Why a run lost packets: EngineResult::drops, one line.
+std::string drop_breakdown(const EngineResult& r) {
+  return "dropped " + std::to_string(r.packets_dropped) + " (pool dry " +
+         std::to_string(r.drops.pool_dry) + ", split ring " +
+         std::to_string(r.drops.split_ring) + ", merge ring " +
+         std::to_string(r.drops.merge_ring) + ", fault " +
+         std::to_string(r.drops.fault) + ")";
+}
+
+}  // namespace
+
 TEST_P(RtEngineSweep, InOrderAndLossless) {
   const auto p = GetParam();
   EngineConfig cfg;
@@ -279,9 +293,9 @@ TEST_P(RtEngineSweep, InOrderAndLossless) {
     EXPECT_EQ(pkt.seq, observed);
     ++observed;
   });
-  EXPECT_TRUE(res.in_order);
-  EXPECT_EQ(res.packets, p.packets);
-  EXPECT_EQ(observed, p.packets);
+  EXPECT_TRUE(res.in_order) << drop_breakdown(res);
+  EXPECT_EQ(res.packets, p.packets) << drop_breakdown(res);
+  EXPECT_EQ(observed, p.packets) << drop_breakdown(res);
   EXPECT_GT(res.packets_per_second(), 0.0);
 }
 
@@ -308,6 +322,23 @@ TEST(RtReassembler, DepositRetryBudgetBoundsTheSpin) {
   RtPacket out;
   ASSERT_EQ(ra.pop_ready_batch(&out, 1), 1u);
   EXPECT_EQ(ra.deposit_batch(0, &pkt, 1, /*max_spins=*/8), 1u);
+}
+
+// Every lost packet is counted under the reason it was lost for. Injected
+// faults alone lose packets here, so every drop is a fault drop; the engine
+// itself aborts when the reasons do not sum to packets_dropped.
+TEST(RtEngine, DropReasonsNameEveryLoss) {
+  EngineConfig cfg;
+  cfg.workers = 2;
+  cfg.batch_size = 16;
+  cfg.cost_ns_per_packet = 0;
+  cfg.max_push_spins = 0;
+  cfg.fault_drop_rate = 0.05;
+  const auto res = Engine(cfg).run(20000);
+  EXPECT_TRUE(res.in_order);
+  EXPECT_GT(res.packets_dropped, 0u);
+  EXPECT_EQ(res.drops.fault, res.packets_dropped) << drop_breakdown(res);
+  EXPECT_EQ(res.packets + res.drops.fault, 20000u);
 }
 
 TEST(RtEngine, InjectedDropsRecoverWithoutWedging) {
