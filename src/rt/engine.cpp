@@ -9,7 +9,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "control/flowtable.hpp"
 #include "rt/calibrate.hpp"
@@ -106,16 +108,13 @@ net::FlowKey generated_flow(std::uint64_t fid) {
                       5000, net::Ipv4Header::kProtoUdp};
 }
 
-// The generator stages a chunk first (slab acquisition only, never writing
-// through a slab) and then stamps the whole chunk in one out-of-line pass
-// per mode. A recycled slab's lines were last written by a worker (decap,
-// NAT), so stamping one is a cross-core ownership miss; staging first lets
-// the overlay pass write-prefetch slabs ahead of the copy. On a 4-vCPU
-// Xeon that took rt-overlay-nf from about 11 to 16 Mpps, while the two
-// passes without the prefetch ran 20% slower than the old one-pass loop
-// (docs/PERFORMANCE.md §5). Both modes stamp out of line: leaving the
-// plain stamp inline in the acquisition loop cost rt-forward more than
-// half its throughput.
+// The generator fills a chunk where the split ring holds it: slabs and
+// RtPacket metadata first, never writing through a slab, then one
+// out-of-line stamp pass per mode. A recycled slab was last written by a
+// worker, so stamping it is a cross-core ownership miss; two passes let the
+// overlay stamp write-prefetch ahead of the copy (docs/PERFORMANCE.md §5).
+// The plain stamp stays out of line too: inline in the slab loop it cost
+// rt-forward more than half its throughput.
 
 /// Prefetch what a pass (the overlay stamp, a worker) at `at`, with `left`
 /// packets to go, writes next: the Packet lines of the slab kPrefetchSlab
@@ -140,14 +139,14 @@ constexpr std::size_t kPrefetchBuf = 4;
 /// Plain-mode stamp, the way the splitter stamps real packets: every packet
 /// of the chunk belongs to flow `flow_id` and carries its 5-tuple when
 /// `keyed` (the NF plane is on).
-[[gnu::noinline]] void stamp_plain_chunk(RtPacket* stage, std::size_t n,
+[[gnu::noinline]] void stamp_plain_chunk(RtPacket* pkts, std::size_t n,
                                          net::FlowId flow_id, bool keyed) {
   const net::FlowKey key = generated_flow(flow_id);
   for (std::size_t k = 0; k < n; ++k) {
-    net::Packet& skb = *stage[k].skb;
+    net::Packet& skb = *pkts[k].skb;
     skb.flow_id = flow_id;
-    skb.wire_seq = stage[k].seq;
-    skb.microflow_id = stage[k].batch;
+    skb.wire_seq = pkts[k].seq;
+    skb.microflow_id = pkts[k].batch;
     skb.payload_len = net::kTcpMss;
     if (keyed) skb.flow = key;
   }
@@ -163,7 +162,7 @@ constexpr std::size_t kPrefetchBuf = 4;
 #if defined(__x86_64__)
 [[gnu::target("prfchw")]]
 #endif
-[[gnu::noinline]] void stamp_overlay_chunk(RtPacket* stage, std::size_t n,
+[[gnu::noinline]] void stamp_overlay_chunk(RtPacket* pkts, std::size_t n,
                                            OverlayTemplate& tmpl,
                                            std::uint64_t batch,
                                            std::uint64_t flows,
@@ -179,10 +178,10 @@ constexpr std::size_t kPrefetchBuf = 4;
     tmpl.batch = batch;
   }
   for (std::size_t k = 0; k < n; ++k) {
-    prefetch_ahead(stage + k, n - k);
-    net::Packet& skb = *stage[k].skb;
+    prefetch_ahead(pkts + k, n - k);
+    net::Packet& skb = *pkts[k].skb;
     skb = *tmpl.pkt;
-    skb.wire_seq = stage[k].seq;
+    skb.wire_seq = pkts[k].seq;
   }
 }
 
@@ -193,14 +192,11 @@ bool nf_runs(const EngineConfig& cfg, nf::Kind kind) {
          std::find(chain.begin(), chain.end(), kind) != chain.end();
 }
 
-/// Send `n` spent slabs home to the generator, the pool's owner. A return
-/// ring is sized past the pool, so a short push is a broken invariant.
-void send_home(SpscRing<net::PacketPtr>& ring, net::PacketPtr* slabs,
-               std::size_t n) {
-  if (ring.try_push_batch(slabs, n) != n) {
-    std::fprintf(stderr, "rt::Engine: slab return ring full\n");
-    std::abort();
-  }
+/// A return ring is sized past the pool, so finding one full is a broken
+/// invariant.
+[[noreturn]] void return_ring_full() {
+  std::fprintf(stderr, "rt::Engine: slab return ring full\n");
+  std::abort();
 }
 
 /// One worker's counters: on its own stack while it runs, stored once at
@@ -253,8 +249,8 @@ struct Pipeline {
   const std::uint64_t total;
   const std::function<void(const RtPacket&)>& on_output;
   const std::size_t W = cfg.workers;
-  // Auto-sizing covers every ring slot plus per-thread chunk staging, so
-  // lossless runs never see pool exhaustion.
+  // Auto-sizing covers every split- and merge-ring slot plus a chunk per
+  // thread, so lossless runs never see pool exhaustion.
   const std::size_t pool_cap =
       cfg.pool_capacity != 0
           ? cfg.pool_capacity
@@ -276,7 +272,8 @@ struct Pipeline {
   // another thread retires goes home over an SPSC ring — ring 0 from the
   // consumer (delivered slabs), ring 1 + w from worker w (dropped ones).
   // Each ring has more slots than the pool has slabs and a ring only ever
-  // holds distinct slabs of this pool, so a return push cannot fail.
+  // holds distinct slabs of this pool (the generator releases the slots it
+  // drew slabs from before it publishes them), so a return cannot fail.
   std::vector<std::unique_ptr<SpscRing<net::PacketPtr>>> return_rings;
 
   // Scalability profiler: one cache-line-aligned counter block per
@@ -350,15 +347,14 @@ struct Pipeline {
   std::uint64_t rescales_applied = 0;
   // Split ring w carried a batch since its last epoch-flush marker.
   std::vector<char> unmarked = std::vector<char>(W, 0);
-  std::vector<RtPacket> stage = std::vector<RtPacket>(kChunk);
-  // Slabs popped off the return rings, not yet staged.
-  std::vector<net::PacketPtr> stash = std::vector<net::PacketPtr>(kChunk);
-  std::size_t stash_n = 0, stash_i = 0;
+  // Return ring ret_r's front span, drawn from in place: the slabs not yet
+  // taken, and how many were taken since its last release.
+  std::span<net::PacketPtr> ret;
+  std::size_t ret_r = 0, ret_taken = 0;
   std::uint64_t gen_free_list_draws = 0;  // slabs drawn off the pool itself
   std::uint64_t pool_dry_drops = 0, split_sheds = 0;  // packets lost, by reason
   StageCounters* const gen_prof = cfg.profile ? &profile.generator : nullptr;
   StallClock pool_dry, out_full;
-  std::uint64_t gen_chunks = 0;
 
   Pipeline(const EngineConfig& config, CapacityControl& capacity_control,
            std::uint64_t total_packets,
@@ -428,8 +424,8 @@ struct Pipeline {
   }
 
   /// Generator (the caller thread): round-robin micro-flow batches, as the
-  /// splitting mechanisms do, staged in chunks that never cross a
-  /// micro-flow, so each chunk goes to one worker in one batched push.
+  /// splitting mechanisms do, in chunks that never cross a micro-flow, so
+  /// each chunk goes to one worker in one publish.
   void generate() {
     const bool pinned =
         plan.generator >= 0 && pin_current_thread(plan.generator);
@@ -439,20 +435,14 @@ struct Pipeline {
                           std::memory_order_release);
     while (next_seq < total) {
       if (in_batch >= cfg.batch_size) open_microflow();
-      const std::size_t staged = stage_chunk(gt);
-      if (overlay_on) {
-        stamp_overlay_chunk(stage.data(), staged, ov_tmpl, batch,
-                            overlay_flows, cfg.overlay.vni);
-      } else {
-        stamp_plain_chunk(stage.data(), staged, flow_of(batch), nf_on);
-      }
-      push_chunk(gt, staged);
+      split_chunk(gt);
     }
     produce_done.store(true, std::memory_order_release);
     gt.flush();
     if (gen_prof != nullptr) gen_prof->active_ns = ns_since(t0);
-    // Slabs left in the stash go back to the pool's free list.
-    for (std::size_t k = stash_i; k < stash_n; ++k) stash[k].reset();
+    // Slabs left in the return span go back to the pool's free list.
+    for (net::PacketPtr& slab : ret) slab.reset();
+    return_rings[ret_r]->release(ret.size());
     if (pinned) unpin_current_thread();
   }
 
@@ -532,19 +522,43 @@ struct Pipeline {
                           std::memory_order_release);
   }
 
-  /// Stage the open micro-flow's next chunk, one slab per packet; a packet
-  /// that never gets a slab is shed. Returns how many were staged.
-  std::size_t stage_chunk(ThreadTrace& gt) {
-    const std::uint64_t want = std::min<std::uint64_t>(
+  /// Build the open micro-flow's next chunk in its worker's split-ring
+  /// slots and publish it. Room is awaited within the shared budget before
+  /// any slab is drawn (past it the chunk is shed whole); a packet that
+  /// gets no slab is shed.
+  void split_chunk(ThreadTrace& gt) {
+    std::uint64_t want = std::min<std::uint64_t>(
         {kChunk, cfg.batch_size - in_batch, total - next_seq});
+    auto& ring = *split_rings[target];
+    std::span<RtPacket> room;
+    YieldRetry retry(cfg.max_push_spins);
+    while ((room = ring.reserve(want)).empty()) {
+      if (gen_prof != nullptr) out_full.stall();
+      if (!retry.again()) break;
+    }
+    if (gen_prof != nullptr)
+      out_full.resolve(gen_prof->output_full_episodes,
+                       gen_prof->output_full_ns);
+    if (room.empty()) {
+      dropped.fetch_add(want, std::memory_order_release);
+      split_sheds += want;
+      for (; want != 0; --want, ++next_seq, ++in_batch) {
+        gt.event(trace::EventKind::kSplitDeposit, next_seq, batch,
+                 static_cast<std::uint64_t>(target));
+        gt.event(trace::EventKind::kDrop, next_seq, batch);
+      }
+      return;
+    }
+    const auto epoch = static_cast<std::uint32_t>(rescales_applied);
     std::size_t staged = 0;
-    for (std::uint64_t k = 0; k < want; ++k, ++next_seq, ++in_batch) {
-      net::PacketPtr skb = acquire_slab();
+    for (std::size_t k = 0; k < room.size(); ++k, ++next_seq, ++in_batch) {
+      RtPacket& pkt = room[staged];
+      const bool drawn = draw_slab(pkt.skb);
       if (gen_prof != nullptr)
         pool_dry.resolve(gen_prof->pool_dry_episodes, gen_prof->pool_dry_ns);
       gt.event(trace::EventKind::kSplitDeposit, next_seq, batch,
                static_cast<std::uint64_t>(target));
-      if (!skb) {
+      if (!drawn) {
         // Pool stayed dry past the retry budget: shed the packet here
         // rather than wedging the generator.
         dropped.fetch_add(1, std::memory_order_release);
@@ -552,73 +566,63 @@ struct Pipeline {
         gt.event(trace::EventKind::kDrop, next_seq, batch);
         continue;
       }
-      const auto epoch = static_cast<std::uint32_t>(rescales_applied);
-      stage[staged++] = RtPacket{next_seq, batch, epoch, next_seq + 1 == total,
-                                 false, false, std::move(skb)};
+      pkt.seq = next_seq;
+      pkt.batch = batch;
+      pkt.epoch = epoch;
+      pkt.last = next_seq + 1 == total;
+      pkt.marker = pkt.batch_end = false;
+      ++staged;
     }
+    // Free the return slots drawn from before their slabs can come home.
+    return_rings[ret_r]->release(std::exchange(ret_taken, 0));
     // A chunk never crosses a micro-flow, so a micro-flow's final packet is
-    // the last of its final chunk (unless it was shed above).
-    if (staged != 0 && stage[staged - 1].seq + 1 == next_seq &&
+    // the last of its final chunk (unless it was shed).
+    if (staged != 0 && room[staged - 1].seq + 1 == next_seq &&
         (in_batch == cfg.batch_size || next_seq == total))
-      stage[staged - 1].batch_end = true;
-    return staged;
+      room[staged - 1].batch_end = true;
+    if (overlay_on) {
+      stamp_overlay_chunk(room.data(), staged, ov_tmpl, batch, overlay_flows,
+                          cfg.overlay.vni);
+    } else {
+      stamp_plain_chunk(room.data(), staged, flow_of(batch), nf_on);
+    }
+    ring.publish(staged);
+    // Sampled fan-out pressure on the split ring just written to.
+    if (gen_prof != nullptr)
+      gen_prof->count_batch(staged, [&] { return ring.size(); });
   }
 
-  /// One slab: the return rings first (batched pops into the stash), the
-  /// pool's free list second, bounded yield-retry third. Null when the
-  /// pool stays dry.
-  net::PacketPtr acquire_slab() {
+  /// Draw a slab into `into`, an empty split-ring slot: off the front span
+  /// of a return ring in place (the consumer's first: the merge side's
+  /// fan-in shape), else the pool's free list, else bounded yield-retry.
+  /// False when the pool stays dry.
+  bool draw_slab(net::PacketPtr& into) {
     YieldRetry retry(cfg.max_push_spins);
     for (;;) {
-      if (stash_i == stash_n) {
-        // Sweep the consumer's ring, then the workers'. One consumer (this
-        // thread) over W + 1 SPSC rings — the merge side's fan-in shape; an
-        // empty ring costs one cached-index check.
-        stash_n = 0;
-        stash_i = 0;
-        for (std::size_t r = 0; stash_n < kChunk && r <= W; ++r)
-          stash_n += return_rings[r]->try_pop_batch(stash.data() + stash_n,
-                                                    kChunk - stash_n);
+      for (std::size_t r = 0; ret.empty() && r <= W; ++r) {
+        return_rings[ret_r]->release(std::exchange(ret_taken, 0));
+        ret = return_rings[ret_r = r]->front(kChunk);
       }
-      if (stash_i < stash_n) return std::move(stash[stash_i++]);
-      if (net::PacketPtr skb = pool.acquire()) {
+      if (!ret.empty()) {
+        into = std::move(ret.front());
+        ret = ret.subspan(1);
+        ++ret_taken;
+        return true;
+      }
+      if ((into = pool.acquire())) {
         ++gen_free_list_draws;
-        return skb;
+        return true;
       }
       if (gen_prof != nullptr) pool_dry.stall();
-      if (!retry.again()) return nullptr;
+      if (!retry.again()) return false;
     }
   }
 
-  /// Push the staged chunk to the open micro-flow's worker. A full ring is
-  /// retried within the shared budget, then the unpushed tail is shed.
-  void push_chunk(ThreadTrace& gt, std::size_t staged) {
-    auto& ring = *split_rings[target];
-    const std::size_t done = push_batch_retrying(
-        ring, stage.data(), staged, cfg.max_push_spins, [&] {
-          if (gen_prof != nullptr) out_full.stall();
-        });
-    split_sheds += staged - done;
-    for (std::size_t k = done; k < staged; ++k) {
-      dropped.fetch_add(1, std::memory_order_release);
-      gt.event(trace::EventKind::kDrop, stage[k].seq, stage[k].batch);
-      stage[k].skb.reset();
-    }
-    if (gen_prof != nullptr) {
-      out_full.resolve(gen_prof->output_full_episodes,
-                       gen_prof->output_full_ns);
-      gen_prof->items += done;
-      // Sampled fan-out pressure on the split ring just written to.
-      if ((++gen_chunks & 31) == 0) {
-        gen_prof->occupancy_sum += ring.size();
-        ++gen_prof->occupancy_samples;
-      }
-    }
-  }
-
-  /// Worker `w`: pop a chunk off its split ring, run every packet through
-  /// process(), deposit the survivors into its buffer ring in one batch,
-  /// then fold the NF state of the packets the ring accepted.
+  /// Worker `w`: run each packet of the chunk at its split ring's front
+  /// through process() in its slot, deposit the survivors into its buffer
+  /// ring in one batch, fold the NF state of those the ring accepted, then
+  /// release the slots (held while a full buffer ring blocks the deposit;
+  /// docs/PERFORMANCE.md §2 says why the merge cannot wait on them).
   void work(std::size_t w) {
     if (plan.workers[w] >= 0 && pin_current_thread(plan.workers[w]))
       threads_pinned.fetch_add(1, std::memory_order_relaxed);
@@ -627,12 +631,11 @@ struct Pipeline {
               ThreadTrace(tr, t0, static_cast<int>(w))};
     StageCounters* const pc = cfg.profile ? &profile.worker[w] : nullptr;
     StallClock input_dry;
-    std::uint64_t chunks_seen = 0;
     const auto start = Clock::now();
-    std::vector<RtPacket> chunk(kChunk);
     bool saw_last = false;
     while (true) {
-      const std::size_t n = in.try_pop_batch(chunk.data(), kChunk);
+      const std::span<RtPacket> slots = in.front(kChunk);
+      const std::size_t n = slots.size();
       if (n == 0) {
         if (saw_last ||
             (produce_done.load(std::memory_order_acquire) && in.empty()))
@@ -643,36 +646,35 @@ struct Pipeline {
       }
       if (pc != nullptr) {
         input_dry.resolve(pc->input_dry_episodes, pc->input_dry_ns);
-        pc->items += n;
         // Sampled queue pressure on this worker's input ring (consumer-
         // side size() is exact for already-published items).
-        if ((++chunks_seen & 31) == 0) {
-          pc->occupancy_sum += in.size();
-          ++pc->occupancy_samples;
-        }
+        pc->count_batch(n, [&] { return in.size(); });
       }
-      // Process in place; compact survivors to the front of the chunk so
-      // one deposit_batch publishes them all.
+      // Process in the ring slots; compact survivors to the front of the
+      // chunk so one deposit_batch moves them all into the buffer ring. A
+      // lost packet's slab has gone home, so every slot is empty by the
+      // time it is released.
       std::size_t m = 0;
       for (std::size_t i = 0; i < n; ++i) {
-        RtPacket& pkt = chunk[i];
+        RtPacket& pkt = slots[i];
         if (overlay_on) prefetch_ahead(&pkt, n - i);
         saw_last = saw_last || pkt.last;
         if (!process(lane, pkt, lane.tally[m])) continue;
-        if (m != i) chunk[m] = std::move(pkt);
+        if (m != i) slots[m] = std::move(pkt);
         ++m;
       }
       const std::size_t ok =
-          merger.deposit_batch(w, chunk.data(), m, cfg.max_push_spins, pc);
-      // Scalar metadata survives the move into the ring, so tracing and
-      // run detection off the staged entries after deposit_batch are safe.
+          merger.deposit_batch(w, slots.data(), m, cfg.max_push_spins, pc);
+      // Scalar metadata survives the move into the buffer ring, so tracing
+      // off the split slots after deposit_batch is safe.
       for (std::size_t i = 0; i < ok; ++i) {
-        lane.trace.event(trace::EventKind::kReasmHold, chunk[i].seq,
-                         chunk[i].batch);
+        lane.trace.event(trace::EventKind::kReasmHold, slots[i].seq,
+                         slots[i].batch);
         if (lane.tally[i].on) fold_nf(lane, lane.tally[i]);
       }
       for (std::size_t i = ok; i < m; ++i)
-        drop(lane, chunk[i], lane.counts.merge_sheds);
+        drop(lane, slots[i], lane.counts.merge_sheds);
+      in.release(n);
     }
     commit_run(lane);
     lane.trace.flush();
@@ -813,7 +815,8 @@ struct Pipeline {
     ++reason;
     lane.trace.event(trace::EventKind::kDrop, pkt.seq, pkt.batch);
     if (!pkt.skb) return;
-    send_home(*return_rings[lane.w + 1], &pkt.skb, 1);
+    if (!return_rings[lane.w + 1]->try_push(std::move(pkt.skb)))
+      return_ring_full();
     ++lane.counts.ring_returns;
   }
 
@@ -825,14 +828,24 @@ struct Pipeline {
       threads_pinned.fetch_add(1, std::memory_order_relaxed);
     StageCounters* const cc = cfg.profile ? &profile.consumer : nullptr;
     StallClock merge_dry;
-    std::uint64_t pops_seen = 0;
     const auto start = Clock::now();
     ThreadTrace ct(tr, t0, static_cast<int>(W));  // track one past workers
-    std::vector<RtPacket> out(kChunk);
-    std::vector<net::PacketPtr> spent(kChunk);
+    auto& home = *return_rings[0];
     std::uint64_t next_seq_floor = 0;
     while (consumed + dropped.load(std::memory_order_acquire) < total) {
-      const std::size_t n = merger.pop_ready_batch(out.data(), kChunk);
+      // Each packet is merged, checked and observed in its buffer-ring
+      // slot, and its slab moved straight into the return ring's slots.
+      const std::span<net::PacketPtr> slabs = home.reserve(kChunk);
+      if (slabs.empty()) return_ring_full();
+      std::size_t s = 0;
+      const std::size_t n =
+          merger.drain_ready(slabs.size(), [&](RtPacket& pkt) {
+            if (pkt.seq < next_seq_floor) in_order = false;
+            next_seq_floor = pkt.seq + 1;
+            ct.event(trace::EventKind::kReasmRelease, pkt.seq, pkt.batch);
+            if (on_output) on_output(pkt);
+            if (pkt.skb) slabs[s++] = std::move(pkt.skb);
+          });
       if (n == 0) {
         // The flag is read before the owner is looked up again and before
         // the ring: an exited worker has seen every epoch announcement, so
@@ -849,29 +862,16 @@ struct Pipeline {
         }
         continue;
       }
+      consumed += n;
+      // Copy-to-user done: send the slabs home with one release store.
+      home.publish(s);
+      consumer_ring_returns += s;
       if (cc != nullptr) {
         merge_dry.resolve(cc->input_dry_episodes, cc->input_dry_ns);
-        cc->items += n;
         // Sampled fan-in backlog (sum of all buffer-ring sizes) — the
         // merge-side queue-pressure signal.
-        if ((++pops_seen & 31) == 0) {
-          cc->occupancy_sum += merger.occupancy();
-          ++cc->occupancy_samples;
-        }
+        cc->count_batch(n, [&] { return merger.occupancy(); });
       }
-      std::size_t s = 0;
-      for (std::size_t k = 0; k < n; ++k) {
-        RtPacket& pkt = out[k];
-        if (pkt.seq < next_seq_floor) in_order = false;
-        next_seq_floor = pkt.seq + 1;
-        ++consumed;
-        ct.event(trace::EventKind::kReasmRelease, pkt.seq, pkt.batch);
-        if (on_output) on_output(pkt);
-        if (pkt.skb) spent[s++] = std::move(pkt.skb);
-      }
-      // Copy-to-user done: send the slabs home in one batched push.
-      send_home(*return_rings[0], spent.data(), s);
-      consumer_ring_returns += s;
     }
     if (cc != nullptr) {
       merge_dry.resolve(cc->input_dry_episodes, cc->input_dry_ns);

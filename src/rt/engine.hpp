@@ -9,8 +9,8 @@
 //        | round-robin, pushes CHUNKS into the splitting rings
 //        v
 //   per-worker SPSC splitting rings                    (1:N fan-out)
-//        |            (worker threads: pop a chunk, spin
-//        |             cost_ns_per_packet of "processing" per packet,
+//        |            (worker threads: process a chunk in its ring
+//        |             slots, spinning cost_ns_per_packet per packet,
 //        |             deposit the chunk, then commit its NF state)
 //        v
 //   per-worker SPSC buffer rings                       (N:1 fan-in)
@@ -40,8 +40,9 @@
 // generator).
 //
 // Steady-state processing performs ZERO heap allocations: every packet
-// lives in a pre-sized rt::PacketPool slab, ring handoffs move the RAII
-// handle, and recycling is ring-based. tests/test_pool.cpp enforces this
+// lives in a pre-sized rt::PacketPool slab, every thread works on packets
+// in their ring slots and a hop moves the RAII handle once, and recycling
+// is ring-based. tests/test_pool.cpp enforces this
 // with an allocation-counting guard; docs/PERFORMANCE.md documents the
 // slab lifecycle.
 //
@@ -89,7 +90,7 @@ struct EngineConfig {
   double fault_drop_rate = 0.0;
   std::uint64_t fault_seed = 0x5eed;
   /// Packet-pool slabs for this run. 0 auto-sizes to cover every ring plus
-  /// in-flight staging, so a lossless run can never exhaust the pool.
+  /// a chunk per thread, so a lossless run can never exhaust the pool.
   /// Deliberately small values exercise pool backpressure (the generator
   /// waits for recycled slabs instead of allocating).
   std::size_t pool_capacity = 0;

@@ -55,11 +55,23 @@ struct alignas(64) StageCounters {
   std::uint64_t input_dry_ns = 0;
   std::uint64_t output_full_episodes = 0;  // downstream ring was full
   std::uint64_t output_full_ns = 0;
-  std::uint64_t pool_dry_episodes = 0;  // generator: stash+recycle+pool dry
+  std::uint64_t pool_dry_episodes = 0;  // generator: return rings+pool dry
   std::uint64_t pool_dry_ns = 0;
   std::uint64_t occupancy_sum = 0;      // sampled downstream-ring occupancy
   std::uint64_t occupancy_samples = 0;
   std::uint64_t active_ns = 0;          // thread wall time inside the run
+  std::uint64_t batches = 0;            // count_batch() calls
+
+  /// `n` items went through in one batch; every 32nd batch also samples
+  /// the ring's occupancy, calling `ring_size()` only then.
+  template <typename Size>
+  void count_batch(std::uint64_t n, Size&& ring_size) {
+    items += n;
+    if ((++batches & 31) == 0) {
+      occupancy_sum += ring_size();
+      ++occupancy_samples;
+    }
+  }
 
   std::uint64_t stall_ns() const {
     return input_dry_ns + output_full_ns + pool_dry_ns;

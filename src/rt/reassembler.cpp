@@ -42,42 +42,7 @@ std::size_t RtReassembler::deposit_batch(std::size_t w, RtPacket* pkts,
 }
 
 std::size_t RtReassembler::pop_ready_batch(RtPacket* out, std::size_t max) {
-  std::size_t got = 0;
-  while (got < max) {
-    const std::size_t w = merge_owner();
-    auto& ring = *rings_[w];
-    const std::size_t n = ring.try_pop_batch_while(
-        out + got, max - got, [this](const RtPacket& p) {
-          return p.batch == merge_counter_ && !p.marker;
-        });
-    got += n;
-    if (n != 0 && out[got - 1].batch_end) {
-      // The micro-flow's final packet: complete, whatever the ring holds.
-      ++merge_counter_;
-      ++batches_merged_;
-      continue;
-    }
-    const RtPacket* head = ring.peek();
-    if (head == nullptr) break;  // merge head dry — caller yields/advances
-    if (head->batch == merge_counter_ && !head->marker)
-      continue;  // more of this micro-flow arrived — keep draining
-    if (head->batch > merge_counter_) {
-      // A later batch (or its epoch-flush marker) at the head: this
-      // micro-flow is complete (FIFO per worker), advance and keep
-      // draining into the same output chunk. Unless the owner lookup was
-      // stale: a batch_end moves the head onto a batch whose epoch may
-      // have been announced after that packet was pushed. The head just
-      // read was pushed after any such announcement, so a second lookup
-      // sees it and, if the micro-flow lives elsewhere, retries there.
-      if (merge_owner() != w) continue;
-      ++merge_counter_;
-      ++batches_merged_;
-      continue;
-    }
-    // Spent epoch-flush marker: discard and re-examine the head.
-    (void)ring.try_pop();
-  }
-  return got;
+  return drain_ready(max, [&out](RtPacket& p) { *out++ = std::move(p); });
 }
 
 void RtReassembler::force_advance() {

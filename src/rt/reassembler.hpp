@@ -16,8 +16,10 @@
 // worker → consumer and a dropped deposit recycles the slab automatically.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -95,10 +97,18 @@ class RtReassembler {
                                           std::uint32_t max_spins = 0,
                                           StageCounters* prof = nullptr);
 
-  /// Consumer: pop up to `max` in-order packets into `out`, crossing
-  /// micro-flow boundaries when the next micro-flow's head has already
-  /// arrived. Returns how many were written; 0 means the merge head is dry.
-  /// Amortizes ring atomics across whole micro-flow runs.
+  /// Consumer: call `f(RtPacket&)` on up to `max` in-order packets while
+  /// each still sits in its buffer-ring slot, crossing micro-flow
+  /// boundaries when the next micro-flow's head has already arrived.
+  /// Returns how many `f` saw; 0 means the merge head is dry. `f` must move
+  /// the packet's skb out (or the whole packet): the slot is released right
+  /// after, and the worker's next deposit assigns over it. One release
+  /// store per contiguous run of a ring.
+  template <typename F>
+  std::size_t drain_ready(std::size_t max, F&& f);
+
+  /// Consumer: pop up to `max` in-order packets into `out` (drain_ready,
+  /// moving each packet out). Returns how many were written.
   std::size_t pop_ready_batch(RtPacket* out, std::size_t max);
 
   /// Consumer side: buffer ring owning the micro-flow under merge. Retires
@@ -145,5 +155,57 @@ class RtReassembler {
   SpscRing<Epoch> epoch_ring_;  // announced, not yet reached by the head
   Epoch current_;               // governs the merge head (consumer-private)
 };
+
+template <typename F>
+std::size_t RtReassembler::drain_ready(std::size_t max, F&& f) {
+  std::size_t got = 0;
+  while (got < max) {
+    const std::size_t w = merge_owner();
+    auto& ring = *rings_[w];
+    const std::span<RtPacket> ready = ring.front(max - got);
+    if (ready.empty()) break;  // merge head dry — caller yields/advances
+    std::size_t n = 0;
+    bool end = false;
+    for (; n < ready.size(); ++n) {
+      RtPacket& p = ready[n];
+      if (p.batch != merge_counter_ || p.marker) break;
+      end = p.batch_end;
+      f(p);
+      assert(!p.skb && "drain_ready: f left a live skb in its slot");
+      if (end) {
+        ++n;
+        break;
+      }
+    }
+    ring.release(n);
+    got += n;
+    if (end) {
+      // The micro-flow's final packet: complete, whatever the ring holds.
+      ++merge_counter_;
+      ++batches_merged_;
+      continue;
+    }
+    // Span used up (more of this micro-flow may sit past the wrap or have
+    // arrived since): look again.
+    if (n == ready.size()) continue;
+    const RtPacket& head = ready[n];
+    if (head.batch > merge_counter_) {
+      // A later batch (or its epoch-flush marker) at the head: this
+      // micro-flow is complete (FIFO per worker), advance and keep
+      // draining. Unless the owner lookup was stale: a batch_end moves the
+      // head onto a batch whose epoch may have been announced after that
+      // packet was pushed. The head just read was pushed after any such
+      // announcement, so a second lookup sees it and, if the micro-flow
+      // lives elsewhere, retries there.
+      if (merge_owner() != w) continue;
+      ++merge_counter_;
+      ++batches_merged_;
+      continue;
+    }
+    // Spent epoch-flush marker (it carries no skb): discard and re-examine.
+    ring.release(1);
+  }
+  return got;
+}
 
 }  // namespace mflow::rt

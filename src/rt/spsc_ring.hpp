@@ -15,9 +15,12 @@
 //    the producer line, `cached_head_` on the consumer line) and only
 //    re-reads the shared atomic when the cache says the ring LOOKS full/
 //    empty — the common-case push/pop touches no foreign cache line at all;
-//  - try_push_batch / try_pop_batch amortize the one acquire-load and one
-//    release-store across a whole batch, which is where the engine gets its
-//    paper-style batching win.
+//  - reserve/publish (producer) and front/release (consumer) hand out
+//    contiguous spans of slots, so a thread can build, process or drain
+//    items where the ring holds them; one acquire-load and one release-
+//    store then cover a whole span, which is where the engine gets its
+//    paper-style batching win. Every other call is written on top of them,
+//    so the ring has one index protocol.
 //
 // Memory ordering: the producer publishes slots with a release store of
 // head_; the consumer observes them with an acquire load, and symmetrically
@@ -26,12 +29,20 @@
 // Indices are monotonically increasing uint64 (no wrap handling needed in
 // practice); capacity must be a power of two — enforced with a hard error
 // in ALL build types, because a silent non-power-of-2 mask corrupts data.
+//
+// Span ownership: a reserved span belongs to the producer until publish(),
+// a front span to the consumer until release(). A consumer moves each item
+// out (or leaves it moved-from) before releasing its slot: the producer's
+// next write into the slot assigns over whatever is left there, on the
+// producer's thread.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -52,6 +63,56 @@ class SpscRing {
     }
   }
 
+  /// Producer side: up to `want` free slots, contiguous, starting at the
+  /// next one to publish. The span stops at the end of the slot array, so
+  /// it may be shorter than the free space; empty when the ring is full.
+  /// The slots hold moved-from items. Nothing is visible to the consumer
+  /// until publish().
+  std::span<T> reserve(std::size_t want) {
+    const std::uint64_t head = head_.load(std::memory_order_relaxed);
+    std::size_t space = capacity() - static_cast<std::size_t>(head - cached_tail_);
+    if (space < want) {
+      cached_tail_ = tail_.load(std::memory_order_acquire);
+      space = capacity() - static_cast<std::size_t>(head - cached_tail_);
+    }
+    const std::size_t at = static_cast<std::size_t>(head) & mask_;
+    return {slots_.data() + at, std::min({want, space, capacity() - at})};
+  }
+
+  /// Make the first `k` slots of the last reserve() visible, in order, with
+  /// one release store. publish(0) stores nothing.
+  void publish(std::size_t k) {
+    if (k == 0) return;  // a no-op store would dirty the line the consumer
+                         // polls (see the ring fan-in note, docs/SCALING.md)
+    head_.store(head_.load(std::memory_order_relaxed) + k,
+                std::memory_order_release);
+  }
+
+  /// Consumer side: up to `max` published items, contiguous, oldest first.
+  /// The span stops at the end of the slot array; empty when the ring is.
+  /// A short span behind a cache that could not cover `max` reflects a
+  /// fresh acquire load of the producer's index: once a publication is
+  /// visible through any release/acquire chain, the next call sees it.
+  std::span<T> front(std::size_t max) {
+    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+    std::size_t avail = static_cast<std::size_t>(cached_head_ - tail);
+    if (avail < max) {
+      cached_head_ = head_.load(std::memory_order_acquire);
+      avail = static_cast<std::size_t>(cached_head_ - tail);
+    }
+    const std::size_t at = static_cast<std::size_t>(tail) & mask_;
+    return {slots_.data() + at, std::min({max, avail, capacity() - at})};
+  }
+
+  /// Free the first `k` slots of the last front() for the producer, with
+  /// one release store; each must hold a moved-from item. release(0)
+  /// stores nothing.
+  void release(std::size_t k) {
+    if (k == 0) return;
+    tail_.store(tail_.load(std::memory_order_relaxed) + k,
+                std::memory_order_release);
+  }
+
   /// Producer side. Returns false when full (caller decides to spin/yield).
   bool try_push(const T& value) { return emplace(value); }
 
@@ -62,99 +123,52 @@ class SpscRing {
 
   /// Push up to `count` items from `items`; returns how many were moved in
   /// (the first `n` elements — the rest are untouched). One release store
-  /// publishes the whole batch.
+  /// per contiguous span: one, or two when the batch crosses the wrap.
   std::size_t try_push_batch(T* items, std::size_t count) {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    std::size_t space = capacity() - static_cast<std::size_t>(head - cached_tail_);
-    if (space < count) {
-      cached_tail_ = tail_.load(std::memory_order_acquire);
-      space = capacity() - static_cast<std::size_t>(head - cached_tail_);
-      if (space == 0) return 0;
+    std::size_t done = 0;
+    while (done < count) {
+      const std::span<T> room = reserve(count - done);
+      if (room.empty()) break;
+      std::move(items + done, items + done + room.size(), room.begin());
+      publish(room.size());
+      done += room.size();
     }
-    const std::size_t n = count < space ? count : space;
-    if (n == 0) return 0;  // count == 0: no no-op release store (see §ring
-                           // fan-in note in docs/SCALING.md)
-    for (std::size_t i = 0; i < n; ++i)
-      slots_[(head + i) & mask_] = std::move(items[i]);
-    head_.store(head + n, std::memory_order_release);
-    return n;
+    return done;
   }
 
   /// Consumer side. Returns nullopt when empty.
   std::optional<T> try_pop() {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail == cached_head_) {
-      cached_head_ = head_.load(std::memory_order_acquire);
-      if (tail == cached_head_) return std::nullopt;
-    }
-    std::optional<T> value(std::move(slots_[tail & mask_]));
-    tail_.store(tail + 1, std::memory_order_release);
+    const std::span<T> head = front(1);
+    if (head.empty()) return std::nullopt;
+    std::optional<T> value(std::move(head[0]));
+    release(1);
     return value;
   }
 
   /// Pop up to `max` items into `out`; returns how many were written. One
-  /// release store frees the whole batch for the producer.
-  ///
-  /// Cached-index contract on this path (audited for the fan-in fabric,
-  /// where one consumer thread batch-drains MANY rings): the cached head
-  /// is refreshed with an acquire load whenever it cannot satisfy the full
-  /// `max` request, so a short return value always reflects a fresh view
-  /// of the producer's published index — there is no window in which items
-  /// already published release-side stay invisible to a caller that asked
-  /// for them. A stale cache can only ever UNDER-report (the next call
-  /// refreshes), never fabricate items.
+  /// release store per contiguous span frees them for the producer. A
+  /// short return value reflects a fresh view of the producer's index (see
+  /// front()): a stale cache can only ever UNDER-report, never fabricate
+  /// items — the contract the fan-in fabric, where one consumer thread
+  /// drains MANY rings, depends on.
   std::size_t try_pop_batch(T* out, std::size_t max) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    std::size_t avail = static_cast<std::size_t>(cached_head_ - tail);
-    if (avail < max) {
-      cached_head_ = head_.load(std::memory_order_acquire);
-      avail = static_cast<std::size_t>(cached_head_ - tail);
-      if (avail == 0) return 0;
+    std::size_t done = 0;
+    while (done < max) {
+      const std::span<T> items = front(max - done);
+      if (items.empty()) break;
+      std::move(items.begin(), items.end(), out + done);
+      release(items.size());
+      done += items.size();
     }
-    const std::size_t n = max < avail ? max : avail;
-    if (n == 0) return 0;  // max == 0: a no-op release store of tail_ would
-                           // needlessly dirty the line producers poll
-    for (std::size_t i = 0; i < n; ++i)
-      out[i] = std::move(slots_[(tail + i) & mask_]);
-    tail_.store(tail + n, std::memory_order_release);
-    return n;
+    return done;
   }
 
-  /// Pop consecutive head items while `pred(item)` holds, up to `max`.
-  /// The first item that fails the predicate stays in the ring (along with
-  /// everything behind it). One release store frees the accepted prefix —
-  /// this is how the merger consumes a micro-flow run without giving up
-  /// batching at batch boundaries. Consumer-only.
-  template <typename Pred>
-  std::size_t try_pop_batch_while(T* out, std::size_t max, Pred&& pred) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    std::size_t avail = static_cast<std::size_t>(cached_head_ - tail);
-    if (avail < max) {
-      cached_head_ = head_.load(std::memory_order_acquire);
-      avail = static_cast<std::size_t>(cached_head_ - tail);
-      if (avail == 0) return 0;
-    }
-    const std::size_t n = max < avail ? max : avail;
-    std::size_t i = 0;
-    for (; i < n; ++i) {
-      T& slot = slots_[(tail + i) & mask_];
-      if (!pred(static_cast<const T&>(slot))) break;
-      out[i] = std::move(slot);
-    }
-    if (i != 0) tail_.store(tail + i, std::memory_order_release);
-    return i;
-  }
-
-  /// Consumer-side peek without consuming (used by the batch merger to
-  /// detect batch boundaries). The reference stays valid until try_pop().
-  /// Consumer-only (updates the consumer's cached head index).
+  /// Consumer-side peek without consuming. The pointer stays valid until
+  /// the item is popped or released. Consumer-only (updates the consumer's
+  /// cached head index).
   const T* peek() {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail == cached_head_) {
-      cached_head_ = head_.load(std::memory_order_acquire);
-      if (tail == cached_head_) return nullptr;
-    }
-    return &slots_[tail & mask_];
+    const std::span<T> head = front(1);
+    return head.empty() ? nullptr : head.data();
   }
 
   /// Snapshot of current occupancy; exact only from producer or consumer.
@@ -168,13 +182,10 @@ class SpscRing {
  private:
   template <typename U>
   bool emplace(U&& value) {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    if (head - cached_tail_ > mask_) {
-      cached_tail_ = tail_.load(std::memory_order_acquire);
-      if (head - cached_tail_ > mask_) return false;
-    }
-    slots_[head & mask_] = std::forward<U>(value);
-    head_.store(head + 1, std::memory_order_release);
+    const std::span<T> room = reserve(1);
+    if (room.empty()) return false;
+    room[0] = std::forward<U>(value);
+    publish(1);
     return true;
   }
 

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "drop_breakdown.hpp"
 #include "rt/calibrate.hpp"
 #include "rt/engine.hpp"
 #include "rt/spsc_ring.hpp"
@@ -268,19 +269,6 @@ struct RtSweep {
 
 class RtEngineSweep : public ::testing::TestWithParam<RtSweep> {};
 
-namespace {
-
-// Why a run lost packets: EngineResult::drops, one line.
-std::string drop_breakdown(const EngineResult& r) {
-  return "dropped " + std::to_string(r.packets_dropped) + " (pool dry " +
-         std::to_string(r.drops.pool_dry) + ", split ring " +
-         std::to_string(r.drops.split_ring) + ", merge ring " +
-         std::to_string(r.drops.merge_ring) + ", fault " +
-         std::to_string(r.drops.fault) + ")";
-}
-
-}  // namespace
-
 TEST_P(RtEngineSweep, InOrderAndLossless) {
   const auto p = GetParam();
   EngineConfig cfg;
@@ -427,6 +415,24 @@ TEST(RtEngine, TinyRingWithBoundedRetryDegradesInsteadOfSpinning) {
   // actually triggered on this host.
   EXPECT_EQ(res.packets + res.packets_dropped, 20000u);
   EXPECT_TRUE(res.in_order);
+}
+
+TEST(RtEngine, SplitRingBudgetShedsNotWedges) {
+  // Workers far slower than the generator, behind 8-slot split rings: the
+  // generator must give up on a full split ring after max_push_spins
+  // yields and shed the chunk, not wait for room. A generator that waits
+  // without a budget sheds nothing there and fails the first expectation.
+  EngineConfig cfg;
+  cfg.workers = 2;
+  cfg.batch_size = 16;
+  cfg.ring_capacity = 8;
+  cfg.cost_ns_per_packet = 50'000;
+  cfg.max_push_spins = 4;
+  constexpr std::uint64_t kTotal = 20000;
+  const auto res = Engine(cfg).run(kTotal);
+  EXPECT_GT(res.drops.split_ring, 0u) << drop_breakdown(res);
+  EXPECT_EQ(res.packets + res.packets_dropped, kTotal) << drop_breakdown(res);
+  EXPECT_TRUE(res.in_order) << drop_breakdown(res);
 }
 
 TEST(RtEngine, ZeroCostStillOrdered) {

@@ -6,19 +6,25 @@
 // injected faults). Everything here must be green under asan-ubsan AND
 // tsan — the fan-in properties are exactly the ones a data race would
 // corrupt first.
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "drop_breakdown.hpp"
 #include "rt/engine.hpp"
 #include "rt/profiler.hpp"
 #include "rt/spsc_ring.hpp"
 #include "rt/topology.hpp"
+#include "util/rng.hpp"
 
 using namespace mflow;
 using namespace mflow::rt;
@@ -344,6 +350,94 @@ TEST(SpscRingBatch, FanInConservationAcrossRings) {
   EXPECT_EQ(total, kProducers * kPerProducer);
 }
 
+// ------------------------------------------------- SpscRing span access
+
+// reserve/publish and front/release against a model of the two indices:
+// every span is exactly as long as the request, the free (or published)
+// slots and the slots left before the wrap allow. Chunk sizes do not divide
+// the capacity, and a random prefix of each span is published (released),
+// so spans start at every offset and many are cut by the wrap.
+void check_spans(std::size_t cap, std::size_t put, std::size_t take) {
+  SCOPED_TRACE("capacity " + std::to_string(cap));
+  SpscRing<std::uint64_t> ring(cap);
+  mflow::util::Rng rng(cap * 31 + put);
+  std::uint64_t head = 0, tail = 0;
+  std::size_t cut_put = 0, cut_take = 0;
+  for (int step = 0; step < 40'000; ++step) {
+    if (rng.uniform(2) == 0) {
+      const std::span<std::uint64_t> room = ring.reserve(put);
+      const std::size_t to_wrap = cap - head % cap;
+      ASSERT_EQ(room.size(), std::min({put, cap - (head - tail), to_wrap}));
+      if (room.size() < put && room.size() == to_wrap) ++cut_put;
+      const std::size_t k = rng.uniform(room.size() + 1);
+      for (std::size_t i = 0; i < k; ++i) room[i] = head + i;
+      ring.publish(k);
+      head += k;
+    } else {
+      const std::span<std::uint64_t> items = ring.front(take);
+      const std::size_t to_wrap = cap - tail % cap;
+      ASSERT_EQ(items.size(), std::min({take, head - tail, to_wrap}));
+      if (items.size() < take && items.size() == to_wrap) ++cut_take;
+      for (std::size_t i = 0; i < items.size(); ++i)
+        ASSERT_EQ(items[i], tail + i);
+      const std::size_t k = rng.uniform(items.size() + 1);
+      ring.release(k);
+      tail += k;
+    }
+    ASSERT_EQ(ring.size(), head - tail);
+  }
+  EXPECT_GT(cut_put, 0u) << "no reserve() span ended at the wrap";
+  EXPECT_GT(cut_take, 0u) << "no front() span ended at the wrap";
+}
+
+TEST(SpscRingSpan, SpansStopAtTheWrapAtEveryCapacity) {
+  check_spans(1, 2, 3);
+  check_spans(8, 3, 5);
+  check_spans(1024, 100, 127);
+}
+
+TEST(SpscRingSpan, TwoThreadsMoveOnlyFifoAndMovedFromRelease) {
+  // The consumer moves every item out of its slot before releasing it;
+  // the producer checks that every slot it reserves is moved-from, so a
+  // slot released with a live item fails here.
+  constexpr std::uint64_t kItems = 100'000;
+  SpscRing<std::unique_ptr<std::uint64_t>> ring(64);
+  std::atomic<std::uint64_t> live_slots{0};
+  std::jthread producer([&] {
+    std::uint64_t next = 0;
+    while (next < kItems) {
+      const auto room = ring.reserve(
+          static_cast<std::size_t>(std::min<std::uint64_t>(7, kItems - next)));
+      if (room.empty()) {
+        std::this_thread::yield();
+        continue;
+      }
+      for (auto& slot : room) {
+        if (slot) live_slots.fetch_add(1, std::memory_order_relaxed);
+        slot = std::make_unique<std::uint64_t>(next++);
+      }
+      ring.publish(room.size());
+    }
+  });
+  std::uint64_t expected = 0;
+  while (expected < kItems) {
+    const auto items = ring.front(5);
+    if (items.empty()) {
+      std::this_thread::yield();
+      continue;
+    }
+    for (auto& slot : items) {
+      const std::unique_ptr<std::uint64_t> item = std::move(slot);
+      ASSERT_NE(item, nullptr);
+      ASSERT_EQ(*item, expected++) << "FIFO violated";
+    }
+    ring.release(items.size());
+  }
+  producer.join();
+  EXPECT_EQ(live_slots.load(), 0u) << "a released slot still held its item";
+  EXPECT_TRUE(ring.empty());
+}
+
 // ------------------------------------------- engine fan-in + profiler
 
 TEST(RtScalingEngine, ProfilePopulatedAndConsistent) {
@@ -487,8 +581,8 @@ TEST(RtScalingEngine, AutoPlanNeverBreaksCorrectness) {
   cfg.workers = 2;
   cfg.topology.pin_threads = true;
   const EngineResult res = Engine(cfg).run(10'000);
-  EXPECT_TRUE(res.in_order);
-  EXPECT_EQ(res.packets, 10'000u);
+  EXPECT_TRUE(res.in_order) << drop_breakdown(res);
+  EXPECT_EQ(res.packets, 10'000u) << drop_breakdown(res);
 }
 
 }  // namespace
