@@ -111,15 +111,14 @@ ChurnDrive drive_controller_churn() {
   constexpr net::FlowId kSurgeFlow = 999;
 
   sim::Time now = 0;
-  auto source = [&churn, &now, surge_at] {
-    std::vector<control::Controller::FlowTotals> v;
+  auto source = [&churn, &now,
+                 surge_at](std::vector<control::Controller::FlowTotals>& v) {
     exp::append_churn_totals(churn, now, v);
     if (now >= surge_at) {
       const double active = sim::to_seconds(now - surge_at);
       const auto segs = static_cast<std::uint64_t>(1e6 * active) + 1;
       v.push_back({kSurgeFlow, segs, segs * net::kTcpMss});
     }
-    return v;
   };
 
   NullTarget target;

@@ -39,10 +39,21 @@ Controller::Controller(ControllerParams params, Source source,
       [this](net::FlowId flow, FlowCtl&& fc) { forget(flow, fc); });
 }
 
+Controller::Controller(ControllerParams params, ValueSource source,
+                       CapacityTarget* target)
+    : Controller(
+          params,
+          [src = std::move(source)](std::vector<FlowTotals>& out) {
+            out = src();
+          },
+          target) {}
+
 void Controller::tick(sim::Time now) {
   now_ = now;
   const std::uint32_t max_degree = target_->max_degree();
-  for (const FlowTotals& t : source_()) {
+  totals_.clear();
+  source_(totals_);
+  for (const FlowTotals& t : totals_) {
     std::uint32_t current = 0;
     std::uint32_t want = 0;
     // One probe per flow: sample, trim, rate, hysteresis and degree all

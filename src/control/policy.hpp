@@ -85,16 +85,23 @@ struct RescaleEvent {
 class Controller {
  public:
   /// Per-flow cumulative totals as counted at the split point. Pull-based:
-  /// the controller invokes this each tick so the data path never blocks
-  /// on the control plane.
+  /// the controller invokes its source each tick so the data path never
+  /// blocks on the control plane.
   struct FlowTotals {
     net::FlowId flow = 0;
     std::uint64_t segs = 0;
     std::uint64_t bytes = 0;
   };
-  using Source = std::function<std::vector<FlowTotals>()>;
+  /// Appends this tick's totals to `out`, a vector the Controller owns and
+  /// clears before each call, so a steady-state tick allocates nothing.
+  using Source = std::function<void(std::vector<FlowTotals>& out)>;
+  /// A source that returns a fresh vector each tick (and so allocates one
+  /// each tick).
+  using ValueSource = std::function<std::vector<FlowTotals>()>;
 
   Controller(ControllerParams params, Source source, CapacityTarget* target);
+  Controller(ControllerParams params, ValueSource source,
+             CapacityTarget* target);
   // The flow table's eviction callback holds `this`.
   Controller(const Controller&) = delete;
   Controller& operator=(const Controller&) = delete;
@@ -172,6 +179,7 @@ class Controller {
 
   ControllerParams params_;
   Source source_;
+  std::vector<FlowTotals> totals_;  // source_'s output, reused every tick
   CapacityTarget* target_;
   ScalingPolicy policy_;
   FlowTable<FlowCtl> flows_;

@@ -133,14 +133,12 @@ bool MflowEngine::release_flow(net::FlowId flow) {
   return true;
 }
 
-std::vector<control::Controller::FlowTotals> MflowEngine::flow_totals()
-    const {
-  std::vector<control::Controller::FlowTotals> out;
+void MflowEngine::flow_totals(
+    std::vector<control::Controller::FlowTotals>& out) const {
   if (splitter_ != nullptr) splitter_->assigner().append_totals(out);
   // With IRQ splitting each flow's queue is fixed, so the per-queue
   // assigners see disjoint flow sets — concatenation is the union.
   for (const auto& irq : irq_splitters_) irq->assigner().append_totals(out);
-  return out;
 }
 
 util::RunningStats MflowEngine::recovery_latency_ns() const {

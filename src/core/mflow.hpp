@@ -61,9 +61,10 @@ class MflowEngine final {
   /// nothing so a reused FlowId never meets half-stale state.
   bool release_flow(net::FlowId flow);
 
-  /// Cumulative per-flow split-point totals across all splitters — the
-  /// pull source for the control plane's Controller.
-  std::vector<control::Controller::FlowTotals> flow_totals() const;
+  /// Append the cumulative per-flow split-point totals across all
+  /// splitters to `out` — the pull source for the control plane's
+  /// Controller.
+  void flow_totals(std::vector<control::Controller::FlowTotals>& out) const;
 
   // --- aggregate statistics ------------------------------------------------
   std::uint64_t ooo_arrivals() const;

@@ -107,8 +107,8 @@ void BatchAssigner::append_totals(
     std::vector<control::Controller::FlowTotals>& out) const {
   // The table iterates in recency order; report in first-seen order so the
   // control loop (and its history) stays stable across ticks.
-  std::vector<std::pair<std::uint64_t, control::Controller::FlowTotals>> rows;
-  rows.reserve(flows_.size());
+  auto& rows = totals_scratch_;
+  rows.clear();
   flows_.for_each([&rows](net::FlowId flow, const PerFlow& st) {
     rows.emplace_back(st.seq,
                       control::Controller::FlowTotals{flow, st.seen_segs,

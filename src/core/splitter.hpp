@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "control/flowtable.hpp"
@@ -148,6 +149,9 @@ class BatchAssigner {
   control::FlowTable<PerFlow> flows_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t ops_ = 0;  // monotone packet counter = the table's clock
+  // append_totals' (first-seen rank, totals) rows, reused every call.
+  mutable std::vector<std::pair<std::uint64_t, control::Controller::FlowTotals>>
+      totals_scratch_;
 };
 
 class FlowSplitter final : public stack::TransitionHook {

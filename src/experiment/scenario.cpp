@@ -430,13 +430,16 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     // populations through one code path.
     control::Controller::Source source;
     if (cfg.control.churn.enabled) {
-      source = [eng = engine.get(), churn = cfg.control.churn, &sim] {
-        auto totals = eng->flow_totals();
-        append_churn_totals(churn, sim.now(), totals);
-        return totals;
+      source = [eng = engine.get(), churn = cfg.control.churn,
+                &sim](std::vector<control::Controller::FlowTotals>& out) {
+        eng->flow_totals(out);
+        append_churn_totals(churn, sim.now(), out);
       };
     } else {
-      source = [eng = engine.get()] { return eng->flow_totals(); };
+      source = [eng = engine.get()](
+                   std::vector<control::Controller::FlowTotals>& out) {
+        eng->flow_totals(out);
+      };
     }
     // The control plane reaches the engine ONLY through its CapacityTarget
     // adapter. With the elastic tier on, the budget starts at the

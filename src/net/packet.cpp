@@ -1,43 +1,47 @@
 #include "net/packet.hpp"
 
-#include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 namespace mflow::net {
 
-PacketBuffer::PacketBuffer(std::size_t headroom, std::size_t capacity)
-    : head_(headroom) {
-  bytes_.reserve(std::max(headroom, capacity));
-  bytes_.resize(headroom);
+namespace {
+
+[[noreturn]] void buffer_overrun(const char* op, std::size_t n,
+                                 std::size_t room) {
+  std::fprintf(stderr,
+               "PacketBuffer: %s of %zu bytes with room for %zu (capacity "
+               "%zu)\n",
+               op, n, room, PacketBuffer::kCapacity);
+  std::abort();
 }
 
+}  // namespace
+
 std::span<std::uint8_t> PacketBuffer::append(std::size_t n) {
-  const std::size_t old = bytes_.size();
-  bytes_.resize(old + n);
-  return {bytes_.data() + old, n};
+  if (n > kCapacity - tail_) buffer_overrun("append", n, kCapacity - tail_);
+  std::uint8_t* at = bytes_ + tail_;
+  std::memset(at, 0, n);
+  tail_ = static_cast<std::uint16_t>(tail_ + n);
+  return {at, n};
 }
 
 std::span<std::uint8_t> PacketBuffer::push(std::size_t n) {
-  assert(head_ >= n && "insufficient headroom");
-  head_ -= n;
-  return {bytes_.data() + head_, n};
+  if (n > head_) buffer_overrun("push", n, head_);
+  head_ = static_cast<std::uint16_t>(head_ - n);
+  return {bytes_ + head_, n};
 }
 
 void PacketBuffer::pull(std::size_t n) {
   assert(n <= size());
-  head_ += n;
-}
-
-void PacketBuffer::reserve(std::size_t total_bytes) {
-  bytes_.reserve(total_bytes);
+  head_ = static_cast<std::uint16_t>(head_ + n);
 }
 
 void PacketBuffer::reset(std::size_t headroom) {
-  // resize() never shrinks capacity, so a reserved buffer stays reserved —
-  // the whole point of recycling.
-  bytes_.resize(headroom);
-  head_ = headroom;
+  if (headroom > kCapacity) buffer_overrun("reset", headroom, kCapacity);
+  head_ = tail_ = static_cast<std::uint16_t>(headroom);
 }
 
 void Packet::reset() {

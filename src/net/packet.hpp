@@ -18,10 +18,10 @@
 // on its pool's owning thread; other threads send it home first.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "net/flow.hpp"
 #include "net/headers.hpp"
@@ -30,47 +30,46 @@
 namespace mflow::net {
 
 /// skb-like byte buffer with headroom: push() prepends (encap), pull()
-/// strips (decap). Backed by a std::vector whose capacity is PRESERVED by
-/// reset(), which is what lets a packet pool reuse buffers without touching
-/// the allocator (the zero-allocation invariant of docs/PERFORMANCE.md).
+/// strips (decap). The bytes live inline, in a fixed kCapacity-byte array,
+/// so a packet and its header bytes are one block and no buffer operation
+/// ever touches the allocator (docs/PERFORMANCE.md, "Line-aligned slabs").
+/// The array is left uninitialized: only [head, tail) is ever read.
 class PacketBuffer {
  public:
+  /// Inline byte capacity, headroom included: 64 bytes of headroom plus 64
+  /// of tail. The deepest stack any path builds (VXLAN outer + Eth/IPv4/TCP)
+  /// is 104 bytes.
+  static constexpr std::size_t kCapacity = 128;
+
   /// Default headroom leaves room for one full VXLAN outer stack (50 bytes)
   /// plus an inner Ethernet header in front of whatever is appended.
-  /// `capacity` reserves backing bytes (headroom included) in the same
-  /// single allocation; a smaller value reserves just the headroom.
-  explicit PacketBuffer(std::size_t headroom = 64, std::size_t capacity = 0);
+  explicit PacketBuffer(std::size_t headroom = 64) { reset(headroom); }
 
-  /// Append `n` bytes at the tail; returns the writable region. May grow
-  /// the backing store (allocates when size exceeds reserved capacity).
+  /// Append `n` zero-filled bytes at the tail; returns the writable region.
+  /// Aborts when the tail would pass kCapacity.
   std::span<std::uint8_t> append(std::size_t n);
   /// Prepend `n` bytes (requires headroom); returns the writable region.
+  /// Aborts when `n` exceeds the headroom.
   std::span<std::uint8_t> push(std::size_t n);
   /// Strip `n` bytes from the front. Requires n <= size().
   void pull(std::size_t n);
 
-  /// Pre-allocate backing capacity for `total_bytes` (headroom included),
-  /// so later append()/reset() cycles never touch the heap.
-  void reserve(std::size_t total_bytes);
-  /// Drop all content and restore `headroom` bytes of headroom. Keeps the
-  /// backing capacity — a reset buffer can be refilled allocation-free.
+  /// Drop all content and restore `headroom` bytes of headroom. Aborts when
+  /// `headroom` exceeds kCapacity.
   void reset(std::size_t headroom = 64);
 
   /// Valid bytes (front of packet first).
   std::span<const std::uint8_t> data() const {
-    return {bytes_.data() + head_, bytes_.size() - head_};
+    return {bytes_ + head_, size()};
   }
-  std::span<std::uint8_t> data() {
-    return {bytes_.data() + head_, bytes_.size() - head_};
-  }
-  std::size_t size() const { return bytes_.size() - head_; }
+  std::span<std::uint8_t> data() { return {bytes_ + head_, size()}; }
+  std::size_t size() const { return static_cast<std::size_t>(tail_ - head_); }
   std::size_t headroom() const { return head_; }
-  /// Total backing capacity currently reserved (diagnostics / pool sizing).
-  std::size_t capacity() const { return bytes_.capacity(); }
 
  private:
-  std::vector<std::uint8_t> bytes_;
-  std::size_t head_;  // offset of first valid byte
+  std::uint8_t bytes_[kCapacity];
+  std::uint16_t head_;  // offset of the first valid byte
+  std::uint16_t tail_;  // one past the last valid byte
 };
 
 constexpr std::uint32_t kMtu = 1500;
@@ -106,34 +105,38 @@ struct PacketDeleter {
 /// The one way packets are owned and moved through the system.
 using PacketPtr = std::unique_ptr<Packet, PacketDeleter>;
 
-/// The packet itself. Aggregate on purpose: all metadata fields have
-/// defaults, and Packet::reset() must restore exactly those defaults when a
-/// pooled packet is recycled (keep the two in sync).
-struct Packet {
+/// The packet itself: one 256-byte, line-aligned block. Lines 0-1 hold the
+/// header bytes, line 2 every field the rt engine or the splitter writes
+/// per packet, line 3 the fields only the DES uses, so an rt worker's
+/// per-packet reads and writes stay in lines 0-2.
+/// Aggregate on purpose: all metadata fields have defaults, and
+/// Packet::reset() must restore exactly those defaults when a pooled packet
+/// is recycled (keep the two in sync).
+struct alignas(64) Packet {
+  // --- lines 0-1 (and line 2's first 4 bytes: head/tail) ---
   PacketBuffer buf;              // real header bytes (+ nothing else)
-  std::uint32_t payload_len = 0;  // virtual payload bytes
 
+  // --- line 2: per-packet fields of the rt engine and the splitter ---
+  std::uint32_t payload_len = 0;  // virtual payload bytes
   FlowKey flow{};                // innermost 5-tuple
   FlowId flow_id = 0;            // dense workload-assigned id
-  bool encapsulated = false;     // still carrying VXLAN outer headers
-
   std::uint64_t wire_seq = 0;    // per-flow arrival index at receiver NIC
-  // 64-bit TCP stream offset of the first payload byte. The encoded wire
-  // header carries the low 32 bits; the simulation keeps the full offset so
-  // multi-gigabyte streams need no sequence-wrap handling.
-  std::uint64_t tcp_seq = 0;
-  std::uint64_t message_id = 0;  // application message this packet belongs to
-  std::uint32_t message_bytes = 0;  // total payload bytes of that message
-  bool skb_allocated = false;    // driver stage has built the skb
-
-  sim::Time t_wire = 0;          // arrival time at the receiver NIC
-
-  // GRO: number of original segments coalesced into this skb (>= 1).
-  std::uint32_t gro_segs = 1;
-
   // MFLOW: micro-flow (batch) identifier; reflects the batch's position in
   // the original flow. 0 = not split. (Paper stores this in the skb.)
   std::uint64_t microflow_id = 0;
+  // GRO: number of original segments coalesced into this skb (>= 1).
+  std::uint32_t gro_segs = 1;
+  bool encapsulated = false;     // still carrying VXLAN outer headers
+
+  // --- line 3: DES-only fields ---
+  // 64-bit TCP stream offset of the first payload byte. The encoded wire
+  // header carries the low 32 bits; the simulation keeps the full offset so
+  // multi-gigabyte streams need no sequence-wrap handling.
+  alignas(64) std::uint64_t tcp_seq = 0;
+  std::uint64_t message_id = 0;  // application message this packet belongs to
+  sim::Time t_wire = 0;          // arrival time at the receiver NIC
+  std::uint32_t message_bytes = 0;  // total payload bytes of that message
+  bool skb_allocated = false;    // driver stage has built the skb
 
   /// Header bytes + virtual payload bytes: what the wire would carry.
   std::uint32_t wire_len() const {
@@ -141,11 +144,19 @@ struct Packet {
   }
 
   /// Restore the pristine just-constructed state (buffer emptied with
-  /// default headroom, every metadata field back to its default) WITHOUT
-  /// releasing buffer capacity. Pools call this before handing a recycled
-  /// packet out, so a reused packet is indistinguishable from a fresh one.
+  /// default headroom, every metadata field back to its default). Pools
+  /// call this before handing a recycled packet out, so a reused packet is
+  /// indistinguishable from a fresh one.
   void reset();
 };
+
+static_assert(sizeof(Packet) == 256 && alignof(Packet) == 64,
+              "a Packet is four whole cache lines");
+static_assert(offsetof(Packet, payload_len) >= 128 &&
+                  offsetof(Packet, encapsulated) < 192,
+              "the rt engine's per-packet fields share line 2");
+static_assert(offsetof(Packet, tcp_seq) == 192,
+              "the DES-only fields start line 3");
 
 // --- construction & tunnel operations ---------------------------------------
 

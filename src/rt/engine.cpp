@@ -116,24 +116,17 @@ net::FlowKey generated_flow(std::uint64_t fid) {
 // The plain stamp stays out of line too: inline in the slab loop it cost
 // rt-forward more than half its throughput.
 
-/// Prefetch what a pass (the overlay stamp, a worker) at `at`, with `left`
-/// packets to go, writes next: the Packet lines of the slab kPrefetchSlab
-/// packets ahead, then the first two lines of the byte storage of the one
-/// kPrefetchBuf ahead, whose address lives in its Packet lines.
-constexpr std::size_t kPrefetchSlab = 8;
-constexpr std::size_t kPrefetchBuf = 4;
+/// Prefetch for write what a pass (the overlay stamp, a worker) at `at`,
+/// with `left` packets to go, touches next: every line of the slab
+/// kPrefetch packets ahead, header bytes included, since a slab is one
+/// line-aligned block (net::Packet).
+constexpr std::size_t kPrefetch = 8;
 [[gnu::always_inline]] inline void prefetch_ahead(const RtPacket* at,
                                                   std::size_t left) {
-  if (kPrefetchSlab < left && at[kPrefetchSlab].skb) {
-    const auto* p = reinterpret_cast<const char*>(at[kPrefetchSlab].skb.get());
-    for (int line = 0; line < 3; ++line) __builtin_prefetch(p + 64 * line, 1);
-  }
-  if (kPrefetchBuf < left && at[kPrefetchBuf].skb) {
-    const net::PacketBuffer& buf = at[kPrefetchBuf].skb->buf;
-    const std::uint8_t* b = buf.data().data() - buf.headroom();
-    __builtin_prefetch(b, 1);
-    __builtin_prefetch(b + 64, 1);
-  }
+  if (kPrefetch >= left || !at[kPrefetch].skb) return;
+  const auto* p = reinterpret_cast<const char*>(at[kPrefetch].skb.get());
+  for (std::size_t line = 0; line < sizeof(net::Packet) / 64; ++line)
+    __builtin_prefetch(p + 64 * line, 1);
 }
 
 /// Plain-mode stamp, the way the splitter stamps real packets: every packet
@@ -154,8 +147,8 @@ constexpr std::size_t kPrefetchBuf = 4;
 
 /// Overlay-mode stamp: REAL encapsulated bytes. Every packet of a
 /// micro-flow belongs to one inner flow (batch % flows), so the header
-/// image is built once per batch and copy-assigned into each slab; the
-/// copy stays within the slab's reserved buffer and never allocates. The
+/// image is built once per batch and copy-assigned into each slab, header
+/// bytes and all, since they live inline in the Packet. The
 /// slabs are write-prefetched: on x86-64 the builtin emits prefetchw only
 /// with prfchw enabled, and the read prefetch it emits otherwise measured
 /// about a fifth slower.
@@ -387,17 +380,13 @@ struct Pipeline {
     }
 
     // Overlay mode: one direct-mapped cache per worker (only its owner
-    // touches it) and the generator's header template, its buffer reserved
-    // like a pool slab's.
+    // touches it) and the generator's header template.
     if (overlay_on && cfg.overlay.cache) {
       const std::size_t slots =
           std::bit_ceil(std::max<std::size_t>(cfg.overlay.cache_slots, 1));
       for (auto& c : caches) c.resize(slots);
     }
-    if (overlay_on) {
-      ov_tmpl.pkt = net::make_packet();
-      ov_tmpl.pkt->buf.reserve(pool.config().buffer_bytes);
-    }
+    if (overlay_on) ov_tmpl.pkt = net::make_packet();
 
     // Flow-state plane (churn mode): one FlowTable that only the generator
     // touches — it inserts, stamps and sweeps; workers never see it.

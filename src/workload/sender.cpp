@@ -121,7 +121,7 @@ net::PacketPtr HeaderImages::stamp(std::uint32_t len, std::uint64_t tcp_seq,
   const Image& img = image(len);
   net::PacketPtr pkt = params_.pool ? params_.pool->acquire() : nullptr;
   if (pkt)
-    *pkt = *img.pkt;  // the slab's reserved buffer absorbs the copy
+    *pkt = *img.pkt;  // header bytes are inline: a flat copy, no allocation
   else
     pkt = net::clone_packet(*img.pkt);
   pkt->message_id = message_id;

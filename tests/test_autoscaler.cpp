@@ -203,9 +203,8 @@ TEST(Autoscaler, RaisingCapacityLetsControllerWidenDegrees) {
   control::ControllerParams cp;  // 150k pps/core, 1ms window, 200us dwell
   control::Controller ctl(
       cp,
-      [&] {
-        return std::vector<control::Controller::FlowTotals>{
-            {7, segs, segs * 1500}};
+      [&](std::vector<control::Controller::FlowTotals>& out) {
+        out = {{7, segs, segs * 1500}};
       },
       &cap);
   control::Autoscaler as(fast_params(), [&] { return 600'000.0; }, &cap);

@@ -577,7 +577,10 @@ TEST(NfRtEngine, StateCountsSurvivorsOnlyUnderLoss) {
 }
 
 // The merge ring sheds packets here: ring 64, a 16-yield deposit budget and
-// a sink that sleeps 200 us every 1024 packets. NF state is committed after
+// a sink that stalls once, for 500 ms, after 1024 packets. A worker that
+// finds its buffer ring full sheds after 16 yields, which on any plausibly
+// loaded host ends far inside the stall (brief sleeps could be outlasted
+// by the budget, so nothing was certain to shed). NF state is committed after
 // the deposit, over the packets the ring accepted, so it counts exactly the
 // delivered stream: nf_packets, the summed fw.segs and (shared lock) the
 // lock count equal the delivered packets, and the engine's digest equals
@@ -607,8 +610,8 @@ TEST(NfRtEngine, DepositShedsLeaveNoNfState) {
       const nf::PacketView v = nf::view_of(*p.skb);
       for (const auto kind : rc.nf.chain.chain)
         nf::apply(rc.nf.chain, &maglev, kind, v, oracle[p.skb->flow_id]);
-      if (++seen % 1024 == 0)
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      if (++seen == 1024)
+        std::this_thread::sleep_for(std::chrono::milliseconds(500));
     });
     const std::string where(nf::strategy_name(strat));
     EXPECT_TRUE(res.in_order) << where;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -41,6 +42,55 @@ TEST(PacketBuffer, PushPullSymmetry) {
   EXPECT_EQ(buf.size(), 4u);
   EXPECT_EQ(buf.data()[0], 0xAA);
   EXPECT_EQ(buf.headroom(), 16u);
+}
+
+// The deepest stack any path builds, VXLAN outer + Eth/IPv4/TCP, is 104
+// bytes: it uses all 64 bytes of headroom and leaves 24 of tail.
+TEST(PacketBuffer, VxlanTcpStackFitsExactly) {
+  auto pkt = make_tcp_segment(tcp_flow(), 7, 1448);
+  vxlan_encap(*pkt, Ipv4Addr(1, 1, 1, 1), Ipv4Addr(2, 2, 2, 2), 9);
+  EXPECT_EQ(pkt->buf.size(), 104u);
+  EXPECT_EQ(pkt->buf.headroom(), 0u);
+  EXPECT_EQ(pkt->buf.append(PacketBuffer::kCapacity - 104).size(), 24u);
+  const auto* block = reinterpret_cast<const std::uint8_t*>(pkt.get());
+  EXPECT_EQ(pkt->buf.data().data(), block);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(block) % 64, 0u);
+  ASSERT_TRUE(vxlan_decap(*pkt).ok);
+  EXPECT_EQ(pkt->buf.headroom(), kVxlanOverhead);
+}
+
+// append() hands out zeroed bytes even where a previous packet left its
+// bytes behind.
+TEST(PacketBuffer, AppendZeroFills) {
+  PacketBuffer buf;
+  for (auto& b : buf.append(PacketBuffer::kCapacity - buf.headroom()))
+    b = 0xEE;
+  for (auto& b : buf.push(buf.headroom())) b = 0xDD;
+  buf.reset();
+  const auto tail = buf.append(40);
+  EXPECT_TRUE(std::all_of(tail.begin(), tail.end(),
+                          [](std::uint8_t b) { return b == 0; }));
+  EXPECT_EQ(buf.size(), 40u);
+}
+
+using PacketBufferDeathTest = ::testing::Test;
+
+// Bytes past the inline capacity have nowhere to go: append() and push()
+// abort loudly instead of writing past the array or allocating.
+TEST(PacketBufferDeathTest, OverlongStackAborts) {
+  EXPECT_DEATH(
+      {
+        PacketBuffer buf;
+        buf.append(PacketBuffer::kCapacity - buf.headroom());
+        buf.append(1);
+      },
+      "PacketBuffer: append of 1 bytes with room for 0");
+  EXPECT_DEATH(
+      {
+        PacketBuffer buf(8);
+        buf.push(9);
+      },
+      "PacketBuffer: push of 9 bytes with room for 8");
 }
 
 TEST(Packet, TcpSegmentLayout) {
@@ -167,7 +217,7 @@ bool same_packet(const Packet& a, const Packet& b) {
 }  // namespace
 
 // Copy-assigning a header template over a dirty recycled slab reproduces a
-// fresh build exactly, without reallocating the slab's buffer. Flow indices
+// fresh build exactly, its bytes inside the slab's own block. Flow indices
 // on both sides of the 0x3FFF source-port wrap share header bytes but not
 // flow ids.
 TEST(Packet, TemplateCopyMatchesFreshBuild) {
@@ -182,12 +232,15 @@ TEST(Packet, TemplateCopyMatchesFreshBuild) {
     slab->skb_allocated = true;
     slab->message_id = 9;
     slab->message_bytes = 4096;
-    const std::size_t capacity = slab->buf.capacity();
     *slab = *tmpl;
     slab->wire_seq = 11;
     EXPECT_TRUE(same_packet(*slab, *overlay_reference(fidx, 7, 11)))
         << "flow index " << fidx;
-    EXPECT_EQ(slab->buf.capacity(), capacity) << "flow index " << fidx;
+    const auto* block = reinterpret_cast<const std::uint8_t*>(slab.get());
+    EXPECT_GE(slab->buf.data().data(), block) << "flow index " << fidx;
+    EXPECT_LE(slab->buf.data().data() + slab->buf.size(),
+              block + sizeof(Packet))
+        << "flow index " << fidx;
   }
   const auto below = overlay_reference(0, 1, 0);
   const auto above = overlay_reference(0x4000, 1, 0);
