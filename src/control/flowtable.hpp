@@ -1,7 +1,8 @@
 // Sharded, expiration-aware flow table: the bounded per-flow state plane
-// of the control plane (the Controller's flow records), the DES split
-// point (BatchAssigner), the NF layer, the steering pins and the rt
-// engine's flow tracking and NF state.
+// of the DES split point (BatchAssigner), the NF layer, the steering pins
+// and the rt engine's flow tracking and NF state. The Controller's flow
+// records (policy.hpp) keep this table's shards, eviction and expiry
+// order in dense arrays of their own.
 //
 // Design (after nfos's map + double-chain pair): the key space is
 // partitioned into power-of-two shards by hash; each shard owns
@@ -236,8 +237,8 @@ class FlowTable {
   }
 
   /// Keys idle for >= ttl at `now`, in deterministic (shard, oldest-first)
-  /// order. Non-destructive: callers that must veto reclamation (e.g. the
-  /// Controller waiting on a drain) peek with this and erase() selectively.
+  /// order. Non-destructive: callers that must veto reclamation (e.g. one
+  /// waiting on a drain) peek with this and erase() selectively.
   void collect_idle(sim::Time now, std::vector<net::FlowId>& out) const {
     if (params_.ttl <= 0) return;
     const sim::Time deadline = now - params_.ttl;

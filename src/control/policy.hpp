@@ -5,11 +5,11 @@
 // (stay on the arrival core — no split, no reassembly latency), elephants
 // get enough micro-flow lanes to absorb their measured rate given a
 // per-core service capacity, clamped to the target's core budget. The
-// Controller keeps ONE control record per flow in one FlowTable — the
-// flow's RateWindow (monitor.hpp), its Hysteresis (classifier.hpp) and its
-// degree — so a tick samples, classifies and retargets a flow in a single
-// probe, and expiry, eviction and erase drop the whole record at once. It
-// pulls per-flow totals from a source callback on each tick and pushes
+// Controller keeps ONE dense control record per flow — the flow's
+// RateWindow (monitor.hpp), its Hysteresis (classifier.hpp) and its
+// degree — in an array kept in first-seen order, which is also the order
+// the sources report in, so a tick is one forward pass over the records.
+// It pulls per-flow totals from a source callback on each tick and pushes
 // degree changes into a control::CapacityTarget (capacity.hpp) — the one
 // seam both engines implement, each via a single adapter
 // (core::MflowCapacityAdapter; rt::EngineCapacityAdapter). max_degree()
@@ -25,7 +25,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
+#include <limits>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "control/capacity.hpp"
@@ -58,8 +60,9 @@ class ScalingPolicy {
   explicit ScalingPolicy(ScalingParams params = {}) : params_(params) {}
 
   /// Desired split degree for one flow given its current degree, clamped
-  /// to [0, max_degree]. `current_degree` anchors the shrink deadband (use
-  /// 0 for a flow with no split history).
+  /// to [0, max_degree] — the deadband included, so a budget that shrank
+  /// below the current degree always lowers it. `current_degree` anchors
+  /// the shrink deadband (use 0 for a flow with no split history).
   std::uint32_t degree_for(FlowClass cls, double rate_pps,
                            std::uint32_t max_degree,
                            std::uint32_t current_degree = 0) const;
@@ -102,12 +105,17 @@ class Controller {
   Controller(ControllerParams params, Source source, CapacityTarget* target);
   Controller(ControllerParams params, ValueSource source,
              CapacityTarget* target);
-  // The flow table's eviction callback holds `this`.
+  // The records' sample rings belong to this Controller's pool.
   Controller(const Controller&) = delete;
   Controller& operator=(const Controller&) = delete;
 
   /// One control iteration: sample -> classify -> retarget. Only committed
-  /// degree changes reach the target (no-op ticks are free).
+  /// degree changes reach the target (no-op ticks are free). `now` never
+  /// decreases from one tick to the next. The source should report flows
+  /// in a stable first-seen order, as both engines' sources do: the tick
+  /// then finds each flow at the record after the previous one. A flow
+  /// reported out of that order costs one hash lookup, never a different
+  /// result.
   void tick(sim::Time now);
 
   const std::vector<RescaleEvent>& history() const { return history_; }
@@ -132,8 +140,8 @@ class Controller {
 
   /// Flows with a live control record. Bounded by the flow table, not by
   /// cumulative arrivals.
-  std::size_t tracked_flows() const { return flows_.size(); }
-  std::size_t peak_tracked() const { return flows_.peak_size(); }
+  std::size_t tracked_flows() const { return live_; }
+  std::size_t peak_tracked() const { return peak_; }
   /// Flows fully reclaimed by TTL expiry (control record + data-path
   /// state).
   std::uint64_t expired_flows() const { return expired_; }
@@ -152,45 +160,160 @@ class Controller {
 
   /// Publish control.elephants / control.active_lanes / control.rescales
   /// gauges+counters each tick, and per-flow `flow.<id>.rate_pps` /
-  /// `flow.<id>.rate_bps` gauges on every sample (names are built once per
-  /// flow, on its first sample with a registry attached, and retracted
-  /// when its record goes). Pass nullptr to detach.
+  /// `flow.<id>.rate_bps` gauges on every sample (retracted when the
+  /// flow's record goes). Pass nullptr to detach.
   void export_to(trace::Registry* reg) { registry_ = reg; }
 
  private:
-  /// One flow's whole control state.
+  /// One flow's whole control state, 96 bytes. Its key and its recency
+  /// sit in parallel arrays (keys_, recency_): the tick's cursor test and
+  /// the expiry scan read them without loading the record.
   struct FlowCtl {
     RateWindow rates;
     Hysteresis hysteresis;
     std::uint32_t degree = 0;  // committed split degree, 0 = unsplit
-    std::uint64_t seq = 0;     // first-seen order for flows()
-    std::string pps_name;      // cached gauge names, empty until a
-    std::string bps_name;      // registry sees the flow
+    std::uint32_t shard = 0;   // recency shard (FlowTableParams::shards)
   };
 
+  /// Recency, exactly as a FlowTable keeps it: `last_seen` is the stamp of
+  /// the insert or of the last touch that moved it forward, and `order`
+  /// counts those stamps across all flows, so within one shard the record
+  /// with the smallest `order` is the one at the head of that shard's
+  /// recency chain. Tick times never decrease, so that chain is sorted by
+  /// last_seen and every idle record is an expiry candidate. A dead record
+  /// holds the kDead sentinels.
+  struct Recency {
+    sim::Time last_seen;
+    std::uint64_t order;
+  };
+
+  /// Open-addressing map from flow to record position (linear probing,
+  /// backward-shift deletion, load factor at most 1/2).
+  class PositionIndex {
+   public:
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+    /// `hash` is detail::mix64(flow), which also picks the flow's shard.
+    std::uint32_t find(net::FlowId flow, std::uint64_t hash) const;
+    std::uint32_t find(net::FlowId flow) const {
+      return find(flow, detail::mix64(flow));
+    }
+    /// `flow` must be absent.
+    void insert(net::FlowId flow, std::uint64_t hash, std::uint32_t pos);
+    /// `flow` must be present.
+    void move(net::FlowId flow, std::uint32_t pos);
+    void erase(net::FlowId flow);
+
+   private:
+    struct Entry {
+      net::FlowId flow;
+      std::uint32_t pos;  // kNone: empty
+    };
+    std::size_t slot_of(net::FlowId flow, std::uint64_t hash) const;
+    void grow();
+
+    std::vector<Entry> entries_;
+    std::size_t mask_ = 0;
+    std::size_t size_ = 0;
+  };
+
+  static constexpr sim::Time kDeadStamp =
+      std::numeric_limits<sim::Time>::max();
+  static constexpr std::uint64_t kDeadOrder =
+      std::numeric_limits<std::uint64_t>::max();
+
+  bool live(std::size_t i) const { return recency_[i].order != kDeadOrder; }
+  /// Append a record for a new flow, first evicting the LRU record of its
+  /// shard when the shard is full (the victim goes to `evicted`, to be
+  /// forgotten after the new flow's sample, as a FlowTable reclaims).
+  std::uint32_t insert(net::FlowId flow, std::uint64_t hash, sim::Time now,
+                       std::optional<std::pair<net::FlowId, std::uint32_t>>&
+                           evicted);
+  /// Drop record i: its key, its ring and its recency. Leaves a
+  /// tombstone until compact().
+  void kill(std::size_t i);
+  /// Squeeze the tombstones out, keeping first-seen order. Runs once they
+  /// reach half the live records, so the arrays stay within 1.5x the live
+  /// flows and each tombstone costs O(1) amortized.
+  void compact();
+  /// A record's place in its shard's recency chain: sorting by it gives
+  /// FlowTable's (shard, oldest-first) order.
+  struct ChainKey {
+    std::uint32_t shard;
+    std::uint32_t pos;
+    std::uint64_t order;
+    bool operator<(const ChainKey& o) const {
+      return shard != o.shard ? shard < o.shard : order < o.order;
+    }
+  };
+  ChainKey chain_key(std::uint32_t pos) const {
+    return {records_[pos].shard, pos, recency_[pos].order};
+  }
+  /// Put `keys` in chain order: a counting sort by shard keeps each
+  /// shard's keys in first-seen order, which is mostly recency order
+  /// already, so most shards need no comparison sort.
+  void sort_by_chain(std::vector<ChainKey>& keys) const;
+  /// A full shard's records sorted by `order`, taken when it first evicts
+  /// and consumed from the front. Stamps only grow, so an entry whose
+  /// record still holds the same `order` is older than every record
+  /// stamped since: the first such entry is the shard's LRU record.
+  struct LruSnapshot {
+    std::vector<ChainKey> keys;
+    std::size_t next = 0;
+  };
+  /// The position of the shard's LRU record, the head of its recency
+  /// chain. Sorting a snapshot of n records happens only after n
+  /// evictions, touches or erases have spent the last one (or after a
+  /// compact()), so it costs O(log n) per such event.
+  std::uint32_t lru_of(std::uint32_t shard);
+  /// A lower bound of last_seen over each block of kBlock records, so the
+  /// expiry scan skips blocks with nothing idle. Touches only raise
+  /// last_seen and a dead record's is kDeadStamp, so a bound only goes
+  /// stale on the safe side; expiry and compact() make it exact again.
+  static constexpr std::size_t kBlock = 64;
+  /// Fold the stamp of the record appended at `pos` into its block's
+  /// bound.
+  void bound_block(std::size_t pos, sim::Time stamp);
   void expire_flows(sim::Time now);
-  void publish_gauges(net::FlowId flow, FlowCtl& fc);
+  void publish_gauges(net::FlowId flow, const RateWindow& rates);
   /// Commit degree -> 0 for a split flow leaving its split.
   void demote(net::FlowId flow, std::uint32_t degree);
   /// A record leaving by eviction or erase: demote if split, retract
   /// gauges.
-  void forget(net::FlowId flow, const FlowCtl& fc);
-  void retract_gauges(const FlowCtl& fc);
+  void forget(net::FlowId flow, std::uint32_t degree);
+  void retract_gauges(net::FlowId flow);
 
   ControllerParams params_;
   Source source_;
   std::vector<FlowTotals> totals_;  // source_'s output, reused every tick
   CapacityTarget* target_;
   ScalingPolicy policy_;
-  FlowTable<FlowCtl> flows_;
+  SamplePool samples_;  // declared before the records that point into it
+  // The records, in first-seen order, tombstones included: position i of
+  // each array belongs to one flow.
+  std::vector<net::FlowId> keys_;
+  std::vector<Recency> recency_;
+  std::vector<FlowCtl> records_;
+  PositionIndex index_;
+  std::vector<std::uint32_t> shard_live_;  // live records per shard
+  std::uint32_t shard_mask_ = 0;
+  std::size_t shard_capacity_ = 0;  // FlowTable's per-shard bound
+  std::size_t live_ = 0;
+  std::size_t dead_ = 0;
+  std::size_t peak_ = 0;
+  std::uint64_t next_order_ = 0;
+  std::vector<sim::Time> block_min_;  // one per kBlock records
+  std::vector<ChainKey> idle_scratch_;
+  mutable std::vector<ChainKey> order_scratch_;
+  mutable std::vector<ChainKey> bucket_scratch_;  // never shrinks
+  mutable std::vector<std::uint32_t> shard_start_scratch_;
   std::vector<RescaleEvent> history_;
-  std::vector<net::FlowId> idle_scratch_;
   sim::Time now_ = 0;  // the current (or last) tick
-  std::uint64_t next_seq_ = 0;
   std::uint64_t transitions_ = 0;
   std::uint64_t expired_ = 0;
   std::uint64_t release_retries_ = 0;
   trace::Registry* registry_ = nullptr;
+  std::vector<LruSnapshot> lru_;  // per shard, empty until it evicts
 };
 
 }  // namespace mflow::control

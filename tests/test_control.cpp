@@ -5,7 +5,13 @@
 // steady-state allocation bound can diff the counter across ticks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <random>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "alloc_counter.hpp"
@@ -17,6 +23,8 @@
 #include "core/splitter.hpp"
 #include "experiment/scenario.hpp"
 #include "rt/reassembler.hpp"
+#include "trace/registry.hpp"
+#include "util/fifo.hpp"
 
 using namespace mflow;
 using control::FlowClass;
@@ -26,11 +34,12 @@ using Totals = std::vector<control::Controller::FlowTotals>;
 
 TEST(RateWindow, RateZeroUntilTwoSamples) {
   const control::MonitorParams mp;
+  control::SamplePool pool;
   control::RateWindow w;
   EXPECT_DOUBLE_EQ(w.rate_pps(), 0.0);
-  w.record(1000, 1'500'000, 0, mp);
+  w.record(1000, 1'500'000, 0, mp, pool);
   EXPECT_DOUBLE_EQ(w.rate_pps(), 0.0);
-  w.record(2000, 3'000'000, sim::ms(1), mp);
+  w.record(2000, 3'000'000, sim::ms(1), mp, pool);
   // 1000 segs / 1ms, 1.5MB / 1ms * 8.
   EXPECT_DOUBLE_EQ(w.rate_pps(), 1e6);
   EXPECT_DOUBLE_EQ(w.rate_bps(), 1.5e6 * 8.0 * 1000.0);
@@ -38,6 +47,7 @@ TEST(RateWindow, RateZeroUntilTwoSamples) {
 
 TEST(RateWindow, SlidingWindowForgetsOldRate) {
   const control::MonitorParams mp{sim::ms(1), 32};
+  control::SamplePool pool;
   control::RateWindow w;
   // 100 segs per 250us for 2ms, then the flow goes silent.
   std::uint64_t total = 0;
@@ -45,13 +55,13 @@ TEST(RateWindow, SlidingWindowForgetsOldRate) {
   for (int i = 0; i < 8; ++i) {
     total += 100;
     t += sim::us(250);
-    w.record(total, total * 1500, t, mp);
+    w.record(total, total * 1500, t, mp, pool);
   }
   EXPECT_NEAR(w.rate_pps(), 400'000.0, 1.0);
   // Flat samples push the active burst out of the window: rate decays to 0.
   for (int i = 0; i < 8; ++i) {
     t += sim::us(250);
-    w.record(total, total * 1500, t, mp);
+    w.record(total, total * 1500, t, mp, pool);
   }
   EXPECT_DOUBLE_EQ(w.rate_pps(), 0.0);
   EXPECT_EQ(w.total_segs(), total);
@@ -63,17 +73,60 @@ TEST(RateWindow, SlidingWindowForgetsOldRate) {
 // demotion.
 TEST(RateWindow, WindowTrimBoundsRetainedSpan) {
   const control::MonitorParams mp{sim::ms(1), 32};
+  control::SamplePool pool;
   control::RateWindow w;
   // Burst of 1000 segs in the first interval, then 100 per 250us.
-  w.record(0, 0, 0, mp);
+  w.record(0, 0, 0, mp, pool);
   std::uint64_t total = 1000;
   for (int i = 0; i < 5; ++i) {
-    w.record(total, total * 1500, sim::us(250) * (i + 1), mp);
+    w.record(total, total * 1500, sim::us(250) * (i + 1), mp, pool);
     total += 100;
   }
   // Retained samples must span [250us, 1250us]: 400 segs / 1ms. A trim
   // that keeps the t=0 sample reports (1400 - 0) / 1.25ms = 1.12M.
   EXPECT_DOUBLE_EQ(w.rate_pps(), 400'000.0);
+}
+
+// The ring wraps many times under the max_samples trim and grows through
+// several sizes: the rate is always the delta over the last max_samples.
+TEST(RateWindow, RingWrapKeepsTheLastMaxSamples) {
+  control::MonitorParams mp{sim::seconds(1), 10};
+  control::SamplePool pool;
+  control::RateWindow w;
+  for (std::uint64_t i = 1; i <= 100; ++i) {
+    // Totals grow by i, so any sample dropped too early or too late shows.
+    const std::uint64_t total = i * (i + 1) / 2;
+    w.record(total, total, sim::us(100) * static_cast<sim::Time>(i), mp, pool);
+    const std::uint64_t first = i > 10 ? i - 9 : 1;
+    const std::uint64_t first_total = first * (first + 1) / 2;
+    if (i < 2) continue;
+    EXPECT_DOUBLE_EQ(w.rate_pps(),
+                     static_cast<double>(total - first_total) /
+                         sim::to_seconds(sim::us(100) *
+                                         static_cast<sim::Time>(i - first)))
+        << "after sample " << i;
+  }
+  EXPECT_EQ(w.total_segs(), 5050u);
+}
+
+// A released window's ring goes back to the pool, and the next window of
+// the same depth reuses it without allocating.
+TEST(RateWindow, ReleasedRingIsReused) {
+  const control::MonitorParams mp{sim::seconds(1), 32};
+  control::SamplePool pool;
+  auto fill = [&](control::RateWindow& w) {
+    for (int i = 1; i <= 20; ++i) w.record(i, i, sim::us(i), mp, pool);
+  };
+  control::RateWindow a;
+  fill(a);
+  a.release(pool);
+  EXPECT_TRUE(a.empty());
+  EXPECT_DOUBLE_EQ(a.rate_pps(), 0.0);
+  const std::uint64_t before = alloc_counter::calls();
+  control::RateWindow b;
+  fill(b);
+  EXPECT_EQ(alloc_counter::calls() - before, 0u);
+  EXPECT_EQ(b.total_segs(), 20u);
 }
 
 // --- Classifier hysteresis ---------------------------------------------------
@@ -191,6 +244,17 @@ TEST(ScalingPolicy, ShrinkDeadbandHoldsDegreeNearBoundary) {
   EXPECT_EQ(pol.degree_for(FlowClass::kElephant, 350'000.0, 4, 2), 4u);
 }
 
+// A budget below the current degree wins over the deadband: the rate
+// (400k pps, 3 lanes) does not fit the one lane left with margin, so the
+// deadband would hold 3, but the budget is 1.
+TEST(ScalingPolicy, DeadbandNeverExceedsMaxDegree) {
+  control::ScalingPolicy pol;  // 150k pps per lane, margin 0.8
+  EXPECT_EQ(pol.degree_for(FlowClass::kElephant, 400'000.0, 1, 3), 1u);
+  EXPECT_EQ(pol.degree_for(FlowClass::kElephant, 400'000.0, 2, 3), 2u);
+  // Inside the budget the deadband still holds.
+  EXPECT_EQ(pol.degree_for(FlowClass::kElephant, 400'000.0, 4, 4), 4u);
+}
+
 // --- Controller loop ---------------------------------------------------------
 
 namespace {
@@ -235,6 +299,50 @@ TEST(Controller, PromotesScalesAndDemotes) {
   // ticks emit nothing (history has exactly the committed changes).
   for (const auto& [flow, degree] : target.calls) EXPECT_EQ(flow, 1u);
   EXPECT_EQ(target.calls.size(), ctl.history().size());
+}
+
+namespace {
+
+/// FakeTarget with a budget the test moves.
+struct BudgetTarget final : control::CapacityTarget {
+  std::vector<std::pair<net::FlowId, std::uint32_t>> calls;
+  std::uint32_t budget = 4;
+  void set_flow_degree(net::FlowId flow, std::uint32_t degree) override {
+    calls.emplace_back(flow, degree);
+  }
+  std::uint32_t max_degree() const override { return budget; }
+};
+
+}  // namespace
+
+// An elephant split 3 ways follows its budget down to 1 and back up to 3:
+// the shrink deadband must not keep the record at a degree the budget no
+// longer allows, or the regrown budget would find nothing to raise.
+TEST(Controller, BudgetShrinkThenRegrowRestoresDegree) {
+  BudgetTarget target;
+  std::uint64_t segs = 0;
+  control::Controller ctl(
+      control::ControllerParams{},
+      [&](Totals& out) { out = {{7, segs, segs * 1500}}; }, &target);
+  sim::Time t = 0;
+  auto run = [&](int ticks) {
+    for (int i = 0; i < ticks; ++i) {
+      segs += 40;  // 400k pps: 3 lanes of 150k
+      t += sim::us(100);
+      ctl.tick(t);
+    }
+  };
+  run(20);
+  EXPECT_EQ(ctl.degree_of(7), 3u);
+  target.budget = 1;
+  run(5);
+  EXPECT_EQ(ctl.degree_of(7), 1u);
+  target.budget = 4;
+  run(5);
+  EXPECT_EQ(ctl.degree_of(7), 3u);
+  EXPECT_EQ(target.calls,
+            (std::vector<std::pair<net::FlowId, std::uint32_t>>{
+                {7, 3}, {7, 1}, {7, 3}}));
 }
 
 // A source that returns its totals by value drives the Controller exactly
@@ -808,8 +916,8 @@ TEST(Controller, ChurnStormKeepsStateAndGaugesBounded) {
 
 // 400 steady mice whose totals advance every tick: after warm-up a tick
 // allocates nothing at all. Each flow's sample ring has reached its peak
-// depth, the record's probe builds no value, and the source fills the
-// Controller's own totals vector, whose capacity every tick reuses.
+// depth, a resident flow's record is found in place, and the source fills
+// the Controller's own totals vector, whose capacity every tick reuses.
 TEST(Controller, SteadyStateTickAllocationsPerFlowBounded) {
   FakeTarget target;
   constexpr int kFlows = 400;
@@ -838,9 +946,10 @@ TEST(Controller, SteadyStateTickAllocationsPerFlowBounded) {
 }
 
 // A churn-shaped source (40 new flows per tick, each advancing its totals
-// for 10 ticks, then silent until the TTL expires it): after warm-up the
-// only allocations are one sample-ring growth per new flow. A record that allocated on reset (a std::deque
-// allocates in its default constructor) pays about one more per flow.
+// for 10 ticks, then silent until the TTL expires it): after warm-up churn
+// allocates nothing. An expired flow's sample ring goes back to the pool
+// and its record's slot is squeezed out in place, so the next flow reuses
+// both.
 TEST(Controller, ChurnAllocationsPerExpiredFlowBounded) {
   FakeTarget target;
   constexpr int kPerTick = 40;
@@ -872,10 +981,8 @@ TEST(Controller, ChurnAllocationsPerExpiredFlowBounded) {
   const std::uint64_t expired = ctl.expired_flows() - expired_before;
   ASSERT_GE(expired, static_cast<std::uint64_t>(kTicks - 20) * kPerTick);
   EXPECT_EQ(ctl.rescales(), 0u);
-  const double per_expired =
-      static_cast<double>(allocs) / static_cast<double>(expired);
-  EXPECT_LE(per_expired, 1.1) << allocs << " allocations for " << expired
-                              << " expired flows";
+  EXPECT_EQ(allocs, 0u) << allocs << " allocations for " << expired
+                        << " expired flows";
 }
 
 namespace {
@@ -1121,6 +1228,481 @@ TEST(Controller, CapacityEvictionDropsTheWholeRecord) {
   }
   EXPECT_EQ(ctl.rescales(), rescales_before);
   EXPECT_EQ(ctl.elephants(), 0u);
+}
+
+// --- The million-flow drive -----------------------------------------------------
+
+namespace {
+
+/// FNV-1a over every RescaleEvent field, in history order.
+std::uint64_t history_digest(const std::vector<control::RescaleEvent>& h) {
+  std::uint64_t d = 14695981039346656037ull;
+  auto mix = [&d](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      d ^= (v >> (8 * i)) & 0xff;
+      d *= 1099511628211ull;
+    }
+  };
+  for (const control::RescaleEvent& e : h) {
+    mix(static_cast<std::uint64_t>(e.at));
+    mix(e.flow);
+    mix(e.old_degree);
+    mix(e.new_degree);
+  }
+  return d;
+}
+
+}  // namespace
+
+// bench/ablate_churn's controller drive: 1,200,002 cumulative flows
+// (2M churned flows/s for 300 ms, reverse twins included) through a
+// 2M-entry table, plus one elephant that surges at 150 ms and is reported
+// after the churn flows, out of first-seen order. Every value was recorded
+// before the control tick became a pass over dense records.
+TEST(Controller, MillionFlowDrivePinned) {
+  control::ControllerParams cp;
+  cp.monitor.window = sim::ms(2);
+  cp.monitor.max_samples = 32;
+  cp.monitor.table.shards = 8;
+  cp.monitor.table.capacity = 1 << 21;
+  cp.monitor.table.ttl = sim::ms(1);
+  cp.classifier.promote_pps = 200'000;
+  cp.classifier.demote_pps = 100'000;
+  cp.classifier.dwell = sim::ms(1);
+  cp.scaling.per_core_pps = 150'000;
+
+  exp::ScenarioConfig::ControlPlane::Churn churn;
+  churn.enabled = true;
+  churn.flows_per_sec = 2e6;
+  churn.flow_lifetime = sim::us(500);
+  churn.rate_pps = 20'000;
+  churn.reverse = true;
+  churn.first_flow_id = 1ull << 20;
+
+  const sim::Time surge_at = sim::ms(150);
+  constexpr net::FlowId kSurgeFlow = 999;
+  sim::Time now = 0;
+  auto source = [&](Totals& v) {
+    exp::append_churn_totals(churn, now, v);
+    if (now >= surge_at) {
+      const double active = sim::to_seconds(now - surge_at);
+      const auto segs = static_cast<std::uint64_t>(1e6 * active) + 1;
+      v.push_back({kSurgeFlow, segs, segs * net::kTcpMss});
+    }
+  };
+  FakeTarget target;
+  control::Controller ctl(cp, source, &target);
+  for (now = sim::us(200); now <= sim::ms(300); now += sim::us(200))
+    ctl.tick(now);
+
+  sim::Time reaction = -1;
+  for (const auto& ev : ctl.history()) {
+    if (ev.flow == kSurgeFlow && ev.new_degree > ev.old_degree) {
+      reaction = ev.at - surge_at;
+      break;
+    }
+  }
+  EXPECT_EQ(ctl.peak_tracked(), 6004u);
+  EXPECT_EQ(ctl.tracked_flows(), 5203u);
+  EXPECT_EQ(ctl.expired_flows(), 1'194'800u);
+  EXPECT_EQ(ctl.rescales(), 1u);
+  EXPECT_EQ(reaction, sim::us(1200));
+  EXPECT_EQ(ctl.transitions(), 1u);
+  EXPECT_EQ(ctl.release_retries(), 0u);
+  EXPECT_EQ(history_digest(ctl.history()), 16627637009614694020ull);
+}
+
+// --- The dense tick against a FlowTable-backed reference ---------------------
+
+namespace {
+
+/// The Controller as it was when each flow's control record lived in one
+/// control::FlowTable: one upsert_apply per reported flow, a util::Fifo
+/// sample window, collect_idle() for expiry and for_each() for the
+/// aggregate rate. The Controller's dense records must reproduce it
+/// exactly, orders included.
+class ReferenceController {
+ public:
+  ReferenceController(const control::ControllerParams& params,
+                      control::CapacityTarget* target)
+      : params_(params),
+        target_(target),
+        policy_(params.scaling),
+        flows_(params.monitor.table) {
+    flows_.set_reclaim(
+        [this](net::FlowId flow, Ctl&& fc) { forget(flow, fc); });
+  }
+  ReferenceController(const ReferenceController&) = delete;
+  ReferenceController& operator=(const ReferenceController&) = delete;
+
+  void export_to(trace::Registry* reg) { registry_ = reg; }
+
+  void tick(sim::Time now, const Totals& totals) {
+    now_ = now;
+    const std::uint32_t max_degree = target_->max_degree();
+    for (const auto& t : totals) {
+      std::uint32_t current = 0;
+      std::uint32_t want = 0;
+      flows_.upsert_apply(t.flow, now, [&](Ctl& fc) {
+        if (fc.rates.samples.empty()) fc.seq = next_seq_++;
+        const bool active =
+            fc.rates.record(t.segs, t.bytes, now, params_.monitor);
+        const double pps = fc.rates.rate(false);
+        if (registry_ != nullptr) publish(t.flow, fc);
+        if (fc.hysteresis.update(pps, now, params_.classifier))
+          ++transitions_;
+        current = fc.degree;
+        want = policy_.degree_for(fc.hysteresis.committed, pps, max_degree,
+                                  current);
+        fc.degree = want;
+        return active;
+      });
+      if (current == want) continue;
+      history_.push_back(control::RescaleEvent{now, t.flow, current, want});
+      target_->set_flow_degree(t.flow, want);
+    }
+    if (params_.monitor.table.ttl > 0) {
+      std::vector<net::FlowId> idle;
+      flows_.collect_idle(now, idle);
+      for (const net::FlowId flow : idle) {
+        Ctl* fc = flows_.find(flow);
+        if (fc->degree > 0) {
+          demote(flow, fc->degree);
+          fc->degree = 0;
+        }
+        if (!target_->release_flow(flow)) {
+          ++release_retries_;
+          continue;
+        }
+        retract(*fc, flow);
+        flows_.erase(flow);
+        ++expired_;
+      }
+    }
+    if (registry_ != nullptr) {
+      std::uint64_t lanes = 0;
+      flows_.for_each(
+          [&lanes](net::FlowId, const Ctl& fc) { lanes += fc.degree; });
+      registry_->set_gauge("control.elephants",
+                           static_cast<double>(elephants()));
+      registry_->set_gauge("control.active_lanes",
+                           static_cast<double>(lanes));
+      registry_->set_counter("control.rescales", history_.size());
+      registry_->set_gauge("control.tracked_flows",
+                           static_cast<double>(flows_.size()));
+      registry_->set_counter("control.flows_expired", expired_);
+    }
+  }
+
+  bool erase(net::FlowId flow) {
+    const Ctl* fc = flows_.find(flow);
+    if (fc == nullptr) return false;
+    forget(flow, *fc);
+    return flows_.erase(flow);
+  }
+  void clear() {
+    for (const net::FlowId flow : flows()) erase(flow);
+    next_seq_ = 0;
+  }
+
+  const std::vector<control::RescaleEvent>& history() const {
+    return history_;
+  }
+  std::uint32_t degree_of(net::FlowId flow) const {
+    const Ctl* fc = flows_.find(flow);
+    return fc == nullptr ? 0 : fc->degree;
+  }
+  FlowClass classify(net::FlowId flow) const {
+    const Ctl* fc = flows_.find(flow);
+    return fc == nullptr ? FlowClass::kMouse : fc->hysteresis.committed;
+  }
+  double rate_pps(net::FlowId flow) const {
+    const Ctl* fc = flows_.find(flow);
+    return fc == nullptr ? 0.0 : fc->rates.rate(false);
+  }
+  double rate_bps(net::FlowId flow) const {
+    const Ctl* fc = flows_.find(flow);
+    return fc == nullptr ? 0.0 : fc->rates.rate(true) * 8.0;
+  }
+  std::uint64_t elephants() const {
+    std::uint64_t n = 0;
+    flows_.for_each([&n](net::FlowId, const Ctl& fc) {
+      if (fc.degree > 0 && fc.hysteresis.committed == FlowClass::kElephant)
+        ++n;
+    });
+    return n;
+  }
+  double aggregate_rate_pps() const {
+    double total = 0.0;
+    flows_.for_each([&total](net::FlowId, const Ctl& fc) {
+      total += fc.rates.rate(false);
+    });
+    return total;
+  }
+  std::vector<net::FlowId> flows() const {
+    std::vector<std::pair<std::uint64_t, net::FlowId>> seq;
+    flows_.for_each([&seq](net::FlowId flow, const Ctl& fc) {
+      seq.emplace_back(fc.seq, flow);
+    });
+    std::sort(seq.begin(), seq.end());
+    std::vector<net::FlowId> out;
+    for (const auto& [_, flow] : seq) out.push_back(flow);
+    return out;
+  }
+  std::size_t tracked_flows() const { return flows_.size(); }
+  std::size_t peak_tracked() const { return flows_.peak_size(); }
+  std::uint64_t expired_flows() const { return expired_; }
+  std::uint64_t release_retries() const { return release_retries_; }
+  std::uint64_t transitions() const { return transitions_; }
+
+ private:
+  /// The sample window with every sample in one util::Fifo.
+  struct Window {
+    struct Sample {
+      sim::Time at = 0;
+      std::uint64_t segs = 0;
+      std::uint64_t bytes = 0;
+    };
+    util::Fifo<Sample> samples;
+
+    bool record(std::uint64_t segs, std::uint64_t bytes, sim::Time now,
+                const control::MonitorParams& p) {
+      const bool active = samples.empty() || segs > samples.back().segs ||
+                          bytes > samples.back().bytes;
+      samples.push_back(Sample{now, segs, bytes});
+      while (samples.size() > 2 && (samples.size() > p.max_samples ||
+                                    now - samples.front().at > p.window))
+        samples.pop_front();
+      return active;
+    }
+    double rate(bool bytes) const {
+      if (samples.size() < 2) return 0.0;
+      const sim::Time span = samples.back().at - samples.front().at;
+      if (span <= 0) return 0.0;
+      const std::uint64_t delta =
+          bytes ? samples.back().bytes - samples.front().bytes
+                : samples.back().segs - samples.front().segs;
+      return static_cast<double>(delta) / sim::to_seconds(span);
+    }
+  };
+  struct Ctl {
+    Window rates;
+    control::Hysteresis hysteresis;
+    std::uint32_t degree = 0;
+    std::uint64_t seq = 0;
+    bool published = false;
+  };
+
+  static std::string gauge(net::FlowId flow, const char* unit) {
+    return "flow." + std::to_string(flow) + ".rate_" + unit;
+  }
+  void publish(net::FlowId flow, Ctl& fc) {
+    fc.published = true;
+    registry_->set_gauge(gauge(flow, "pps"), fc.rates.rate(false));
+    registry_->set_gauge(gauge(flow, "bps"), fc.rates.rate(true) * 8.0);
+  }
+  void retract(const Ctl& fc, net::FlowId flow) {
+    if (registry_ == nullptr || !fc.published) return;
+    registry_->remove_gauge(gauge(flow, "pps"));
+    registry_->remove_gauge(gauge(flow, "bps"));
+  }
+  void demote(net::FlowId flow, std::uint32_t degree) {
+    history_.push_back(control::RescaleEvent{now_, flow, degree, 0});
+    target_->set_flow_degree(flow, 0);
+  }
+  void forget(net::FlowId flow, const Ctl& fc) {
+    if (fc.degree > 0) demote(flow, fc.degree);
+    retract(fc, flow);
+  }
+
+  control::ControllerParams params_;
+  control::CapacityTarget* target_;
+  control::ScalingPolicy policy_;
+  control::FlowTable<Ctl> flows_;
+  std::vector<control::RescaleEvent> history_;
+  sim::Time now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t transitions_ = 0;
+  std::uint64_t expired_ = 0;
+  std::uint64_t release_retries_ = 0;
+  trace::Registry* registry_ = nullptr;
+};
+
+/// Logs every call in order, and vetoes a release by a rule of (flow,
+/// tick) alone, so both sides see the same vetoes for the same asks.
+struct LoggingTarget final : control::CapacityTarget {
+  std::vector<std::tuple<char, net::FlowId, std::uint32_t>> log;
+  const std::uint32_t* budget = nullptr;
+  const sim::Time* now = nullptr;
+  std::uint64_t veto_mod = 0;  // 0: never veto
+  void set_flow_degree(net::FlowId flow, std::uint32_t degree) override {
+    log.emplace_back('d', flow, degree);
+  }
+  std::uint32_t max_degree() const override { return *budget; }
+  bool release_flow(net::FlowId flow) override {
+    const bool veto =
+        veto_mod != 0 &&
+        control::detail::mix64(flow ^ static_cast<std::uint64_t>(*now)) %
+            veto_mod == 0;
+    log.emplace_back(veto ? 'v' : 'r', flow, 0);
+    return !veto;
+  }
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// One seeded run: random reports against both controllers, compared
+/// after every tick; stops at the first difference.
+void run_differential(std::uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << "seed " << seed);
+  std::mt19937_64 rng(seed);
+  auto chance = [&rng](double p) {
+    return std::uniform_real_distribution<double>(0, 1)(rng) < p;
+  };
+  auto pick = [&rng](std::uint64_t n) {
+    return std::uniform_int_distribution<std::uint64_t>(0, n - 1)(rng);
+  };
+
+  control::ControllerParams p;
+  const sim::Time tick = sim::us(100);
+  p.monitor.window = std::array{sim::us(300), sim::ms(1)}[pick(2)];
+  p.monitor.max_samples = std::array<std::size_t, 4>{1, 3, 8, 32}[pick(4)];
+  p.monitor.table.shards = std::array<std::size_t, 3>{1, 2, 8}[pick(3)];
+  p.monitor.table.capacity =
+      std::array<std::size_t, 4>{3, 12, 40, 1 << 20}[pick(4)];
+  p.monitor.table.ttl = std::array{sim::Time{0}, sim::us(300), sim::ms(1)}[pick(3)];
+  p.classifier.promote_pps = 200'000;
+  p.classifier.demote_pps = 100'000;
+  p.classifier.dwell = std::array{sim::Time{0}, sim::us(200)}[pick(2)];
+  p.scaling.per_core_pps = 150'000;
+  const bool shuffles = chance(0.5);
+  const bool with_registry = chance(0.5);
+
+  std::uint32_t budget = 4;
+  sim::Time now = 0;
+  LoggingTarget dense_target, ref_target;
+  const std::uint64_t veto_mod = chance(0.5) ? 3 : 0;
+  for (LoggingTarget* t : {&dense_target, &ref_target}) {
+    t->budget = &budget;
+    t->now = &now;
+    t->veto_mod = veto_mod;
+  }
+  Totals report;
+  control::Controller dense(
+      p, [&report](Totals& out) { out = report; }, &dense_target);
+  ReferenceController ref(p, &ref_target);
+  trace::Registry dense_reg, ref_reg;
+  if (with_registry) {
+    dense.export_to(&dense_reg);
+    ref.export_to(&ref_reg);
+  }
+
+  struct Source {
+    net::FlowId id;
+    std::uint64_t segs = 0;
+    std::uint64_t per_tick = 0;  // segs per tick
+  };
+  std::vector<Source> live;           // in first-seen order
+  std::vector<net::FlowId> retired;   // ids free for reuse
+  std::set<net::FlowId> universe;     // every id ever used
+  net::FlowId next_id = 1;
+
+  for (int n = 0; n < 300; ++n) {
+    SCOPED_TRACE(testing::Message() << "tick " << n);
+    if (!chance(0.05)) now += tick;  // else the same time again
+    if (chance(0.1)) budget = static_cast<std::uint32_t>(1 + pick(4));
+
+    const auto arrivals = pick(5);
+    for (std::uint64_t k = 0; k < arrivals; ++k) {
+      Source src;
+      if (!retired.empty() && chance(0.3)) {
+        const auto r = pick(retired.size());
+        src.id = retired[r];
+        retired.erase(retired.begin() + static_cast<std::ptrdiff_t>(r));
+      } else {
+        src.id = chance(0.2) ? rng() : next_id++;
+      }
+      universe.insert(src.id);
+      // Mice at 10k-50k pps, elephants at 200k-600k pps.
+      src.per_tick = chance(0.2) ? 20 + pick(41) : 1 + pick(5);
+      live.push_back(src);
+    }
+    report.clear();
+    for (std::size_t i = 0; i < live.size();) {
+      Source& src = live[i];
+      if (chance(0.04)) {  // the flow ends
+        retired.push_back(src.id);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        continue;
+      }
+      if (!chance(0.1)) src.segs += src.per_tick;  // else frozen this tick
+      if (chance(0.05)) src.per_tick = chance(0.5) ? 1 : 20 + pick(41);
+      if (!chance(0.1)) report.push_back({src.id, src.segs, src.segs * 1500});
+      ++i;
+    }
+    if (!report.empty() && chance(0.05))
+      report.push_back(report[pick(report.size())]);  // a duplicate
+    if (shuffles && chance(0.2)) std::shuffle(report.begin(), report.end(), rng);
+
+    dense.tick(now);
+    ref.tick(now, report);
+    if (chance(0.02) && !universe.empty()) {
+      const net::FlowId victim = *std::next(
+          universe.begin(), static_cast<std::ptrdiff_t>(pick(universe.size())));
+      ASSERT_EQ(dense.erase(victim), ref.erase(victim));
+    }
+    if (chance(0.005)) {
+      dense.clear();
+      ref.clear();
+    }
+
+    ASSERT_EQ(dense.history().size(), ref.history().size());
+    for (std::size_t i = 0; i < ref.history().size(); ++i) {
+      const auto& a = dense.history()[i];
+      const auto& b = ref.history()[i];
+      ASSERT_EQ(std::tie(a.at, a.flow, a.old_degree, a.new_degree),
+                std::tie(b.at, b.flow, b.old_degree, b.new_degree))
+          << "history event " << i;
+    }
+    ASSERT_EQ(dense_target.log, ref_target.log);
+    ASSERT_EQ(dense.tracked_flows(), ref.tracked_flows());
+    ASSERT_EQ(dense.peak_tracked(), ref.peak_tracked());
+    ASSERT_EQ(dense.expired_flows(), ref.expired_flows());
+    ASSERT_EQ(dense.release_retries(), ref.release_retries());
+    ASSERT_EQ(dense.transitions(), ref.transitions());
+    ASSERT_EQ(dense.elephants(), ref.elephants());
+    ASSERT_EQ(dense.flows(), ref.flows());
+    ASSERT_EQ(bits(dense.aggregate_rate_pps()), bits(ref.aggregate_rate_pps()));
+    for (const net::FlowId id : universe) {
+      ASSERT_EQ(dense.degree_of(id), ref.degree_of(id)) << "flow " << id;
+      ASSERT_EQ(dense.classify(id), ref.classify(id)) << "flow " << id;
+      ASSERT_EQ(bits(dense.rate_pps(id)), bits(ref.rate_pps(id)))
+          << "flow " << id;
+      ASSERT_EQ(bits(dense.rate_bps(id)), bits(ref.rate_bps(id)))
+          << "flow " << id;
+    }
+    if (with_registry) {
+      ASSERT_EQ(dense_reg.snapshot().gauges, ref_reg.snapshot().gauges);
+      ASSERT_EQ(dense_reg.snapshot().counters, ref_reg.snapshot().counters);
+    }
+  }
+}
+
+}  // namespace
+
+// Seeded random reports (first-seen order with drops, arrivals, duplicates
+// and shuffled ticks; reused FlowIds; small tables that evict; TTL expiry
+// with release vetoes; elephants under a moving budget; a tick time that
+// repeats; erase and clear between ticks) drive the
+// Controller and the reference side by side. After every tick every
+// output must be identical: history, the target's calls in order, the
+// counters, flows(), per-flow degree, class and rates, the aggregate rate
+// to the bit, and the registry's gauges.
+TEST(Controller, DenseTickMatchesFlowTableReference) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    run_differential(seed);
+    if (HasFatalFailure()) return;
+  }
 }
 
 TEST(ScenarioValidate, RejectsChurnWithoutControlOrTtl) {
